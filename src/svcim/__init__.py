@@ -6,8 +6,6 @@ from .detectors import (
     DetectionResult,
     MmpDfParams,
     SparseEstimate,
-    esvc_decode,
-    ml_esvc,
     ml_secbim,
     mmp_df,
     secbim_decode,
@@ -62,9 +60,7 @@ __all__ = [
     "draw_channel",
     "emit_results",
     "encode_bits",
-    "esvc_decode",
     "generate_set",
-    "ml_esvc",
     "ml_secbim",
     "mmp_df",
     "ofdm_demodulate",

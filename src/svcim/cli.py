@@ -9,10 +9,34 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .detectors import MmpDfParams
-from .harness import SweepPlan, emit_results, run_ber_sweep, run_timing, write_timing_csv
-from .link import SystemConfig, bits_per_symbol, config_from_text, spectral_efficiency
+from .harness import (
+    SWEEP_AXES,
+    SweepPlan,
+    emit_results,
+    run_ber_sweep,
+    run_timing,
+    write_timing_csv,
+)
+from .link import SystemConfig, bits_per_symbol, config_from_text, field_types, spectral_efficiency
+
+# SystemConfig field -> (flag, help). Other fields get --<field name>, no help.
+_FLAGS = {
+    "N": ("--N", "subcarriers (power of two)"),
+    "M": ("--M", "virtual-domain length"),
+    "K": ("--K", "active indices"),
+    "L": ("--L", "cyclic prefix length"),
+    "v": ("--v", "channel taps"),
+    "G": ("--G", "codebooks (power of two)"),
+    "ebn0_db": ("--ebn0", "Eb/N0 in dB (inf = noiseless)"),
+    "channel_path": ("--channel-path", None),
+    "mmp_omega": ("--omega", "search expansions per node"),
+    "mmp_lam": ("--lam", "residual stop threshold"),
+    "mmp_upsilon": ("--upsilon", "max full-depth candidates"),
+    "mmp_relative_stop": ("--absolute-stop",
+                          "treat the stop threshold as an absolute residual instead of relative"),
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -20,52 +44,29 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--config", metavar="PATH", default=None,
         help="load the system config from a key=value file (overrides the config flags)",
     )
-    parser.add_argument("--scheme", choices=("esvc", "secbim"), default="esvc")
-    parser.add_argument("--detector", choices=("mmpdf", "ml"), default="mmpdf")
-    parser.add_argument("--N", type=int, default=64, help="subcarriers (power of two)")
-    parser.add_argument("--M", type=int, default=64, help="virtual-domain length")
-    parser.add_argument("--K", type=int, default=2, help="active indices")
-    parser.add_argument("--L", type=int, default=16, help="cyclic prefix length")
-    parser.add_argument("--v", type=int, default=10, help="channel taps")
-    parser.add_argument("--G", type=int, default=1, help="codebooks (power of two)")
-    parser.add_argument("--ebn0", type=float, default=10.0, help="Eb/N0 in dB (inf = noiseless)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--channel-path", choices=("freq", "time"), default="freq")
-    parser.add_argument("--omega", type=int, default=2, help="search expansions per node")
-    parser.add_argument("--lam", type=float, default=0.1, help="residual stop threshold")
-    parser.add_argument("--upsilon", type=int, default=2, help="max full-depth candidates")
-    parser.add_argument(
-        "--absolute-stop", action="store_true",
-        help="treat the stop threshold as an absolute residual instead of relative",
-    )
+    types = field_types(SystemConfig)
+    for f in fields(SystemConfig):
+        flag, help_text = _FLAGS.get(f.name, (f"--{f.name}", None))
+        if types[f.name] is bool:  # a switch that flips the default
+            parser.add_argument(flag, dest=f.name, help=help_text,
+                                action="store_false" if f.default else "store_true")
+        else:
+            choices = f.metadata.get("choices")
+            parser.add_argument(flag, dest=f.name, type=types[f.name], default=f.default,
+                                choices=choices, help=help_text,
+                                metavar=None if choices else flag[2:].upper())
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
     if args.config is not None:
         with open(args.config) as fh:
             return config_from_text(fh.read())
-    return SystemConfig(
-        scheme=args.scheme,
-        detector=args.detector,
-        N=args.N,
-        M=args.M,
-        K=args.K,
-        L=args.L,
-        v=args.v,
-        G=args.G,
-        ebn0_db=args.ebn0,
-        seed=args.seed,
-        channel_path=args.channel_path,
-        mmp=MmpDfParams(
-            k=args.K, omega=args.omega, lam=args.lam, upsilon=args.upsilon,
-            relative_stop=not args.absolute_stop,
-        ),
-    )
+    return SystemConfig(**{name: getattr(args, name) for name in field_types(SystemConfig)})
 
 
-def _parse_values(axis: str, raw: str) -> tuple:
-    caster = float if axis == "ebn0" else int
-    return tuple(caster(part) for part in raw.split(",") if part.strip())
+def _sweep_plan(args: argparse.Namespace, **limits) -> SweepPlan:
+    values = tuple(part for part in args.values.split(",") if part.strip())
+    return SweepPlan(base=_config_from_args(args), sweep_axis=args.axis, values=values, **limits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ber = sub.add_parser("ber", help="Monte Carlo BER sweep")
     _add_config_flags(ber)
-    ber.add_argument("--axis", choices=("ebn0", "N", "M", "G"), default="ebn0")
+    ber.add_argument("--axis", choices=SWEEP_AXES, default="ebn0")
     ber.add_argument("--values", required=True, help="comma-separated sweep values")
     ber.add_argument("--min-errors", type=int, default=100)
     ber.add_argument("--max-trials", type=int, default=100_000)
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     timing = sub.add_parser("timing", help="per-decode running-time measurement")
     _add_config_flags(timing)
-    timing.add_argument("--axis", choices=("ebn0", "N", "M", "G"), default="M")
+    timing.add_argument("--axis", choices=SWEEP_AXES, default="M")
     timing.add_argument("--values", required=True, help="comma-separated config values")
     timing.add_argument("--detectors", default="mmpdf,ml", help="comma list of detectors to time")
     timing.add_argument("--decodes", type=int, default=1000)
@@ -93,17 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ber(args: argparse.Namespace) -> int:
-    plan = SweepPlan(
-        base=_config_from_args(args),
-        sweep_axis=args.axis,
-        values=_parse_values(args.axis, args.values),
-        min_errors=args.min_errors,
-        max_trials=args.max_trials,
-    )
+    plan = _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
     records = run_ber_sweep(plan)
     for rec in records:
         print(
-            f"{args.axis}={getattr(rec.config, 'ebn0_db' if args.axis == 'ebn0' else args.axis)}"
+            f"{args.axis}={getattr(rec.config, plan.axis_field)}"
             f" trials={rec.trials} errors={rec.bit_errors} ber={rec.ber:.3e}"
             f" ci95={rec.ci95:.1e}"
         )
@@ -113,11 +108,7 @@ def _cmd_ber(args: argparse.Namespace) -> int:
 
 
 def _cmd_timing(args: argparse.Namespace) -> int:
-    plan = SweepPlan(
-        base=_config_from_args(args),
-        sweep_axis=args.axis,
-        values=_parse_values(args.axis, args.values),
-    )
+    plan = _sweep_plan(args)
     configs = [plan.config_at(v) for v in plan.values]
     detectors = tuple(part for part in args.detectors.split(",") if part.strip())
     records = run_timing(configs, detectors, decodes=args.decodes, warmup=args.warmup)

@@ -110,6 +110,9 @@ def read_codebook(fh) -> Codebook | None:
     if not header.strip():
         return None
     fields = dict(part.split("=", 1) for part in header.split())
+    missing = [key for key in ("N", "M", "id", "seed") if key not in fields]
+    if missing:
+        raise ValueError(f"codebook header {header.strip()!r} lacks {', '.join(missing)}")
     n, m = int(fields["N"]), int(fields["M"])
     rows = np.empty((n, m), dtype=np.float64)
     for i in range(n):

@@ -7,7 +7,8 @@ multipath matching pursuit (MMP-DF). Symbol-set and codebook decisions are
 nearest-vector rules on the recovered amplitudes. Exhaustive ML detectors
 over the candidate set serve as the optimality baseline; their candidate
 blocks are precomputed once per configuration so timing comparisons
-measure the decision metric itself.
+measure the decision metric itself. Both detectors handle any number of
+codebooks G; the single-codebook scheme is the case G = 1.
 
 Index convention: supports and sparse-estimate indices are 1-based, like
 ``SparseMessage.indices``; matrix columns are 0-based internally.
@@ -69,7 +70,6 @@ class SparseEstimate:
     support: tuple[int, ...]
     coeffs: np.ndarray
     residual_norm: float
-    as_vector: np.ndarray
     ls_solves: int  # full-depth least-squares solves spent by the search
 
 
@@ -224,57 +224,11 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
 
     assert best_support is not None  # k <= m guarantees at least one candidate
     coeffs = best_coeffs if best_coeffs is not None else np.zeros(k, dtype=np.complex128)
-    vec = np.zeros(m, dtype=np.complex128)
-    support_1b = tuple(c + 1 for c in best_support)
-    vec[list(best_support)] = coeffs
     return SparseEstimate(
-        support=support_1b,
+        support=tuple(c + 1 for c in best_support),
         coeffs=np.asarray(coeffs, dtype=np.complex128),
         residual_norm=best_resid,
-        as_vector=vec,
         ls_solves=full_solves,
-    )
-
-
-def _set_distances(coeffs: np.ndarray, sets: SymbolSets) -> tuple[float, float]:
-    b = np.asarray(coeffs)
-    d1 = float(np.sum(np.abs(b - np.asarray(sets.original)) ** 2))
-    d2 = float(np.sum(np.abs(b - np.asarray(sets.extended_set)) ** 2))
-    return d1, d2
-
-
-def symbol_set_decision(est: SparseEstimate, sets: SymbolSets) -> int:
-    """Nearest symbol set to the recovered amplitudes; ties go to the original."""
-    d1, d2 = _set_distances(est.coeffs, sets)
-    return 1 if d1 <= d2 else 2
-
-
-def esvc_decode(
-    y_freq: np.ndarray,
-    h_freq: np.ndarray,
-    book: Codebook,
-    space: ApSpace,
-    sets: SymbolSets,
-    params: MmpDfParams,
-) -> DetectionResult:
-    """Full single-codebook decode: co-phase, sparse recovery, bit mapping."""
-    y_hat = cophase(y_freq, h_freq)
-    psi = sensing_matrix(h_freq, book, params.k)
-    est = mmp_df(y_hat, psi, params)
-    d_hat = combo_to_rank(est.support, space)
-    d1, d2 = _set_distances(est.coeffs, sets)
-    if d_hat < space.n_reused:
-        l_hat = 1 if d1 <= d2 else 2
-    else:
-        l_hat = 1  # rank is never reused: the flag carries no information
-    bits = decode_to_bits(d_hat, l_hat == 2, space)
-    return DetectionResult(
-        d_hat=d_hat,
-        l_hat=l_hat,
-        g_hat=1,
-        bits=np.array(bits, dtype=np.uint8),
-        metric=d1 if l_hat == 1 else d2,
-        estimate=est,
     )
 
 
@@ -282,29 +236,26 @@ def secbim_joint_metrics(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
     books: CodebookSet,
-    space: ApSpace,
     sets: SymbolSets,
     params: MmpDfParams,
 ) -> tuple[np.ndarray, list[SparseEstimate]]:
     """The 2G decision metrics behind the joint decode, one row per book.
 
-    Each book gets its own sparse recovery; both symbol sets are placed on
-    that recovery's support and compared against the full length-M
-    estimate.
+    Each book gets its own sparse recovery; row g holds the squared
+    distances from that recovery's K least-squares amplitudes to the
+    original and to the extended symbol set: the distance between the
+    length-M estimate and each set placed on its support, as both are zero
+    off the support.
     """
     y_hat = cophase(y_freq, h_freq)
-    b_sets = (np.asarray(sets.original), np.asarray(sets.extended_set))
+    symbols = np.array([sets.original, sets.extended_set])
     estimates: list[SparseEstimate] = []
     metrics = np.empty((books.G, 2))
     for gi, book in enumerate(books.books):
         psi = sensing_matrix(h_freq, book, params.k)
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
-        sup0 = [i - 1 for i in est.support]
-        for li, symbols in enumerate(b_sets):
-            ref = np.zeros(space.M, dtype=np.complex128)
-            ref[sup0] = symbols
-            metrics[gi, li] = np.sum(np.abs(est.as_vector - ref) ** 2)
+        metrics[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
     return metrics, estimates
 
 
@@ -316,18 +267,19 @@ def secbim_decode(
     sets: SymbolSets,
     params: MmpDfParams,
 ) -> DetectionResult:
-    """Joint codebook and symbol-set decode.
+    """Joint codebook and symbol-set decode, for any G >= 1.
 
     Takes the minimum of the 2G joint metrics; ties resolve to the
     smallest (g, l). The first log2(G) output bits carry the codebook
     index, the rest the pattern.
     """
-    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, space, sets, params)
+    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
     flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
     g_hat = flat // 2 + 1
     l_raw = flat % 2 + 1
     est = estimates[g_hat - 1]
     d_hat = combo_to_rank(est.support, space)
+    # a rank that is never reused carries no flag information
     l_hat = l_raw if d_hat < space.n_reused else 1
     m1 = books.G.bit_length() - 1
     bits = int_to_bits(g_hat - 1, m1) + decode_to_bits(d_hat, l_hat == 2, space)
@@ -354,7 +306,6 @@ class MlCandidates:
     spread_abs2: np.ndarray
     words: np.ndarray  # (rows,) word value behind each candidate
     g_ids: np.ndarray  # (rows,) codebook id behind each candidate
-    m2_bits: int
     n_books: int
 
 
@@ -383,7 +334,6 @@ def build_ml_candidates(
         spread_abs2=np.abs(spread) ** 2,
         words=np.tile(np.arange(n_words), len(books)),
         g_ids=np.repeat([b.id for b in books], n_words),
-        m2_bits=space.m_bits,
         n_books=len(books),
     )
 
@@ -398,36 +348,6 @@ def _ml_metrics(y_freq: np.ndarray, h_freq: np.ndarray, cand: MlCandidates) -> n
     return float(np.sum(np.abs(y) ** 2)) - 2.0 * np.real(corr) + chan_energy
 
 
-def _word_to_result(word: int, g_hat: int, space: ApSpace, metric: float, m1: int) -> DetectionResult:
-    extended = word >= space.n_combos
-    d_hat = word - space.n_combos if extended else word
-    bits = int_to_bits(g_hat - 1, m1) + int_to_bits(word, space.m_bits)
-    return DetectionResult(
-        d_hat=d_hat,
-        l_hat=2 if extended else 1,
-        g_hat=g_hat,
-        bits=np.array(bits, dtype=np.uint8),
-        metric=metric,
-    )
-
-
-def ml_esvc(
-    y_freq: np.ndarray,
-    h_freq: np.ndarray,
-    book: Codebook,
-    space: ApSpace,
-    sets: SymbolSets,
-    cand: MlCandidates | None = None,
-    cap: int = ML_CANDIDATE_CAP,
-) -> DetectionResult:
-    """Exhaustive minimum-distance detection over all candidate words."""
-    if cand is None:
-        cand = build_ml_candidates([book], space, sets, cap)
-    metrics = _ml_metrics(y_freq, h_freq, cand)
-    i = int(np.argmin(metrics))  # first minimum = lowest word value
-    return _word_to_result(int(cand.words[i]), 1, space, float(metrics[i]), m1=0)
-
-
 def ml_secbim(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
@@ -437,12 +357,26 @@ def ml_secbim(
     cand: MlCandidates | None = None,
     cap: int = ML_CANDIDATE_CAP,
 ) -> DetectionResult:
-    """Exhaustive detection jointly over codebooks and candidate words."""
+    """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1."""
     if cand is None:
         cand = build_ml_candidates(books.books, space, sets, cap)
     if cand.n_books != books.G:
         raise ValueError(f"candidate table holds {cand.n_books} books, config has {books.G}")
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
-    m1 = books.G.bit_length() - 1
-    return _word_to_result(int(cand.words[i]), int(cand.g_ids[i]), space, float(metrics[i]), m1=m1)
+    word, g_hat = int(cand.words[i]), int(cand.g_ids[i])
+    extended = word >= space.n_combos
+    bits = int_to_bits(g_hat - 1, books.G.bit_length() - 1) + int_to_bits(word, space.m_bits)
+    return DetectionResult(
+        d_hat=word - space.n_combos if extended else word,
+        l_hat=2 if extended else 1,
+        g_hat=g_hat,
+        bits=np.array(bits, dtype=np.uint8),
+        metric=float(metrics[i]),
+    )
+
+
+# Names under which outside tracing wraps the single-codebook decoders.
+# They go once the tracer targets secbim_decode and ml_secbim only.
+esvc_decode = secbim_decode
+ml_esvc = ml_secbim

@@ -22,17 +22,18 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .detectors import MmpDfParams
 from .link import (
     LinkContext,
     SystemConfig,
     bits_per_symbol,
     decode_frame,
+    field_types,
+    parse_fields,
     run_frame,
     transmit_frame,
 )
@@ -57,20 +58,25 @@ class SweepPlan:
     shard_trials: int = 512
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
         if self.min_errors < 1 or self.max_trials < 1 or self.shard_trials < 1:
             raise ValueError("min_errors, max_trials and shard_trials must be >= 1")
-        for value in self.values:
-            self.config_at(value)  # fail before any simulation
+        # values (numbers or text) as the axis field's type; every config is
+        # validated before any simulation
+        object.__setattr__(self, "values", tuple(
+            getattr(self.config_at(value), self.axis_field) for value in self.values))
+
+    @property
+    def axis_field(self) -> str:
+        """The SystemConfig field the sweep axis sets."""
+        return "ebn0_db" if self.sweep_axis == "ebn0" else self.sweep_axis
 
     def config_at(self, value) -> SystemConfig:
-        field = "ebn0_db" if self.sweep_axis == "ebn0" else self.sweep_axis
-        caster = float if field == "ebn0_db" else int
-        return replace(self.base, **{field: caster(value)})
+        cast = field_types(SystemConfig)[self.axis_field]
+        return replace(self.base, **{self.axis_field: cast(value)})
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,8 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
 
 # --- CSV and plot emission ---
 
+# Column order is the file format. Columns named like a SystemConfig field
+# are written from, and read back into, the record's config.
 CSV_COLUMNS = (
     "scheme", "detector", "N", "M", "K", "L", "v", "G", "ebn0_db", "channel_path",
     "seed", "mmp_omega", "mmp_lam", "mmp_upsilon", "mmp_relative_stop",
@@ -256,58 +264,35 @@ TIMING_CSV_COLUMNS = (
 )
 
 
-def _record_row(rec: BerRecord) -> list[str]:
-    cfg = rec.config
-    return [
-        cfg.scheme, cfg.detector, str(cfg.N), str(cfg.M), str(cfg.K), str(cfg.L),
-        str(cfg.v), str(cfg.G), repr(cfg.ebn0_db), cfg.channel_path, str(cfg.seed),
-        str(cfg.mmp.omega), repr(cfg.mmp.lam), str(cfg.mmp.upsilon),
-        str(cfg.mmp.relative_stop), str(rec.m), str(rec.trials), str(rec.bit_errors),
-        repr(rec.ber), repr(rec.ci95), repr(rec.wall_ns_per_decode),
-    ]
+def _row(rec, columns) -> list[str]:
+    """A record as text: config columns from its config, the rest from the record."""
+    config_fields = field_types(SystemConfig)
+    return [str(getattr(rec.config if col in config_fields else rec, col)) for col in columns]
 
 
 def write_ber_csv(records, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        writer.writerow(_record_row(rec))
+        writer.writerow(_row(rec, CSV_COLUMNS))
 
 
 def read_ber_csv(fh) -> list[BerRecord]:
     """Inverse of :func:`write_ber_csv`: reconstructs records exactly."""
-    reader = csv.DictReader(fh)
-    records = []
-    for row in reader:
-        k = int(row["K"])
-        cfg = SystemConfig(
-            scheme=row["scheme"],
-            detector=row["detector"],
-            N=int(row["N"]), M=int(row["M"]), K=k, L=int(row["L"]),
-            v=int(row["v"]), G=int(row["G"]), ebn0_db=float(row["ebn0_db"]),
-            channel_path=row["channel_path"], seed=int(row["seed"]),
-            mmp=MmpDfParams(
-                k=k, omega=int(row["mmp_omega"]), lam=float(row["mmp_lam"]),
-                upsilon=int(row["mmp_upsilon"]),
-                relative_stop=row["mmp_relative_stop"] == "True",
-            ),
+    record_fields = [name for name in field_types(BerRecord) if name != "config"]
+    return [
+        BerRecord(
+            config=SystemConfig(**parse_fields(
+                SystemConfig, {name: row[name] for name in field_types(SystemConfig)})),
+            **parse_fields(BerRecord, {name: row[name] for name in record_fields}),
         )
-        records.append(
-            BerRecord(
-                config=cfg,
-                trials=int(row["trials"]),
-                bit_errors=int(row["bit_errors"]),
-                ber=float(row["ber"]),
-                ci95=float(row["ci95"]),
-                wall_ns_per_decode=float(row["wall_ns_per_decode"]),
-            )
-        )
-    return records
+        for row in csv.DictReader(fh)
+    ]
 
 
 def _series_key(cfg: SystemConfig, axis_field: str):
-    skip = {axis_field, "mmp"}
-    return tuple((f.name, getattr(cfg, f.name)) for f in dc_fields(cfg) if f.name not in skip)
+    return tuple((name, getattr(cfg, name)) for name in field_types(SystemConfig)
+                 if name != axis_field)
 
 
 def plot_description(records, axis_field: str = "ebn0_db") -> dict:
@@ -350,8 +335,4 @@ def write_timing_csv(records, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TIMING_CSV_COLUMNS)
     for rec in records:
-        cfg = rec.config
-        writer.writerow([
-            cfg.scheme, rec.detector, cfg.N, cfg.M, cfg.K, cfg.L, cfg.v, cfg.G,
-            repr(cfg.ebn0_db), cfg.seed, rec.decodes, repr(rec.mean_ns), repr(rec.spread_ns),
-        ])
+        writer.writerow(_row(rec, TIMING_CSV_COLUMNS))

@@ -144,12 +144,13 @@ def combo_to_rank(indices, space: ApSpace) -> int:
     return sum(comb(i - 1, k) for k, i in enumerate(idx, start=1))
 
 
-def encode_bits(bits, space: ApSpace) -> SparseMessage:
+def encode_bits(bits, space: ApSpace, g: int = 1) -> SparseMessage:
     """Map an m-bit word to its activation pattern and symbol-set flag.
 
     Words whose decimal value fits below C(M, K) use the original symbol
     set; the remainder reuse the lowest-ranked patterns with the extended
-    set, so no word is ever wasted on an illegal pattern.
+    set, so no word is ever wasted on an illegal pattern. ``g`` is the
+    codebook the word is spread with; it does not enter the mapping.
     """
     bits = tuple(int(b) for b in bits)
     if len(bits) != space.m_bits:
@@ -157,7 +158,7 @@ def encode_bits(bits, space: ApSpace) -> SparseMessage:
     value = bits_to_int(bits)
     extended = value >= space.n_combos
     d = value - space.n_combos if extended else value
-    return SparseMessage(indices=rank_to_combo(d, space), extended=extended, d=d)
+    return SparseMessage(indices=rank_to_combo(d, space), extended=extended, d=d, g=g)
 
 
 def decode_to_bits(d_hat: int, extended: bool, space: ApSpace) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """End-to-end frame orchestration and the validated system configuration.
 
 A frame draws ``m`` uniform bits, encodes them onto a sparse virtual-domain
-vector (optionally split so the leading log2(G) bits pick the spreading
-codebook), pushes the spread OFDM block through the configured channel
-path, decodes with the configured detector and reports the full trace.
+vector (the leading log2(G) bits pick the spreading codebook, none when
+G = 1), pushes the spread OFDM block through the configured channel path,
+decodes with the configured detector and reports the full trace.
 
 All randomness is derived from ``(config, rng stream)``: the codebooks come
 from the master seed, each frame consumes bits, then channel taps, then
@@ -11,9 +11,11 @@ noise from its generator, so a frame is reproducible from (config, seed).
 """
 from __future__ import annotations
 
+import functools
+import math
 import time
-from dataclasses import dataclass, fields, replace
-from math import comb
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,12 +36,16 @@ class SystemConfig:
     """Every dimensioning knob of a link in one validated, hashable record.
 
     N subcarriers, M virtual-domain positions, K active indices, CP length
-    L, v channel taps, G codebooks (1 for the single-codebook scheme).
-    Derived quantities (bits per symbol, Eb, noise variance, spectral
-    efficiency) are always recomputed from these fields.
+    L, v channel taps, G codebooks. ``scheme`` is a label: "esvc" names
+    the single-codebook case and requires G = 1, and "secbim" with G = 1
+    behaves exactly like it. The ``mmp_*`` fields are the MMP-DF search
+    controls (see :class:`MmpDfParams`). Field names are also the keys of
+    config files and the columns of the BER CSV. Derived quantities (bits
+    per symbol, Eb, noise variance, spectral efficiency) are always
+    recomputed from these fields.
     """
 
-    scheme: str = "esvc"
+    scheme: str = field(default="esvc", metadata={"choices": SCHEMES})
     N: int = 64
     M: int = 64
     K: int = 2
@@ -47,24 +53,23 @@ class SystemConfig:
     v: int = 10
     G: int = 1
     ebn0_db: float = 10.0
-    detector: str = "mmpdf"
-    mmp: MmpDfParams = MmpDfParams()
+    detector: str = field(default="mmpdf", metadata={"choices": DETECTORS})
     seed: int = 0
-    channel_path: str = "freq"
+    channel_path: str = field(default="freq", metadata={"choices": CHANNEL_PATHS})
+    mmp_omega: int = MmpDfParams.omega
+    mmp_lam: float = MmpDfParams.lam
+    mmp_upsilon: int = MmpDfParams.upsilon
+    mmp_relative_stop: bool = MmpDfParams.relative_stop
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.detector not in DETECTORS:
-            raise ValueError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
-        if self.channel_path not in CHANNEL_PATHS:
-            raise ValueError(f"channel_path must be one of {CHANNEL_PATHS}, got {self.channel_path!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices is not None and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 2, got {self.N}")
         if not 1 <= self.K < self.M:
             raise ValueError(f"need 1 <= K < M, got K={self.K}, M={self.M}")
-        if comb(self.M, self.K) < 2:
-            raise ValueError("fewer than two activation patterns")
         if not 0 <= self.L < self.N:
             raise ValueError(f"need 0 <= L < N, got L={self.L}, N={self.N}")
         if not 1 <= self.v <= self.L:
@@ -73,10 +78,15 @@ class SystemConfig:
             raise ValueError(f"G must be a power of two, got {self.G}")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
-        if self.mmp.k != self.K:
-            raise ValueError(f"mmp.k={self.mmp.k} disagrees with K={self.K}")
-        if np.isnan(self.ebn0_db):
-            raise ValueError("ebn0_db must be a number (use +inf for noiseless)")
+        if np.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
+            raise ValueError(f"ebn0_db must be a number or +inf (noiseless), got {self.ebn0_db}")
+        self.mmp  # validates the search controls
+
+    @property
+    def mmp(self) -> MmpDfParams:
+        """The MMP-DF search controls, with sparsity k = K."""
+        return MmpDfParams(k=self.K, omega=self.mmp_omega, lam=self.mmp_lam,
+                           upsilon=self.mmp_upsilon, relative_stop=self.mmp_relative_stop)
 
     def space(self) -> ApSpace:
         return ApSpace(M=self.M, K=self.K)
@@ -87,10 +97,7 @@ class SystemConfig:
 
 def bits_per_symbol(cfg: SystemConfig) -> int:
     """Information bits per OFDM symbol: log2(G) + floor(log2 C(M,K)) + 1."""
-    m2 = cfg.space().m_bits
-    if cfg.scheme == "secbim":
-        return (cfg.G.bit_length() - 1) + m2
-    return m2
+    return (cfg.G.bit_length() - 1) + cfg.space().m_bits
 
 
 def spectral_efficiency(cfg: SystemConfig) -> float:
@@ -112,13 +119,15 @@ class FrameTrace:
 
 @dataclass(eq=False)
 class LinkContext:
-    """Per-configuration state shared across frames: books and ML tables."""
+    """Per-configuration state shared across frames: books, search controls
+    and ML tables."""
 
     cfg: SystemConfig
     space: ApSpace
     sets: SymbolSets
     books: CodebookSet
     noise: NoiseSpec
+    mmp: MmpDfParams
     ml: MlCandidates | None
 
     @classmethod
@@ -129,19 +138,15 @@ class LinkContext:
         ml = None
         if cfg.detector == "ml":
             ml = build_ml_candidates(books.books, space, sets)
-        return cls(cfg=cfg, space=space, sets=sets, books=books, noise=cfg.noise(), ml=ml)
+        return cls(cfg=cfg, space=space, sets=sets, books=books, noise=cfg.noise(), mmp=cfg.mmp,
+                   ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
     """Dispatch to the configured detector with perfect channel knowledge."""
-    cfg = ctx.cfg
-    if cfg.detector == "ml":
-        if cfg.scheme == "secbim":
-            return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, cand=ctx.ml)
-        return detectors.ml_esvc(y_freq, h_freq, ctx.books[1], ctx.space, ctx.sets, cand=ctx.ml)
-    if cfg.scheme == "secbim":
-        return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, cfg.mmp)
-    return detectors.esvc_decode(y_freq, h_freq, ctx.books[1], ctx.space, ctx.sets, cfg.mmp)
+    if ctx.cfg.detector == "ml":
+        return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, cand=ctx.ml)
+    return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, ctx.mmp)
 
 
 def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext):
@@ -150,15 +155,10 @@ def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext
     Per frame the generator is consumed in a fixed order: message bits,
     then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
     """
-    m = bits_per_symbol(cfg)
-    tx_bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-
-    if cfg.scheme == "secbim":
-        m1 = cfg.G.bit_length() - 1
-        g = 1 + bits_to_int(tx_bits[:m1])  # leading bits pick the codebook
-        msg = replace(encode_bits(tx_bits[m1:], ctx.space), g=g)
-    else:
-        msg = encode_bits(tx_bits, ctx.space)
+    tx_bits = rng.integers(0, 2, size=bits_per_symbol(cfg), dtype=np.uint8)
+    m1 = cfg.G.bit_length() - 1
+    # the leading log2(G) bits pick the codebook
+    msg = encode_bits(tx_bits[m1:], ctx.space, g=1 + bits_to_int(tx_bits[:m1]))
 
     s = build_sparse_vector(msg, ctx.sets, cfg.M)
     x_freq = spread(s, ctx.books[msg.g])
@@ -192,37 +192,41 @@ def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext | No
     )
 
 
-# --- flat key=value config serialization (CLI and regression fixtures) ---
+# --- field-driven text codec: config files, CSV rows and CLI flags ---
 
-_MMP_KEYS = {"mmp_omega": "omega", "mmp_lam": "lam", "mmp_upsilon": "upsilon",
-             "mmp_relative_stop": "relative_stop"}
+
+_BOOLS = {"True": True, "False": False}
+
+
+@functools.cache
+def field_types(cls) -> dict[str, type]:
+    """Name -> type of each dataclass field of ``cls``, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def parse_fields(cls, raw: dict[str, str]) -> dict:
+    """Parse ``name -> str(value)`` by the field types of ``cls``; errors name the field."""
+    types = field_types(cls)
+    out = {}
+    for name, text in raw.items():
+        if name not in types:
+            raise ValueError(f"unknown {cls.__name__} field {name!r}")
+        tp = types[name]
+        try:
+            out[name] = _BOOLS[text] if tp is bool else tp(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{name}: cannot read {text!r} as {tp.__name__}") from None
+    return out
 
 
 def config_to_text(cfg: SystemConfig) -> str:
-    """One ``key=value`` line per field; mmp params flattened as mmp_*."""
-    lines = []
-    for f in fields(cfg):
-        if f.name == "mmp":
-            continue
-        lines.append(f"{f.name}={getattr(cfg, f.name)}")
-    for key, attr in _MMP_KEYS.items():
-        lines.append(f"{key}={getattr(cfg.mmp, attr)}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_value(name: str, raw: str):
-    if name in ("scheme", "detector", "channel_path"):
-        return raw
-    if name in ("N", "M", "K", "L", "v", "G", "seed", "mmp_omega", "mmp_upsilon"):
-        return int(raw)
-    if name in ("ebn0_db", "mmp_lam"):
-        return float(raw)
-    if name == "mmp_relative_stop":
-        return raw == "True"
-    raise ValueError(f"unknown config key {name!r}")
+    """One ``key=value`` line per field, in field order."""
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def config_from_text(text: str) -> SystemConfig:
+    """Inverse of :func:`config_to_text`; absent keys keep their defaults."""
     kv = {}
     for line in text.splitlines():
         line = line.strip()
@@ -230,8 +234,8 @@ def config_from_text(text: str) -> SystemConfig:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line {line!r}")
-        name, raw = line.split("=", 1)
-        kv[name.strip()] = _parse_value(name.strip(), raw.strip())
-    mmp_kwargs = {attr: kv.pop(key) for key, attr in _MMP_KEYS.items() if key in kv}
-    k = kv.get("K", SystemConfig.K)
-    return SystemConfig(mmp=MmpDfParams(k=k, **mmp_kwargs), **kv)
+        name, raw = (part.strip() for part in line.split("=", 1))
+        if name in kv:
+            raise ValueError(f"duplicate config key {name!r}")
+        kv[name] = raw
+    return SystemConfig(**parse_fields(SystemConfig, kv))

@@ -29,14 +29,6 @@ class SparseVector:
     support: tuple[int, ...]  # 1-based active indices, ascending
 
 
-@dataclass(eq=False)
-class OfdmBlock:
-    """One OFDM symbol: frequency-domain block and its CP-prefixed time signal."""
-
-    freq: np.ndarray
-    time: np.ndarray
-
-
 def build_sparse_vector(msg: SparseMessage, sets: SymbolSets, m: int) -> SparseVector:
     """Place the constant symbols on the message's active indices."""
     if len(sets.original) != len(msg.indices):
@@ -81,7 +73,3 @@ def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
     if cp_len < 0 or cp_len >= n:
         raise ValueError(f"CP length {cp_len} inconsistent with frame of {len(y_time)}")
     return np.fft.fft(y_time[cp_len:]) / math.sqrt(n)
-
-
-def modulate_block(x_freq: np.ndarray, cp_len: int) -> OfdmBlock:
-    return OfdmBlock(freq=np.asarray(x_freq), time=ofdm_modulate(x_freq, cp_len))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from svcim.channel import NoiseSpec, apply_freq, apply_time, draw_channel
-from svcim.codebook import generate_codebook
+from svcim.codebook import generate_codebook, generate_set
 from svcim.detectors import MmpDfParams, cophase, mmp_df, sensing_matrix
 from svcim.harness import SweepPlan, run_ber_sweep, run_timing, write_ber_csv
 from svcim.index_codec import (
@@ -308,18 +308,18 @@ def test_c10_property_suite():
         assert tuple(i - 1 for i in est.support) == reference_omp(y_hat, psi, 2)
 
     # decision scale invariance
-    from svcim.detectors import esvc_decode
+    from svcim.detectors import secbim_decode
 
-    book = generate_codebook(5, 1, 32, 16)
+    books = generate_set(5, 1, 32, 16)
     space16 = ApSpace(M=16, K=2)
     msg = encode_bits(int_to_bits(9, space16.m_bits), space16)
-    x = spread(build_sparse_vector(msg, SymbolSets.default(2), 16), book)
+    x = spread(build_sparse_vector(msg, SymbolSets.default(2), 16), books[1])
     ch = draw_channel(10, 32, rng)
     y = apply_freq(x, ch, NoiseSpec(ebn0_db=5.0, eb=2.0), rng)
-    base_det = esvc_decode(y, ch.cfr, book, space16, SymbolSets.default(2), MmpDfParams())
+    base_det = secbim_decode(y, ch.cfr, books, space16, SymbolSets.default(2), MmpDfParams())
     for scale in (0.1, 0.5, 3.0, 25.0):
-        scaled = esvc_decode(
-            scale * y, scale * ch.cfr, book, space16, SymbolSets.default(2), MmpDfParams()
+        scaled = secbim_decode(
+            scale * y, scale * ch.cfr, books, space16, SymbolSets.default(2), MmpDfParams()
         )
         assert (scaled.d_hat, scaled.l_hat) == (base_det.d_hat, base_det.l_hat)
 

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from svcim.cli import main
+from svcim.cli import _config_from_args, build_parser, main
 from svcim.harness import read_ber_csv
+from svcim.link import SystemConfig
 
 
 class TestBerCommand:
@@ -73,7 +74,7 @@ class TestBerCommand:
         assert rec.config.mmp.relative_stop is False
 
     def test_config_file(self, tmp_path):
-        from svcim.link import SystemConfig, config_to_text
+        from svcim.link import config_to_text
 
         cfg_path = tmp_path / "link.cfg"
         cfg_path.write_text(config_to_text(SystemConfig(N=32, M=16, seed=4)))
@@ -130,6 +131,12 @@ class TestTimingCommand:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert rc != 0
+
+
+@pytest.mark.parametrize("command", ["ber", "timing"])
+def test_flag_defaults_are_the_config_defaults(command):
+    args = build_parser().parse_args([command, "--values", "0"])
+    assert _config_from_args(args) == SystemConfig()
 
 
 def test_missing_subcommand_is_usage_error():

@@ -111,6 +111,12 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             read_codebook(io.StringIO(text))
 
+    def test_header_missing_key_rejected(self):
+        from svcim.codebook import read_codebook
+
+        with pytest.raises(ValueError, match="lacks N"):
+            read_codebook(io.StringIO("M=4 id=1 seed=0\n"))
+
     def test_set_invariants(self):
         b1 = generate_codebook(0, 1, 4, 4)
         b2 = generate_codebook(0, 1, 4, 4)  # same id

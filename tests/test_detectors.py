@@ -9,19 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcim.channel import NoiseSpec, apply_freq, draw_channel
-from svcim.codebook import generate_codebook, generate_set
+from svcim.codebook import CodebookSet, generate_codebook, generate_set
 from svcim.detectors import (
     MmpDfParams,
-    SparseEstimate,
     build_ml_candidates,
     cophase,
-    esvc_decode,
-    ml_esvc,
     ml_secbim,
     mmp_df,
     secbim_decode,
+    secbim_joint_metrics,
     sensing_matrix,
-    symbol_set_decision,
 )
 from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
 from svcim.transceiver import build_sparse_vector, spread
@@ -168,8 +165,7 @@ class TestMmpDf:
         est = mmp_df(y, psi, MmpDfParams(k=3, omega=2, upsilon=4))
         assert est.support == tuple(sorted(est.support))
         sup0 = [i - 1 for i in est.support]
-        assert np.allclose(est.as_vector[sup0], est.coeffs)
-        assert np.count_nonzero(est.as_vector) <= 3
+        assert len(est.coeffs) == 3
         # reported residual matches its own support/coeffs
         recon = psi[:, sup0] @ est.coeffs
         assert np.isclose(est.residual_norm, np.linalg.norm(y - recon))
@@ -213,36 +209,50 @@ class TestMmpDf:
 
 
 class TestSymbolSetDecision:
-    def _estimate(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return SparseEstimate(
-            support=(1, 2), coeffs=coeffs, residual_norm=0.0,
-            as_vector=np.concatenate([coeffs, np.zeros(2)]), ls_solves=1,
-        )
+    """The nearest-symbol-set rule, on LS amplitudes that a flat noiseless
+    channel hands back exactly."""
+
+    def _decode(self, coeffs, n_books=1):
+        space = ApSpace(M=16, K=2)
+        books = generate_set(5, n_books, 32, 16)
+        psi = sensing_matrix(np.ones(32), books[1], k=2)
+        y = psi[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
+        det = secbim_decode(y, np.ones(32, complex), books, space, SymbolSets.default(2),
+                            MmpDfParams(k=2))
+        assert det.estimate.support == (1, 2)
+        return det
 
     def test_exact_original(self):
-        assert symbol_set_decision(self._estimate([1, 1j]), SymbolSets.default(2)) == 1
+        det = self._decode([1, 1j])
+        assert det.l_hat == 1 and det.metric < 1e-20
 
     def test_noisy_extended(self):
         # ||b - b2||^2 = 0.02 beats ||b - b1||^2 = 8.02
-        assert symbol_set_decision(self._estimate([-0.9, -1.1j]), SymbolSets.default(2)) == 2
+        det = self._decode([-0.9, -1.1j])
+        assert det.l_hat == 2 and np.isclose(det.metric, 0.02)
 
     def test_tie_breaks_to_original(self):
-        assert symbol_set_decision(self._estimate([0, 0]), SymbolSets.default(2)) == 1
+        # zero amplitudes tie every (book, set) pair at distance 2
+        det = self._decode([0, 0], n_books=2)
+        assert (det.g_hat, det.l_hat) == (1, 1)
+        assert det.metric == 2.0
 
 
 class TestEsvcDecode:
+    """The single-codebook case of the joint decoder, G = 1."""
+
     def test_reference_messages_flat_channel(self):
         space = ApSpace(M=4, K=2)
         sets = SymbolSets.default(2)
-        book = generate_codebook(17, 1, 32, 4)
+        books = generate_set(17, 1, 32, 4)
+        book = books[1]
         params = MmpDfParams(k=2)
         h = np.ones(32, dtype=complex)
         for value in range(8):
             bits = int_to_bits(value, 3)
             msg = encode_bits(bits, space)
             y = spread(build_sparse_vector(msg, sets, 4), book)  # h == 1
-            det = esvc_decode(y, h, book, space, sets, params)
+            det = secbim_decode(y, h, books, space, sets, params)
             assert tuple(det.bits) == bits
             assert det.d_hat == msg.d
             assert det.g_hat == 1
@@ -256,7 +266,7 @@ class TestEsvcDecode:
             book, msg, ch, y = _random_message_chain(
                 rng, 64, 64, 10, params, sets, space, seed=trial % 13
             )
-            det = esvc_decode(y, ch.cfr, book, space, sets, params)
+            det = secbim_decode(y, ch.cfr, CodebookSet((book,)), space, sets, params)
             assert det.d_hat == msg.d
             assert (det.l_hat == 2) == msg.extended
 
@@ -265,7 +275,8 @@ class TestEsvcDecode:
         space = ApSpace(M=64, K=2)
         sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
-        book = generate_codebook(23, 1, 64, 64)
+        books = generate_set(23, 1, 64, 64)
+        book = books[1]
         noise = NoiseSpec(ebn0_db=-50.0, eb=80 / space.m_bits)
         errors = total = 0
         for _ in range(400):
@@ -275,33 +286,42 @@ class TestEsvcDecode:
             x = spread(build_sparse_vector(msg, sets, 64), book)
             ch = draw_channel(10, 64, rng)
             y = apply_freq(x, ch, noise, rng)
-            det = esvc_decode(y, ch.cfr, book, space, sets, params)
+            det = secbim_decode(y, ch.cfr, books, space, sets, params)
             errors += sum(a != b for a, b in zip(bits, det.bits))
             total += space.m_bits
         assert abs(errors / total - 0.5) < 0.05
 
 
 class TestSecbimDecode:
-    def test_g1_matches_single_book_decoder(self):
-        rng = np.random.default_rng(11)
-        space = ApSpace(M=32, K=2)
-        sets = SymbolSets.default(2)
-        params = MmpDfParams(k=2)
-        books = generate_set(31, 1, 32, 32)
-        noise = NoiseSpec(ebn0_db=6.0, eb=48 / space.m_bits)
-        for _ in range(1000):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_coefficient_metrics_equal_full_vector_distances(self, k):
+        # the decoder scores the K LS amplitudes; off the support the
+        # length-M estimate and the placed symbol sets are both zero
+        rng = np.random.default_rng(30 + k)
+        space = ApSpace(M=16, K=k)
+        sets = SymbolSets.default(k)
+        params = MmpDfParams(k=k)
+        books = generate_set(47, 2, 32, 16)
+        noise = NoiseSpec(ebn0_db=4.0, eb=48 / (1 + space.m_bits))
+        for _ in range(200):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 32), books[1])
+            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(1, 3))])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
-            joint = secbim_decode(y, ch.cfr, books, space, sets, params)
-            single = esvc_decode(y, ch.cfr, books[1], space, sets, params)
-            assert np.array_equal(joint.bits, single.bits)
-            assert (joint.d_hat, joint.l_hat, joint.g_hat) == (
-                single.d_hat, single.l_hat, single.g_hat,
-            )
-            assert np.isclose(joint.metric, single.metric)
+            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
+            for gi, est in enumerate(estimates):
+                sup0 = [i - 1 for i in est.support]
+                vec = np.zeros(16, complex)
+                vec[sup0] = est.coeffs
+                for li, symbols in enumerate((sets.original, sets.extended_set)):
+                    ref = np.zeros(16, complex)
+                    ref[sup0] = symbols
+                    full = np.sum(np.abs(vec - ref) ** 2)
+                    if k == 2:
+                        assert metrics[gi, li] == full
+                    else:
+                        assert np.isclose(metrics[gi, li], full, rtol=1e-12, atol=0)
 
     def test_noiseless_recovery_g4(self):
         rng = np.random.default_rng(12)
@@ -323,8 +343,6 @@ class TestSecbimDecode:
             assert tuple(det.bits) == expected_bits
 
     def test_noiseless_argmin_never_beaten_by_true_book(self):
-        from svcim.detectors import secbim_joint_metrics
-
         rng = np.random.default_rng(29)
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
@@ -337,7 +355,7 @@ class TestSecbimDecode:
             x = spread(build_sparse_vector(msg, sets, 16), books[g])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
-            metrics, _ = secbim_joint_metrics(y, ch.cfr, books, space, sets, params)
+            metrics, _ = secbim_joint_metrics(y, ch.cfr, books, sets, params)
             det = secbim_decode(y, ch.cfr, books, space, sets, params)
             assert metrics[det.g_hat - 1].min() <= metrics[g - 1].min()
 
@@ -367,15 +385,16 @@ class TestMlDetectors:
         rng = np.random.default_rng(14)
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
-        book = generate_codebook(43, 1, 32, 16)
-        cand = build_ml_candidates([book], space, sets)
+        books = generate_set(43, 1, 32, 16)
+        book = books[1]
+        cand = build_ml_candidates(books.books, space, sets)
         for value in range(2 ** space.m_bits):
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
             x = spread(build_sparse_vector(msg, sets, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
-            det = ml_esvc(y, ch.cfr, book, space, sets, cand=cand)
+            det = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
             assert tuple(det.bits) == bits
             # zero metric at the truth, up to cancellation in the expansion
             assert det.metric < 1e-9 * np.sum(np.abs(y) ** 2)
@@ -402,8 +421,9 @@ class TestMlDetectors:
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
-        book = generate_codebook(53, 1, 32, 16)
-        cand = build_ml_candidates([book], space, sets)
+        books = generate_set(53, 1, 32, 16)
+        book = books[1]
+        cand = build_ml_candidates(books.books, space, sets)
         noise = NoiseSpec(ebn0_db=30.0, eb=48 / space.m_bits)
         agree = 0
         n_trials = 10_000
@@ -413,27 +433,10 @@ class TestMlDetectors:
             x = spread(build_sparse_vector(msg, sets, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
-            ml = ml_esvc(y, ch.cfr, book, space, sets, cand=cand)
-            greedy = esvc_decode(y, ch.cfr, book, space, sets, params)
+            ml = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
+            greedy = secbim_decode(y, ch.cfr, books, space, sets, params)
             agree += np.array_equal(ml.bits, greedy.bits)
         assert agree / n_trials >= 0.99
-
-    def test_secbim_g1_equals_single_book(self):
-        rng = np.random.default_rng(17)
-        space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
-        books = generate_set(59, 1, 32, 16)
-        cand = build_ml_candidates(books.books, space, sets)
-        noise = NoiseSpec(ebn0_db=5.0, eb=48 / space.m_bits)
-        for _ in range(200):
-            value = int(rng.integers(0, 2 ** space.m_bits))
-            msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[1])
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, noise, rng)
-            joint = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
-            single = ml_esvc(y, ch.cfr, books[1], space, sets)
-            assert np.array_equal(joint.bits, single.bits)
 
     def test_secbim_noiseless_exhaustive(self):
         rng = np.random.default_rng(18)
@@ -467,15 +470,15 @@ class TestScaleInvariance:
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
-        book = generate_codebook(67, 1, 32, 16)
+        books = generate_set(67, 1, 32, 16)
         noise = NoiseSpec(ebn0_db=5.0, eb=48 / space.m_bits)
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
-        x = spread(build_sparse_vector(msg, sets, 16), book)
+        x = spread(build_sparse_vector(msg, sets, 16), books[1])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
-        base = esvc_decode(y, ch.cfr, book, space, sets, params)
-        scaled = esvc_decode(scale * y, scale * ch.cfr, book, space, sets, params)
+        base = secbim_decode(y, ch.cfr, books, space, sets, params)
+        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space, sets, params)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)
 
     @given(st.floats(min_value=0.05, max_value=50.0))

@@ -196,6 +196,16 @@ class TestEmission:
         payload = plot_description([rec])
         assert payload["series"][0]["log10_ber"] == [None]
 
+    def test_search_knobs_split_plot_series(self):
+        # sweeps that differ only in a search control are separate curves
+        records = [
+            BerRecord(config=SystemConfig(ebn0_db=snr, mmp_omega=omega), trials=10,
+                      bit_errors=1, ber=0.1, ci95=0.0, wall_ns_per_decode=0.0)
+            for omega in (2, 3) for snr in (0.0, 6.0)
+        ]
+        series = plot_description(records)["series"]
+        assert [s["x"] for s in series] == [[0.0, 6.0], [0.0, 6.0]]
+
     def test_emit_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "xml", tmp_path / "x")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcim.detectors import MmpDfParams
 from svcim.link import (
     LinkContext,
     SystemConfig,
@@ -37,12 +36,13 @@ class TestSystemConfig:
             dict(scheme="other"),
             dict(detector="genie"),
             dict(channel_path="air"),
-            dict(mmp=MmpDfParams(k=3)),  # disagrees with K=2
+            dict(mmp_omega=0),  # search controls are validated too
             dict(ebn0_db=float("nan")),
+            dict(ebn0_db=float("-inf")),  # +inf is the noiseless limit, -inf is nothing
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs)).removeprefix("mmp_")):
             SystemConfig(**kwargs)
 
     def test_hashable_for_caching(self):
@@ -147,7 +147,7 @@ class TestConfigText:
         cfg = SystemConfig(
             scheme="secbim", detector="ml", N=128, M=32, K=2, L=20, v=7, G=8,
             ebn0_db=12.5, seed=987654321, channel_path="time",
-            mmp=MmpDfParams(k=2, omega=3, lam=0.05, upsilon=4, relative_stop=False),
+            mmp_omega=3, mmp_lam=0.05, mmp_upsilon=4, mmp_relative_stop=False,
         )
         assert config_from_text(config_to_text(cfg)) == cfg
 
@@ -173,3 +173,11 @@ class TestConfigText:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             config_from_text("scheme esvc\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="'N'"):
+            config_from_text("N=32\nN=64\n")
+
+    def test_unreadable_value_names_the_key(self):
+        with pytest.raises(ValueError, match="mmp_relative_stop"):
+            config_from_text("mmp_relative_stop=yes\n")

@@ -9,7 +9,6 @@ from svcim.index_codec import ApSpace, SparseMessage, SymbolSets, encode_bits, i
 from svcim.transceiver import (
     SparseVector,
     build_sparse_vector,
-    modulate_block,
     ofdm_demodulate,
     ofdm_modulate,
     spread,
@@ -146,12 +145,6 @@ class TestOfdm:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             ofdm_modulate(np.zeros(12, complex), 2)
-
-    def test_block_wrapper(self):
-        x = np.ones(8, complex)
-        block = modulate_block(x, 2)
-        assert len(block.time) == 10
-        assert np.array_equal(block.freq, x)
 
 
 def test_end_to_end_noiseless_identity():
