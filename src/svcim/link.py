@@ -156,9 +156,10 @@ def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext
     then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
     """
     tx_bits = rng.integers(0, 2, size=bits_per_symbol(cfg), dtype=np.uint8)
+    bits = tx_bits.tolist()  # the codec reads Python ints faster than numpy scalars
     m1 = cfg.G.bit_length() - 1
     # the leading log2(G) bits pick the codebook
-    msg = encode_bits(tx_bits[m1:], ctx.space, g=1 + bits_to_int(tx_bits[:m1]))
+    msg = encode_bits(bits[m1:], ctx.space, g=1 + bits_to_int(bits[:m1]))
 
     s = build_sparse_vector(msg, ctx.sets, cfg.M)
     x_freq = spread(s, ctx.books[msg.g])

@@ -42,6 +42,7 @@ class TestSystemConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
+        # the message names the first field given (mmp_* without the prefix)
         with pytest.raises(ValueError, match=next(iter(kwargs)).removeprefix("mmp_")):
             SystemConfig(**kwargs)
 
