@@ -60,14 +60,14 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.min_errors < 1 or self.max_trials < 1 or self.shard_trials < 1:
-            raise ValueError("min_errors, max_trials and shard_trials must be >= 1")
         # values (numbers or text) as the axis field's type; every config is
         # validated before any simulation
         object.__setattr__(self, "values", tuple(
             getattr(self.config_at(value), self.axis_field) for value in self.values))
+        if not self.values:
+            raise ValueError("sweep needs at least one value")
+        if self.min_errors < 1 or self.max_trials < 1 or self.shard_trials < 1:
+            raise ValueError("min_errors, max_trials and shard_trials must be >= 1")
 
     @property
     def axis_field(self) -> str:
