@@ -36,7 +36,7 @@ def main() -> None:
     for rec in records:
         cfg = rec.config
         print(
-            f"{rec.detector:6s} {cfg.scheme:6s} M={cfg.M:4d} G={cfg.G} "
+            f"{cfg.detector:6s} {cfg.scheme:6s} M={cfg.M:4d} G={cfg.G} "
             f"m={bits_per_symbol(cfg):2d} mean={rec.mean_ns / 1e3:9.1f}us "
             f"spread={rec.spread_ns / 1e3:7.1f}us"
         )

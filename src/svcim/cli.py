@@ -115,7 +115,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     for rec in records:
         eff = spectral_efficiency(rec.config)
         print(
-            f"{rec.detector} N={rec.config.N} M={rec.config.M} G={rec.config.G}"
+            f"{rec.config.detector} N={rec.config.N} M={rec.config.M} G={rec.config.G}"
             f" m={bits_per_symbol(rec.config)} eta={eff:.4f}"
             f" mean={rec.mean_ns / 1e3:.1f}us spread={rec.spread_ns / 1e3:.1f}us"
         )

@@ -53,12 +53,13 @@ class MmpDfParams:
     relative_stop: bool = True
 
     def __post_init__(self) -> None:
+        # each message starts with the field name (SystemConfig prefixes "mmp_")
         if self.k < 1:
-            raise ValueError(f"sparsity k must be >= 1, got {self.k}")
+            raise ValueError(f"k (sparsity) must be >= 1, got {self.k}")
         if self.omega < 1:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
-        if self.lam <= 0:
-            raise ValueError(f"stop threshold must be positive, got {self.lam}")
+        if not self.lam > 0:  # NaN fails too
+            raise ValueError(f"lam (stop threshold) must be positive, got {self.lam}")
         if self.upsilon < 1:
             raise ValueError(f"upsilon must be >= 1, got {self.upsilon}")
 
@@ -88,6 +89,14 @@ class DetectionResult:
     bits: np.ndarray
     metric: float
     estimate: SparseEstimate | None = field(default=None, repr=False)
+
+
+def _require_finite(y_freq: np.ndarray, h_freq: np.ndarray) -> None:
+    if math.isfinite(abs(np.vdot(y_freq, h_freq))):  # a NaN or inf in either propagates
+        return
+    for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a NaN or inf")
 
 
 def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
@@ -247,6 +256,7 @@ def secbim_joint_metrics(
     length-M estimate and each set placed on its support, as both are zero
     off the support.
     """
+    _require_finite(y_freq, h_freq)
     y_hat = cophase(y_freq, h_freq)
     symbols = np.array([sets.original, sets.extended_set])
     estimates: list[SparseEstimate] = []
@@ -362,6 +372,7 @@ def ml_secbim(
         cand = build_ml_candidates(books.books, space, sets, cap)
     if cand.n_books != books.G:
         raise ValueError(f"candidate table holds {cand.n_books} books, config has {books.G}")
+    _require_finite(y_freq, h_freq)
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
     word, g_hat = int(cand.words[i]), int(cand.g_ids[i])

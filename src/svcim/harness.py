@@ -21,9 +21,12 @@ import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -81,26 +84,31 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """One Monte Carlo result row."""
+    """One Monte Carlo result row; ``m``, ``ber`` and ``ci95`` are derived."""
 
     config: SystemConfig
     trials: int
     bit_errors: int
-    ber: float
-    ci95: float
     wall_ns_per_decode: float
 
     @property
     def m(self) -> int:
         return bits_per_symbol(self.config)
 
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / (self.trials * self.m)
+
+    @property
+    def ci95(self) -> float:
+        return binomial_ci95(self.ber, self.trials * self.m)
+
 
 @dataclass(frozen=True)
 class TimingRecord:
-    """Median-of-means decode time for one (config, detector) pair."""
+    """Median-of-means decode time for one config (detector included)."""
 
     config: SystemConfig
-    detector: str
     decodes: int
     mean_ns: float
     spread_ns: float  # standard deviation across batch means
@@ -141,61 +149,46 @@ def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int, n_trials: int,
     return n_trials, errors, decode_ns
 
 
-def _point_shards(plan: SweepPlan) -> list[int]:
-    sizes = []
-    remaining = plan.max_trials
-    while remaining > 0:
-        sizes.append(min(plan.shard_trials, remaining))
-        remaining -= sizes[-1]
-    return sizes
+def _shard_results(pool, workers: int, plan: SweepPlan, cfg: SystemConfig, point_idx: int,
+                   measure_time: bool):
+    """A point's shard results in shard order: in-process without a pool,
+    otherwise from ``pool`` with at most ``workers`` shards submitted and
+    unfinished. A shard is submitted only when the consumer asks for the
+    next result; those still running when it stops are left to finish."""
+    jobs = ((cfg, point_idx, i, min(plan.shard_trials, plan.max_trials - start), measure_time)
+            for i, start in enumerate(range(0, plan.max_trials, plan.shard_trials)))
+    if pool is None:
+        yield from starmap(_run_shard, jobs)
+        return
+    window = deque(pool.submit(_run_shard, *job) for job in islice(jobs, workers))
+    while window:
+        yield window.popleft().result()
+        window.extend(pool.submit(_run_shard, *job) for job in islice(jobs, 1))
 
 
 def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
                   measure_time: bool = True) -> list[BerRecord]:
-    """Run every sweep point to its stop criterion and return the records."""
+    """Run every sweep point to its stop criterion and return the records.
+
+    One accumulation loop serves every worker count; with more than one
+    worker, one process pool runs the shards of the whole sweep.
+    """
     workers = _worker_count(workers)
     records = []
-    for point_idx, value in enumerate(plan.values):
-        cfg = plan.config_at(value)
-        shard_sizes = _point_shards(plan)
-        trials = bit_errors = decode_ns = 0
-        if workers == 1:
-            for shard_idx, size in enumerate(shard_sizes):
-                t, e, ns = _run_shard(cfg, point_idx, shard_idx, size, measure_time)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for point_idx, value in enumerate(plan.values):
+            cfg = plan.config_at(value)
+            trials = bit_errors = decode_ns = 0
+            # consumed strictly in shard order, so the stop point does not
+            # depend on scheduling
+            for t, e, ns in _shard_results(pool, workers, plan, cfg, point_idx, measure_time):
                 trials += t
                 bit_errors += e
-                decode_ns += ns
+                decode_ns += ns  # stays 0 without measure_time
                 if bit_errors >= plan.min_errors:
                     break
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = {
-                    shard_idx: pool.submit(_run_shard, cfg, point_idx, shard_idx, size, measure_time)
-                    for shard_idx, size in enumerate(shard_sizes)
-                }
-                # consume strictly in shard order so the stop point is
-                # independent of scheduling
-                for shard_idx in range(len(shard_sizes)):
-                    t, e, ns = pending[shard_idx].result()
-                    trials += t
-                    bit_errors += e
-                    decode_ns += ns
-                    if bit_errors >= plan.min_errors:
-                        for fut in pending.values():
-                            fut.cancel()
-                        break
-        n_bits = trials * bits_per_symbol(cfg)
-        ber = bit_errors / n_bits
-        records.append(
-            BerRecord(
-                config=cfg,
-                trials=trials,
-                bit_errors=bit_errors,
-                ber=ber,
-                ci95=binomial_ci95(ber, n_bits),
-                wall_ns_per_decode=decode_ns / trials if measure_time else 0.0,
-            )
-        )
+            records.append(BerRecord(config=cfg, trials=trials, bit_errors=bit_errors,
+                                     wall_ns_per_decode=decode_ns / trials))
     return records
 
 
@@ -216,7 +209,6 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
             cfg = replace(base_cfg, detector=detector)
             pairs.append({
                 "cfg": cfg,
-                "detector": detector,
                 "ctx": LinkContext.for_config(cfg),
                 "rng": np.random.default_rng(
                     np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG))
@@ -239,7 +231,6 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
     return [
         TimingRecord(
             config=pair["cfg"],
-            detector=pair["detector"],
             decodes=per_batch * batches,
             mean_ns=float(np.median(pair["means"])),
             spread_ns=float(np.std(pair["means"])),

@@ -80,7 +80,10 @@ class SystemConfig:
             raise ValueError("the single-codebook scheme requires G = 1")
         if np.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
             raise ValueError(f"ebn0_db must be a number or +inf (noiseless), got {self.ebn0_db}")
-        self.mmp  # validates the search controls
+        try:
+            self.mmp  # validates the search controls
+        except ValueError as exc:
+            raise ValueError(f"mmp_{exc}") from None
 
     @property
     def mmp(self) -> MmpDfParams:

@@ -211,8 +211,8 @@ def test_c08_decoder_complexity_trends():
     t0 = time.time()
     cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED) for m in (64, 128, 256)]
     records = run_timing(cfgs, detectors=("mmpdf", "ml"), decodes=1000, warmup=100, batches=10)
-    greedy = {r.config.M: r.mean_ns for r in records if r.detector == "mmpdf"}
-    ml = {r.config.M: r.mean_ns for r in records if r.detector == "ml"}
+    greedy = {r.config.M: r.mean_ns for r in records if r.config.detector == "mmpdf"}
+    ml = {r.config.M: r.mean_ns for r in records if r.config.detector == "ml"}
 
     assert max(greedy.values()) / min(greedy.values()) < 2.0
 

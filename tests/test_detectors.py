@@ -21,6 +21,7 @@ from svcim.detectors import (
     sensing_matrix,
 )
 from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
+from svcim.link import LinkContext, SystemConfig, decode_frame
 from svcim.transceiver import build_sparse_vector, spread
 
 from oracles import reference_omp
@@ -460,6 +461,18 @@ class TestMlDetectors:
         book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
             build_ml_candidates([book], space, sets)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("name,value", [("y_freq", np.nan), ("h_freq", np.nan),
+                                            ("y_freq", np.inf)])
+    def test_rejected_with_value_error(self, detector, name, value):
+        ctx = LinkContext.for_config(SystemConfig(N=32, M=16, detector=detector))
+        arrays = {"y_freq": np.ones(32, dtype=complex), "h_freq": np.ones(32, dtype=complex)}
+        arrays[name][5] = value
+        with pytest.raises(ValueError, match=name):
+            decode_frame(ctx, arrays["y_freq"], arrays["h_freq"])
 
 
 class TestScaleInvariance:

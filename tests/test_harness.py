@@ -2,10 +2,14 @@
 import io
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from svcim import harness
 from svcim.harness import (
     BerRecord,
     SweepPlan,
@@ -106,6 +110,37 @@ class TestRunBerSweep:
         parallel = run_ber_sweep(plan, workers=4, measure_time=False)
         assert serial == parallel
 
+    def test_in_flight_shards_bounded_by_workers(self, monkeypatch):
+        # a fake shard that reaches min_errors at once and records how many
+        # shards ran, and how many at the same time, on a pool with spare
+        # threads
+        ran, running, peak, lock = [], [0], [0], threading.Lock()
+
+        def fake_shard(cfg, point_idx, shard_idx, n_trials, measure_time):
+            with lock:
+                ran.append(shard_idx)
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+            return n_trials, 25, 0
+
+        monkeypatch.setattr(harness, "_run_shard", fake_shard)
+        plan = small_plan(values=(0.0,), max_trials=2_000, shard_trials=100)
+        cfg = plan.config_at(0.0)
+        with ThreadPoolExecutor(8) as pool:
+            for result in harness._shard_results(pool, 2, plan, cfg, 0, False):
+                break  # the point stops at its first shard
+        assert result == (100, 25, 0)
+        assert len(ran) <= 2
+
+        ran.clear()
+        with ThreadPoolExecutor(8) as pool:
+            results = list(harness._shard_results(pool, 2, plan, cfg, 0, False))
+        assert len(results) == len(ran) == 20
+        assert peak[0] <= 2
+
     def test_records_match_configs(self):
         plan = small_plan()
         records = run_ber_sweep(plan, measure_time=False)
@@ -190,8 +225,7 @@ class TestEmission:
 
     def test_plot_log_ber_handles_zero(self):
         rec = BerRecord(
-            config=SystemConfig(), trials=10, bit_errors=0, ber=0.0, ci95=0.0,
-            wall_ns_per_decode=0.0,
+            config=SystemConfig(), trials=10, bit_errors=0, wall_ns_per_decode=0.0,
         )
         payload = plot_description([rec])
         assert payload["series"][0]["log10_ber"] == [None]
@@ -200,7 +234,7 @@ class TestEmission:
         # sweeps that differ only in a search control are separate curves
         records = [
             BerRecord(config=SystemConfig(ebn0_db=snr, mmp_omega=omega), trials=10,
-                      bit_errors=1, ber=0.1, ci95=0.0, wall_ns_per_decode=0.0)
+                      bit_errors=1, wall_ns_per_decode=0.0)
             for omega in (2, 3) for snr in (0.0, 6.0)
         ]
         series = plot_description(records)["series"]
@@ -230,7 +264,7 @@ class TestRunTiming:
         single = SystemConfig(scheme="esvc", G=1, **base)
         joint = SystemConfig(scheme="secbim", G=4, **base)
         t_single, t_joint = run_timing(
-            [single, joint], detectors=("mmpdf",), decodes=300, warmup=30, batches=5
+            [single, joint], detectors=("mmpdf",), decodes=900, warmup=30, batches=15
         )
         ratio = t_joint.mean_ns / t_single.mean_ns
         assert 0.7 * 4 <= ratio <= 1.3 * 4
