@@ -99,6 +99,23 @@ def _require_finite(y_freq: np.ndarray, h_freq: np.ndarray) -> None:
             raise ValueError(f"{name} holds a NaN or inf")
 
 
+def _result(books: CodebookSet, space: ApSpace, g_hat: int, d_hat: int, extended: bool,
+            metric: float, estimate: SparseEstimate | None = None) -> DetectionResult:
+    """A (book position, rank, symbol-set flag) decision and its bits.
+
+    The first log2(G) bits carry ``g_hat - 1``, the rest the pattern word.
+    """
+    bits = int_to_bits(g_hat - 1, books.G.bit_length() - 1) + decode_to_bits(d_hat, extended, space)
+    return DetectionResult(
+        d_hat=d_hat,
+        l_hat=2 if extended else 1,
+        g_hat=g_hat,
+        bits=np.array(bits, dtype=np.uint8),
+        metric=metric,
+        estimate=estimate,
+    )
+
+
 def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     """Rotate each subcarrier by the conjugate channel phase.
 
@@ -123,22 +140,23 @@ def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
     return (np.abs(h) / math.sqrt(k))[:, None] * book.entries
 
 
-def _ls_fit(psi: np.ndarray, cols: list[int], y: np.ndarray) -> np.ndarray | None:
-    """Least squares on the chosen columns via normal equations.
+def _ls_fit(
+    psi: np.ndarray, cols: list[int], y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Least squares on the chosen real columns via normal equations.
 
-    Returns None on a rank-deficient subproblem (degenerate channel or
-    codebook draw); callers treat that candidate as having infinite
-    residual.
+    Returns ``(coef, residual)``, or None on a rank-deficient subproblem
+    (degenerate channel or codebook draw); callers treat that candidate as
+    having infinite residual.
     """
     a = psi[:, cols]
-    gram = a.conj().T @ a
     try:
-        coef = np.linalg.solve(gram, a.conj().T @ y)
+        coef = np.linalg.solve(a.T @ a, a.T @ y)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(coef)):
         return None
-    return coef
+    return coef, y - a @ coef
 
 
 def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEstimate:
@@ -156,7 +174,7 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : sensing matrix, N x M with M >= params.k
+    psi : real sensing matrix, N x M with M >= params.k
     params : search controls
 
     Returns
@@ -165,6 +183,8 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     """
     y = np.asarray(y_hat, dtype=np.complex128)
     psi = np.asarray(psi)
+    if np.iscomplexobj(psi):
+        raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
     n, m = psi.shape
     k = params.k
     if m < k:
@@ -172,20 +192,7 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
-    if np.isrealobj(psi):
-        # real sensing matrix (the co-phased model): two real gemvs beat
-        # numpy's promotion of the whole matrix to complex
-        psi_t = psi.T
-
-        def correlations(resid: np.ndarray) -> np.ndarray:
-            return np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
-
-    else:
-        psi_h = psi.conj().T
-
-        def correlations(resid: np.ndarray) -> np.ndarray:
-            return np.abs(psi_h @ resid)
-
+    psi_t = psi.T
     stop_level = params.lam * (np.linalg.norm(y) if params.relative_stop else 1.0)
 
     best_resid = math.inf
@@ -196,7 +203,8 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
 
     def dfs(path: tuple[int, ...], resid: np.ndarray) -> bool:
         nonlocal best_resid, best_support, best_coeffs, full_solves
-        corr = correlations(resid)
+        # two real gemvs beat numpy's promotion of the whole matrix to complex
+        corr = np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
         corr[list(path)] = -1.0
         # stable sort: correlation ties resolve to the lowest column index
         children = np.argsort(-corr, kind="stable")[: params.omega]
@@ -208,24 +216,21 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
                     continue
                 seen.add(support)
                 full_solves += 1
-                coef = _ls_fit(psi, list(support), y)
-                if coef is None:
-                    r_norm = math.inf
-                else:
-                    r_norm = float(np.linalg.norm(y - psi[:, list(support)] @ coef))
+                fit = _ls_fit(psi, list(support), y)
+                r_norm = math.inf if fit is None else float(np.linalg.norm(fit[1]))
                 if r_norm < best_resid or best_support is None:
                     best_resid = r_norm
                     best_support = support
-                    best_coeffs = coef
+                    best_coeffs = None if fit is None else fit[0]
                 if r_norm < stop_level:
                     return True
                 if full_solves >= params.upsilon:
                     return True
             else:
-                coef = _ls_fit(psi, list(new_path), y)
-                if coef is None:
+                fit = _ls_fit(psi, list(new_path), y)
+                if fit is None:
                     continue  # degenerate partial path: its completions are too
-                if dfs(new_path, y - psi[:, list(new_path)] @ coef):
+                if dfs(new_path, fit[1]):
                     return True
         return False
 
@@ -285,37 +290,25 @@ def secbim_decode(
     """
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
     flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
-    g_hat = flat // 2 + 1
-    l_raw = flat % 2 + 1
-    est = estimates[g_hat - 1]
+    g0, l0 = divmod(flat, 2)
+    est = estimates[g0]
     d_hat = combo_to_rank(est.support, space)
     # a rank that is never reused carries no flag information
-    l_hat = l_raw if d_hat < space.n_reused else 1
-    m1 = books.G.bit_length() - 1
-    bits = int_to_bits(g_hat - 1, m1) + decode_to_bits(d_hat, l_hat == 2, space)
-    return DetectionResult(
-        d_hat=d_hat,
-        l_hat=l_hat,
-        g_hat=g_hat,
-        bits=np.array(bits, dtype=np.uint8),
-        metric=float(metrics[g_hat - 1, l_hat - 1]),
-        estimate=est,
-    )
+    extended = l0 == 1 and d_hat < space.n_reused
+    return _result(books, space, g0 + 1, d_hat, extended, float(metrics[g0, int(extended)]), est)
 
 
 @dataclass(eq=False)
 class MlCandidates:
     """Every legal transmit block, spread and cached for ML enumeration.
 
-    Rows are ordered by (codebook, word value); ``spread_abs2`` caches the
-    entrywise squared magnitudes so each decode reduces to two
-    matrix-vector products.
+    Row ``(g - 1) * 2**m_bits + word`` holds book position g spreading
+    ``word``; ``spread_abs2`` caches the entrywise squared magnitudes so
+    each decode reduces to two matrix-vector products.
     """
 
     spread: np.ndarray  # (rows, N) complex candidate blocks, 1/sqrt(K) applied
     spread_abs2: np.ndarray
-    words: np.ndarray  # (rows,) word value behind each candidate
-    g_ids: np.ndarray  # (rows,) codebook id behind each candidate
     n_books: int
 
 
@@ -323,14 +316,13 @@ def build_ml_candidates(
     books: Sequence[Codebook],
     space: ApSpace,
     sets: SymbolSets,
-    cap: int = ML_CANDIDATE_CAP,
 ) -> MlCandidates:
     """Enumerate and spread all candidate sparse vectors, once per config."""
     n_words = 1 << space.m_bits
     rows = len(books) * n_words
-    if rows > cap:
+    if rows > ML_CANDIDATE_CAP:
         raise ValueError(
-            f"ML candidate space of {rows} blocks exceeds the cap of {cap}; "
+            f"ML candidate space of {rows} blocks exceeds the cap of {ML_CANDIDATE_CAP}; "
             "use the greedy detector for this configuration"
         )
     vdd = np.zeros((n_words, space.M), dtype=np.complex128)
@@ -339,13 +331,7 @@ def build_ml_candidates(
         vdd[word] = build_sparse_vector(msg, sets, space.M).values
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
     spread = np.vstack([(vdd @ b.entries.T) * inv_sqrt_k for b in books])
-    return MlCandidates(
-        spread=spread,
-        spread_abs2=np.abs(spread) ** 2,
-        words=np.tile(np.arange(n_words), len(books)),
-        g_ids=np.repeat([b.id for b in books], n_words),
-        n_books=len(books),
-    )
+    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2, n_books=len(books))
 
 
 def _ml_metrics(y_freq: np.ndarray, h_freq: np.ndarray, cand: MlCandidates) -> np.ndarray:
@@ -363,28 +349,18 @@ def ml_secbim(
     h_freq: np.ndarray,
     books: CodebookSet,
     space: ApSpace,
-    sets: SymbolSets,
-    cand: MlCandidates | None = None,
-    cap: int = ML_CANDIDATE_CAP,
+    cand: MlCandidates,
 ) -> DetectionResult:
     """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1."""
-    if cand is None:
-        cand = build_ml_candidates(books.books, space, sets, cap)
     if cand.n_books != books.G:
         raise ValueError(f"candidate table holds {cand.n_books} books, config has {books.G}")
     _require_finite(y_freq, h_freq)
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
-    word, g_hat = int(cand.words[i]), int(cand.g_ids[i])
+    g0, word = divmod(i, 1 << space.m_bits)
     extended = word >= space.n_combos
-    bits = int_to_bits(g_hat - 1, books.G.bit_length() - 1) + int_to_bits(word, space.m_bits)
-    return DetectionResult(
-        d_hat=word - space.n_combos if extended else word,
-        l_hat=2 if extended else 1,
-        g_hat=g_hat,
-        bits=np.array(bits, dtype=np.uint8),
-        metric=float(metrics[i]),
-    )
+    d_hat = word - space.n_combos if extended else word
+    return _result(books, space, g0 + 1, d_hat, extended, float(metrics[i]))
 
 
 # Names under which outside tracing wraps the single-codebook decoders.

@@ -249,8 +249,7 @@ CSV_COLUMNS = (
     "m", "trials", "bit_errors", "ber", "ci95", "wall_ns_per_decode",
 )
 
-TIMING_CSV_COLUMNS = (
-    "scheme", "detector", "N", "M", "K", "L", "v", "G", "ebn0_db", "seed",
+TIMING_CSV_COLUMNS = tuple(col for col in CSV_COLUMNS if col in field_types(SystemConfig)) + (
     "decodes", "mean_ns", "spread_ns",
 )
 

@@ -148,7 +148,7 @@ class LinkContext:
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
     """Dispatch to the configured detector with perfect channel knowledge."""
     if ctx.cfg.detector == "ml":
-        return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, cand=ctx.ml)
+        return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.ml)
     return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, ctx.mmp)
 
 

@@ -1,4 +1,5 @@
 """Command-line surface: flag plumbing, outputs, exit codes."""
+import csv
 import json
 
 import pytest
@@ -123,6 +124,19 @@ class TestTimingCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + two configs
         assert "mean=" in capsys.readouterr().out
+
+    def test_timing_row_carries_the_whole_config(self, tmp_path):
+        out = tmp_path / "timing.csv"
+        rc = main([
+            "timing", "--N", "32", "--M", "16", "--omega", "3", "--channel-path", "time",
+            "--axis", "ebn0", "--values", "20", "--detectors", "mmpdf",
+            "--decodes", "10", "--warmup", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["mmp_omega"] == "3"
+        assert row["channel_path"] == "time"
 
     def test_unknown_detector_fails(self, tmp_path):
         rc = main([

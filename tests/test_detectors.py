@@ -5,13 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svcim.channel import NoiseSpec, apply_freq, draw_channel
-from svcim.codebook import CodebookSet, generate_codebook, generate_set
+from svcim.codebook import (
+    CodebookSet,
+    generate_codebook,
+    generate_set,
+    load_codebook_set,
+    save_codebook_set,
+)
 from svcim.detectors import (
     MmpDfParams,
+    _ls_fit,
     build_ml_candidates,
     cophase,
     ml_secbim,
@@ -185,6 +193,11 @@ class TestMmpDf:
         with pytest.raises(ValueError):
             mmp_df(np.zeros(4, complex), np.ones((4, 1)), MmpDfParams(k=2))
 
+    def test_complex_psi_rejected(self):
+        psi = generate_codebook(3, 1, 16, 8).entries * (1 + 1j)
+        with pytest.raises(ValueError, match="psi"):
+            mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
+
     def test_absolute_stop_switch(self):
         # pure noise scaled to norm 10: candidate residuals sit near 9, so a
         # relative threshold of 0.95 stops at the first candidate while the
@@ -207,6 +220,40 @@ class TestMmpDf:
         est = mmp_df(np.zeros(16, complex), psi, MmpDfParams(k=2))
         assert est.support == (1, 2)  # stable tie-break toward low columns
         assert np.allclose(est.coeffs, 0.0)
+
+
+@st.composite
+def _cophased_columns(draw):
+    """1-3 columns of a +-1 book scaled row-wise by |h|, and a received vector."""
+    c = draw(st.integers(1, 3))
+    n = draw(st.integers(c, 64))
+    signs = draw(arrays(np.float64, (n, c), elements=st.sampled_from([-1.0, 1.0])))
+    if c >= 2 and draw(st.booleans()):
+        # near-collinear: the second column differs from the first in one row
+        signs[:, 1] = signs[:, 0]
+        signs[draw(st.integers(0, n - 1)), 1] *= -1
+    assume(np.linalg.matrix_rank(signs) == c)
+    h_abs = draw(arrays(np.float64, n, elements=st.floats(0.01, 4.0)))
+    y = draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        max_magnitude=10.0, allow_nan=False, allow_infinity=False)))
+    return h_abs[:, None] * signs, y
+
+
+class TestLsFit:
+    @given(_cophased_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lstsq_oracle(self, case):
+        # normal equations lose accuracy as cond(A)^2: both gaps are bounded
+        # by 64 eps cond(A)^2 times the scale of the quantity compared
+        a, y = case
+        coef, resid = _ls_fit(a, list(range(a.shape[1])), y)
+        ref, *_ = np.linalg.lstsq(a, y, rcond=None)
+        sv = np.linalg.svd(a, compute_uv=False)
+        tol = 64 * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2
+        x_scale = np.linalg.norm(ref) + np.linalg.norm(y) / sv[0]
+        assert np.linalg.norm(coef - ref) <= tol * x_scale
+        r_gap = abs(np.linalg.norm(resid) - np.linalg.norm(y - a @ ref))
+        assert r_gap <= tol * sv[0] * x_scale
 
 
 class TestSymbolSetDecision:
@@ -395,7 +442,7 @@ class TestMlDetectors:
             x = spread(build_sparse_vector(msg, sets, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
-            det = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
+            det = ml_secbim(y, ch.cfr, books, space, cand)
             assert tuple(det.bits) == bits
             # zero metric at the truth, up to cancellation in the expansion
             assert det.metric < 1e-9 * np.sum(np.abs(y) ** 2)
@@ -434,7 +481,7 @@ class TestMlDetectors:
             x = spread(build_sparse_vector(msg, sets, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
-            ml = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
+            ml = ml_secbim(y, ch.cfr, books, space, cand)
             greedy = secbim_decode(y, ch.cfr, books, space, sets, params)
             agree += np.array_equal(ml.bits, greedy.bits)
         assert agree / n_trials >= 0.99
@@ -451,7 +498,7 @@ class TestMlDetectors:
                 x = spread(build_sparse_vector(msg, sets, 8), books[g])
                 ch = draw_channel(10, 32, rng)
                 y = apply_freq(x, ch, _noiseless(), rng)
-                det = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
+                det = ml_secbim(y, ch.cfr, books, space, cand)
                 assert det.g_hat == g
                 assert tuple(det.bits) == int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
 
@@ -461,6 +508,30 @@ class TestMlDetectors:
         book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
             build_ml_candidates([book], space, sets)
+
+
+class TestBookPositions:
+    def test_g_hat_is_the_position_not_the_book_id(self, tmp_path):
+        # a loaded set need not hold ids 1..G; the transmitter spreads with
+        # books[g] by position, so both detectors must answer by position
+        save_codebook_set(CodebookSet((generate_codebook(0, 5, 32, 16),
+                                       generate_codebook(0, 6, 32, 16))), tmp_path / "books.txt")
+        books = load_codebook_set(tmp_path / "books.txt")
+        rng = np.random.default_rng(31)
+        space = ApSpace(M=16, K=2)
+        sets = SymbolSets.default(2)
+        cand = build_ml_candidates(books.books, space, sets)
+        for g in (1, 2):
+            for value in range(0, 2 ** space.m_bits, 5):
+                bits = int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
+                msg = encode_bits(bits[1:], space, g=g)
+                x = spread(build_sparse_vector(msg, sets, 16), books[g])
+                ch = draw_channel(10, 32, rng)
+                y = apply_freq(x, ch, _noiseless(), rng)
+                for det in (secbim_decode(y, ch.cfr, books, space, sets, MmpDfParams(k=2)),
+                            ml_secbim(y, ch.cfr, books, space, cand)):
+                    assert det.g_hat == g
+                    assert tuple(det.bits) == bits
 
 
 class TestNonFiniteInput:
@@ -507,6 +578,6 @@ class TestScaleInvariance:
         x = spread(build_sparse_vector(msg, sets, 16), books[2])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
-        base = ml_secbim(y, ch.cfr, books, space, sets, cand=cand)
-        scaled = ml_secbim(scale * y, scale * ch.cfr, books, space, sets, cand=cand)
+        base = ml_secbim(y, ch.cfr, books, space, cand)
+        scaled = ml_secbim(scale * y, scale * ch.cfr, books, space, cand)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)

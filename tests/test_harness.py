@@ -275,7 +275,7 @@ class TestRunTiming:
         single = SystemConfig(scheme="esvc", G=1, **base)
         joint = SystemConfig(scheme="secbim", G=4, **base)
         t_single, t_joint = run_timing(
-            [single, joint], detectors=("ml",), decodes=400, warmup=40, batches=5
+            [single, joint], detectors=("ml",), decodes=1200, warmup=40, batches=15
         )
         ratio = t_joint.mean_ns / t_single.mean_ns
         assert 2.0 <= ratio <= 7.0
