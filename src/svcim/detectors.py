@@ -309,7 +309,6 @@ class MlCandidates:
 
     spread: np.ndarray  # (rows, N) complex candidate blocks, 1/sqrt(K) applied
     spread_abs2: np.ndarray
-    n_books: int
 
 
 def build_ml_candidates(
@@ -331,7 +330,7 @@ def build_ml_candidates(
         vdd[word] = build_sparse_vector(msg, sets, space.M).values
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
     spread = np.vstack([(vdd @ b.entries.T) * inv_sqrt_k for b in books])
-    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2, n_books=len(books))
+    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)
 
 
 def _ml_metrics(y_freq: np.ndarray, h_freq: np.ndarray, cand: MlCandidates) -> np.ndarray:
@@ -352,15 +351,17 @@ def ml_secbim(
     cand: MlCandidates,
 ) -> DetectionResult:
     """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1."""
-    if cand.n_books != books.G:
-        raise ValueError(f"candidate table holds {cand.n_books} books, config has {books.G}")
+    n_words = 1 << space.m_bits
+    if len(cand.spread) != books.G * n_words:
+        raise ValueError(f"cand holds {len(cand.spread)} rows, G * 2**m_bits is {books.G * n_words}")
     _require_finite(y_freq, h_freq)
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
-    g0, word = divmod(i, 1 << space.m_bits)
-    extended = word >= space.n_combos
-    d_hat = word - space.n_combos if extended else word
-    return _result(books, space, g0 + 1, d_hat, extended, float(metrics[i]))
+    g0, word = divmod(i, n_words)
+    n_combos = space.n_combos
+    extended = word >= n_combos
+    return _result(books, space, g0 + 1, word - n_combos if extended else word, extended,
+                   float(metrics[i]))
 
 
 # Names under which outside tracing wraps the single-codebook decoders.

@@ -169,7 +169,7 @@ def decode_to_bits(d_hat: int, extended: bool, space: ApSpace) -> tuple[int, ...
     """
     if not 0 <= d_hat < space.n_combos:
         raise ValueError(f"rank {d_hat} outside [0, {space.n_combos - 1}]")
-    if d_hat >= space.n_reused or not extended:
+    if not extended or d_hat >= space.n_reused:
         value = d_hat
     else:
         value = d_hat + space.n_combos

@@ -502,6 +502,15 @@ class TestMlDetectors:
                 assert det.g_hat == g
                 assert tuple(det.bits) == int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
 
+    def test_table_for_another_config_rejected(self):
+        books = generate_set(61, 2, 32, 8)
+        cand = build_ml_candidates(books.books, ApSpace(M=8, K=2), SymbolSets.default(2))
+        y = np.ones(32, complex)
+        for other_books, space in ((CodebookSet(books.books[:1]), ApSpace(M=8, K=2)),
+                                   (books, ApSpace(M=8, K=3))):
+            with pytest.raises(ValueError, match="cand"):
+                ml_secbim(y, y, other_books, space, cand)
+
     def test_candidate_cap_refusal(self):
         space = ApSpace(M=2048, K=2)  # 2^21 words: over the default cap
         sets = SymbolSets.default(2)
