@@ -15,6 +15,7 @@ Index convention: supports and sparse-estimate indices are 1-based, like
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -127,7 +128,7 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     h = np.asarray(h_freq)
     if len(y) != len(h):
         raise ValueError(f"length mismatch: y {len(y)}, h {len(h)}")
-    return np.exp(-1j * np.angle(h)) * y
+    return np.exp(-1j * np.arctan2(h.imag, h.real)) * y  # arctan2 is np.angle's own formula
 
 
 def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
@@ -140,23 +141,77 @@ def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
     return (np.abs(h) / math.sqrt(k))[:, None] * book.entries
 
 
-def _ls_fit(
-    psi: np.ndarray, cols: list[int], y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Least squares on the chosen real columns via normal equations.
+def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
+    """Solve ``gram @ x = b`` for a small real ``gram`` and complex ``b``.
 
-    Returns ``(coef, residual)``, or None on a rank-deficient subproblem
-    (degenerate channel or codebook draw); callers treat that candidate as
-    having infinite residual.
+    Returns None on an exactly zero pivot or a non-finite x: the
+    rank-deficient subproblems (degenerate channel or codebook draw) that
+    callers score with an infinite residual. 1 x 1 and 2 x 2 systems, the
+    default search's, are written out; they take the same steps as
+    :func:`_eliminate`.
     """
-    a = psi[:, cols]
-    try:
-        coef = np.linalg.solve(a.T @ a, a.T @ y)
-    except np.linalg.LinAlgError:
+    k = len(b)
+    if k == 1:
+        x = None if gram[0][0] == 0.0 else [b[0] * (1.0 / gram[0][0])]
+    elif k == 2:
+        (g00, g01), (g10, g11) = gram
+        b0, b1 = b
+        if abs(g10) > abs(g00):
+            g00, g01, g10, g11, b0, b1 = g10, g11, g00, g01, b1, b0
+        x = None
+        if g00 != 0.0:
+            r0 = 1.0 / g00
+            lo = g10 * r0
+            u11 = g11 - lo * g01
+            if u11 != 0.0:
+                x1 = (b1 - lo * b0) * (1.0 / u11)
+                x = [(b0 - g01 * x1) * r0, x1]
+    else:
+        x = _eliminate(gram, b)
+    if x is None or not all(map(cmath.isfinite, x)):
         return None
-    if not np.all(np.isfinite(coef)):
-        return None
-    return coef, y - a @ coef
+    return x
+
+
+def _eliminate(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
+    """Gaussian elimination with partial pivoting, None on a zero pivot.
+
+    The first largest pivot wins a tie, and rows are scaled by reciprocal
+    pivots, in the order LAPACK's getrf and getrs take the steps; for 1 x 1
+    and 2 x 2 systems these are the floating-point operations of
+    ``np.linalg.solve``.
+    """
+    k = len(b)
+    a = [row[:] for row in gram]
+    x = list(b)
+    inv = [0.0] * k
+    for j in range(k):
+        p = j
+        for i in range(j + 1, k):
+            if abs(a[i][j]) > abs(a[p][j]):
+                p = i
+        if a[p][j] == 0.0:
+            return None
+        a[j], a[p] = a[p], a[j]
+        x[j], x[p] = x[p], x[j]
+        inv[j] = r = 1.0 / a[j][j]
+        for i in range(j + 1, k):
+            a[i][j] = lo = a[i][j] * r
+            for c in range(j + 1, k):
+                a[i][c] -= lo * a[j][c]
+    for j in range(k):  # unit lower triangle
+        for i in range(j + 1, k):
+            x[i] -= a[i][j] * x[j]
+    for j in range(k - 1, -1, -1):  # upper triangle
+        x[j] *= inv[j]
+        for i in range(j):
+            x[i] -= a[i][j] * x[j]
+    return x
+
+
+def _bordered(gram: list[list[float]], row: list[float], diag: float) -> list[list[float]]:
+    """``gram`` with ``row`` appended as its last row and column and ``diag`` in the corner."""
+    return [r + [v] for r, v in zip(gram, row)] + [row + [diag]]
 
 
 def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEstimate:
@@ -171,6 +226,16 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     after ``upsilon`` full-depth candidates (or tree exhaustion). With
     ``omega=1`` the search reduces to orthogonal matching pursuit.
 
+    Only full-depth candidates form a residual vector. With c0 = psi^T y
+    and g_j = psi^T psi_j, a path P with LS amplitudes x has residual
+    correlations |c0 - sum_i x_i g_{P_i}|, and the Gram matrix of its
+    normal equations is its parent's plus one row read off the cached g of
+    the parent's columns. One product gives c0, an inner node computes g
+    only for the column it adds, and each solve is written out
+    (:func:`_solve_normal`). A full-depth candidate gathers its K columns
+    for the last diagonal entry and for its residual vector, whose norm is
+    the candidate's score.
+
     Parameters
     ----------
     y_hat : co-phased received vector, length N
@@ -180,8 +245,13 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     Returns
     -------
     SparseEstimate with ascending 1-based support.
+
+    Raises
+    ------
+    ValueError : on a complex ``psi``, mismatched shapes, or a NaN or inf
+        in ``y_hat`` or ``psi``.
     """
-    y = np.asarray(y_hat, dtype=np.complex128)
+    y = np.ascontiguousarray(y_hat, dtype=np.complex128)
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
@@ -193,54 +263,79 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
     psi_t = psi.T
-    stop_level = params.lam * (np.linalg.norm(y) if params.relative_stop else 1.0)
+    y2 = y.view(np.float64).reshape(n, 2)  # row i holds (Re y_i, Im y_i)
+    c0 = psi_t.dot(y2).view(np.complex128)[:, 0]
+    if not np.isfinite(c0).all():  # a NaN or inf in y_hat or psi reaches c0
+        raise ValueError("y_hat or psi holds a NaN or inf")
+    stop_level = params.lam * (math.sqrt(np.vdot(y, y).real) if params.relative_stop else 1.0)
+    omega = min(params.omega, m)
+    gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
 
     best_resid = math.inf
-    best_support: tuple[int, ...] | None = None
-    best_coeffs: np.ndarray | None = None
+    best_path: tuple[int, ...] | None = None
+    best_coeffs: np.ndarray | None = None  # in best_path's order
     full_solves = 0
     seen: set[tuple[int, ...]] = set()
 
-    def dfs(path: tuple[int, ...], resid: np.ndarray) -> bool:
-        nonlocal best_resid, best_support, best_coeffs, full_solves
-        # two real gemvs beat numpy's promotion of the whole matrix to complex
-        corr = np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
-        corr[list(path)] = -1.0
-        # stable sort: correlation ties resolve to the lowest column index
-        children = np.argsort(-corr, kind="stable")[: params.omega]
+    def dfs(path: tuple[int, ...], x: list[complex], path_gram: list[list[float]]) -> bool:
+        nonlocal best_resid, best_path, best_coeffs, full_solves
+        corr = c0
+        for col, xi in zip(path, x):
+            corr = corr - xi * gram[col]
+        corr = np.abs(corr)
+        for col in path:
+            corr[col] = -1.0
+        children = []
+        for _ in range(omega):  # the first maximum: ties go to the lowest column
+            col = int(corr.argmax())
+            children.append(col)
+            corr[col] = -math.inf
         for col in children:
-            new_path = path + (int(col),)
+            new_path = path + (col,)
+            row = [gram[p].item(col) for p in path]
             if len(new_path) == k:
                 support = tuple(sorted(new_path))
                 if support in seen:
                     continue
                 seen.add(support)
                 full_solves += 1
-                fit = _ls_fit(psi, list(support), y)
-                r_norm = math.inf if fit is None else float(np.linalg.norm(fit[1]))
-                if r_norm < best_resid or best_support is None:
+                a = psi.take(new_path, axis=1)
+                new = a[:, -1]
+                coef = _solve_normal(_bordered(path_gram, row, new.dot(new)),
+                                     [c0.item(i) for i in new_path])
+                if coef is None:
+                    r_norm = math.inf
+                else:
+                    coef = np.array(coef)
+                    r = (y2 - a.dot(coef.view(np.float64).reshape(k, 2))).ravel()
+                    r_norm = math.sqrt(r.dot(r))
+                if r_norm < best_resid or best_path is None:
                     best_resid = r_norm
-                    best_support = support
-                    best_coeffs = None if fit is None else fit[0]
+                    best_path = new_path
+                    best_coeffs = coef
                 if r_norm < stop_level:
                     return True
                 if full_solves >= params.upsilon:
                     return True
             else:
-                fit = _ls_fit(psi, list(new_path), y)
-                if fit is None:
+                g = gram.get(col)
+                if g is None:
+                    g = gram[col] = psi_t.dot(psi[:, col])
+                new_gram = _bordered(path_gram, row, g.item(col))
+                coef = _solve_normal(new_gram, [c0.item(i) for i in new_path])
+                if coef is None:
                     continue  # degenerate partial path: its completions are too
-                if dfs(new_path, fit[1]):
+                if dfs(new_path, coef, new_gram):
                     return True
         return False
 
-    dfs((), y)
+    dfs((), [], [])
 
-    assert best_support is not None  # k <= m guarantees at least one candidate
-    coeffs = best_coeffs if best_coeffs is not None else np.zeros(k, dtype=np.complex128)
+    assert best_path is not None  # k <= m guarantees at least one candidate
+    order = sorted(range(k), key=best_path.__getitem__)
     return SparseEstimate(
-        support=tuple(c + 1 for c in best_support),
-        coeffs=np.asarray(coeffs, dtype=np.complex128),
+        support=tuple(best_path[i] + 1 for i in order),
+        coeffs=np.zeros(k, dtype=np.complex128) if best_coeffs is None else best_coeffs[order],
         residual_norm=best_resid,
         ls_solves=full_solves,
     )
@@ -270,7 +365,7 @@ def secbim_joint_metrics(
         psi = sensing_matrix(h_freq, book, params.k)
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
-        metrics[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
+        metrics[gi] = (np.abs(est.coeffs - symbols) ** 2).sum(axis=1)
     return metrics, estimates
 
 
@@ -289,7 +384,7 @@ def secbim_decode(
     index, the rest the pattern.
     """
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
-    flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
+    flat = int(metrics.argmin())  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
     est = estimates[g0]
     d_hat = combo_to_rank(est.support, space)

@@ -9,7 +9,7 @@ legal pattern and one extra bit is carried compared to plain truncation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 
@@ -17,7 +17,7 @@ def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """MSB-first binary expansion of ``value`` into exactly ``width`` bits."""
     if value < 0 or value >= (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    return tuple([(value >> shift) & 1 for shift in range(width - 1, -1, -1)])
 
 
 def bits_to_int(bits) -> int:
@@ -37,39 +37,36 @@ class ApSpace:
 
     M is the virtual-domain length, K the number of active indices. All
     derived sizes are exact integers (Python bignums), so no configuration
-    can silently overflow.
+    can silently overflow. They are computed once, when the space is built,
+    because the codec reads them on every frame.
     """
 
     M: int
     K: int
+    # Total number of activation patterns, C(M, K).
+    n_combos: int = field(init=False, repr=False, compare=False)
+    # Word length with reuse: one bit more than floor(log2 C(M, K)).
+    m_bits: int = field(init=False, repr=False, compare=False)
+    # How many low-ranked patterns also serve the extended symbol set.
+    n_reused: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K >= self.M:
             raise ValueError(f"K must be < M, got K={self.K}, M={self.M}")
-        if self.n_combos < 2:
+        n_combos = comb(self.M, self.K)
+        if n_combos < 2:
             raise ValueError("activation-pattern space must hold at least 2 patterns")
-
-    @property
-    def n_combos(self) -> int:
-        """Total number of activation patterns, C(M, K)."""
-        return comb(self.M, self.K)
+        m_bits = n_combos.bit_length()
+        object.__setattr__(self, "n_combos", n_combos)
+        object.__setattr__(self, "m_bits", m_bits)
+        object.__setattr__(self, "n_reused", (1 << m_bits) - n_combos)
 
     @property
     def a_floor(self) -> int:
         """floor(log2 C(M, K)): bits carried without pattern reuse."""
-        return self.n_combos.bit_length() - 1
-
-    @property
-    def m_bits(self) -> int:
-        """Word length with reuse: one bit more than the floor."""
-        return self.a_floor + 1
-
-    @property
-    def n_reused(self) -> int:
-        """How many low-ranked patterns also serve the extended symbol set."""
-        return (1 << self.m_bits) - self.n_combos
+        return self.m_bits - 1
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,10 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
 
 def combo_to_rank(indices, space: ApSpace) -> int:
     """Rank of a K-combination; exact inverse of :func:`rank_to_combo`."""
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(map(int, indices))
     if len(idx) != space.K:
         raise ValueError(f"expected {space.K} indices, got {len(idx)}")
-    if any(i < 1 or i > space.M for i in idx):
+    if min(idx) < 1 or max(idx) > space.M:
         raise ValueError(f"indices {idx} outside [1, {space.M}]")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices {idx} must be strictly increasing")

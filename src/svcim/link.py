@@ -122,10 +122,11 @@ class FrameTrace:
 
 @dataclass(eq=False)
 class LinkContext:
-    """Per-configuration state shared across frames: books, search controls
-    and ML tables."""
+    """Per-configuration state shared across frames: books, search controls,
+    ML tables and the number of bits a frame carries."""
 
     cfg: SystemConfig
+    n_bits: int  # bits_per_symbol(cfg)
     space: ApSpace
     sets: SymbolSets
     books: CodebookSet
@@ -141,8 +142,8 @@ class LinkContext:
         ml = None
         if cfg.detector == "ml":
             ml = build_ml_candidates(books.books, space, sets)
-        return cls(cfg=cfg, space=space, sets=sets, books=books, noise=cfg.noise(), mmp=cfg.mmp,
-                   ml=ml)
+        return cls(cfg=cfg, n_bits=bits_per_symbol(cfg), space=space, sets=sets, books=books,
+                   noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
@@ -158,7 +159,7 @@ def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext
     Per frame the generator is consumed in a fixed order: message bits,
     then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
     """
-    tx_bits = rng.integers(0, 2, size=bits_per_symbol(cfg), dtype=np.uint8)
+    tx_bits = rng.integers(0, 2, size=ctx.n_bits, dtype=np.uint8)
     bits = tx_bits.tolist()  # the codec reads Python ints faster than numpy scalars
     m1 = cfg.G.bit_length() - 1
     # the leading log2(G) bits pick the codebook

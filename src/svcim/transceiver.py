@@ -45,13 +45,18 @@ def build_sparse_vector(msg: SparseMessage, sets: SymbolSets, m: int) -> SparseV
 
 
 def spread(s: SparseVector, book: Codebook) -> np.ndarray:
-    """Spread the sparse vector over all N subcarriers: (1/sqrt(K)) C s."""
+    """Spread the sparse vector over all N subcarriers: (1/sqrt(K)) C s.
+
+    Only the K active columns of C are multiplied, so the book is never
+    cast to complex as a whole.
+    """
     if book.m != len(s.values):
         raise ValueError(f"codebook width {book.m} != sparse vector length {len(s.values)}")
     k = len(s.support)
     if k < 1:
         raise ValueError("sparse vector has empty support")
-    return (book.entries @ s.values) / math.sqrt(k)
+    idx = [i - 1 for i in s.support]
+    return book.entries.take(idx, axis=1).dot(s.values.take(idx)) / math.sqrt(k)
 
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Independent reference implementations the solver tests are checked against."""
+import math
+
 import numpy as np
+
+from svcim.detectors import MmpDfParams, SparseEstimate
 
 
 def reference_omp(y, psi, k):
@@ -18,3 +22,111 @@ def reference_omp(y, psi, k):
         coef, *_ = np.linalg.lstsq(a, y, rcond=None)
         residual = y - a @ coef
     return tuple(sorted(chosen))
+
+
+# The recursive MMP-DF search with one np.linalg.solve per tree node, kept
+# as the reference the Gram-form search in svcim.detectors is checked against.
+def _ls_fit(
+    psi: np.ndarray, cols: list[int], y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Least squares on the chosen real columns via normal equations.
+
+    Returns ``(coef, residual)``, or None on a rank-deficient subproblem
+    (degenerate channel or codebook draw); callers treat that candidate as
+    having infinite residual.
+    """
+    a = psi[:, cols]
+    try:
+        coef = np.linalg.solve(a.T @ a, a.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(coef)):
+        return None
+    return coef, y - a @ coef
+
+
+def reference_mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEstimate:
+    """Depth-first multipath matching pursuit.
+
+    At each tree node the columns are ranked by correlation with the
+    current path's least-squares residual and the ``omega`` best unused
+    columns are expanded, best child first (so backtracking revisits the
+    deepest layer first). Each depth-``k`` path is scored by its LS
+    residual; the search returns immediately once a candidate beats the
+    stop threshold, and otherwise returns the minimum-residual candidate
+    after ``upsilon`` full-depth candidates (or tree exhaustion). With
+    ``omega=1`` the search reduces to orthogonal matching pursuit.
+
+    Parameters
+    ----------
+    y_hat : co-phased received vector, length N
+    psi : real sensing matrix, N x M with M >= params.k
+    params : search controls
+
+    Returns
+    -------
+    SparseEstimate with ascending 1-based support.
+    """
+    y = np.asarray(y_hat, dtype=np.complex128)
+    psi = np.asarray(psi)
+    if np.iscomplexobj(psi):
+        raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
+    n, m = psi.shape
+    k = params.k
+    if m < k:
+        raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
+    if len(y) != n:
+        raise ValueError(f"input length {len(y)} != sensing rows {n}")
+
+    psi_t = psi.T
+    stop_level = params.lam * (np.linalg.norm(y) if params.relative_stop else 1.0)
+
+    best_resid = math.inf
+    best_support: tuple[int, ...] | None = None
+    best_coeffs: np.ndarray | None = None
+    full_solves = 0
+    seen: set[tuple[int, ...]] = set()
+
+    def dfs(path: tuple[int, ...], resid: np.ndarray) -> bool:
+        nonlocal best_resid, best_support, best_coeffs, full_solves
+        # two real gemvs beat numpy's promotion of the whole matrix to complex
+        corr = np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
+        corr[list(path)] = -1.0
+        # stable sort: correlation ties resolve to the lowest column index
+        children = np.argsort(-corr, kind="stable")[: params.omega]
+        for col in children:
+            new_path = path + (int(col),)
+            if len(new_path) == k:
+                support = tuple(sorted(new_path))
+                if support in seen:
+                    continue
+                seen.add(support)
+                full_solves += 1
+                fit = _ls_fit(psi, list(support), y)
+                r_norm = math.inf if fit is None else float(np.linalg.norm(fit[1]))
+                if r_norm < best_resid or best_support is None:
+                    best_resid = r_norm
+                    best_support = support
+                    best_coeffs = None if fit is None else fit[0]
+                if r_norm < stop_level:
+                    return True
+                if full_solves >= params.upsilon:
+                    return True
+            else:
+                fit = _ls_fit(psi, list(new_path), y)
+                if fit is None:
+                    continue  # degenerate partial path: its completions are too
+                if dfs(new_path, fit[1]):
+                    return True
+        return False
+
+    dfs((), y)
+
+    assert best_support is not None  # k <= m guarantees at least one candidate
+    coeffs = best_coeffs if best_coeffs is not None else np.zeros(k, dtype=np.complex128)
+    return SparseEstimate(
+        support=tuple(c + 1 for c in best_support),
+        coeffs=np.asarray(coeffs, dtype=np.complex128),
+        residual_norm=best_resid,
+        ls_solves=full_solves,
+    )

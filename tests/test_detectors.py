@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svcim.channel import NoiseSpec, apply_freq, draw_channel
+import svcim.detectors
+from svcim.channel import ChannelRealization, NoiseSpec, apply_freq, draw_channel
 from svcim.codebook import (
     CodebookSet,
     generate_codebook,
@@ -19,7 +20,8 @@ from svcim.codebook import (
 )
 from svcim.detectors import (
     MmpDfParams,
-    _ls_fit,
+    _eliminate,
+    _solve_normal,
     build_ml_candidates,
     cophase,
     ml_secbim,
@@ -29,10 +31,10 @@ from svcim.detectors import (
     sensing_matrix,
 )
 from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
-from svcim.link import LinkContext, SystemConfig, decode_frame
+from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
-from oracles import reference_omp
+from oracles import reference_mmp_df, reference_omp
 
 
 def _noiseless():
@@ -198,6 +200,19 @@ class TestMmpDf:
         with pytest.raises(ValueError, match="psi"):
             mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
 
+    @pytest.mark.parametrize("where", ["y_hat", "psi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, value):
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi = generate_codebook(3, 1, 16, 8).entries.copy()
+        if where == "y_hat":
+            y[5] = value
+        else:
+            psi[5, 3] = value
+        with pytest.raises(ValueError, match="NaN or inf"):
+            mmp_df(y, psi, MmpDfParams(k=2))
+
     def test_absolute_stop_switch(self):
         # pure noise scaled to norm 10: candidate residuals sit near 9, so a
         # relative threshold of 0.95 stops at the first candidate while the
@@ -246,7 +261,8 @@ class TestLsFit:
         # normal equations lose accuracy as cond(A)^2: both gaps are bounded
         # by 64 eps cond(A)^2 times the scale of the quantity compared
         a, y = case
-        coef, resid = _ls_fit(a, list(range(a.shape[1])), y)
+        coef = np.array(_solve_normal((a.T @ a).tolist(), (a.T @ y).tolist()))
+        resid = y - a @ coef
         ref, *_ = np.linalg.lstsq(a, y, rcond=None)
         sv = np.linalg.svd(a, compute_uv=False)
         tol = 64 * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2
@@ -254,6 +270,132 @@ class TestLsFit:
         assert np.linalg.norm(coef - ref) <= tol * x_scale
         r_gap = abs(np.linalg.norm(resid) - np.linalg.norm(y - a @ ref))
         assert r_gap <= tol * sv[0] * x_scale
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_written_out_solves_equal_elimination(self, k):
+        # the 1 x 1 and 2 x 2 forms repeat the general elimination's
+        # operations, so their bytes agree; duplicate columns give a zero pivot
+        rng = np.random.default_rng(k)
+        for trial in range(3000):
+            n = int(rng.integers(k, 12))
+            a = np.abs(rng.standard_normal(n))[:, None] * rng.choice([-1.0, 1.0], size=(n, k))
+            if trial % 10 == 0:
+                a[:, -1] = a[:, 0]
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            gram, b = (a.T @ a).tolist(), (a.T @ y).tolist()
+            ref = _eliminate(gram, b)
+            got = _solve_normal(gram, b)
+            if ref is None:
+                assert got is None
+            else:
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def _stop_reason(y_hat, params, est):
+    """threshold, budget or exhausted, judged from the search's inputs and result."""
+    level = params.lam * (float(np.linalg.norm(y_hat)) if params.relative_stop else 1.0)
+    if est.residual_norm < level:
+        return "threshold"
+    return "budget" if est.ls_solves >= params.upsilon else "exhausted"
+
+
+class TestGramSearchMatchesReference:
+    """The Gram-form search against the recursive search it replaced
+    (``oracles.reference_mmp_df``), on identical inputs: per search the same
+    support, LS solve count and stop reason; per frame the same decisions
+    and bits."""
+
+    # (G, K, search knobs); K = 3 takes the contract's knobs and absolute stop
+    CASES = (
+        (1, 1, {}),
+        (4, 1, {}),
+        (1, 2, {}),
+        (4, 2, {}),
+        (1, 3, dict(mmp_omega=3, mmp_lam=0.05, mmp_upsilon=4, mmp_relative_stop=False)),
+        (4, 3, dict(mmp_omega=3, mmp_lam=0.05, mmp_upsilon=4, mmp_relative_stop=False)),
+    )
+    EBN0 = (0.0, 5.0, 10.0, 20.0, math.inf)
+    FRAMES = 170  # per case and Eb/N0: 5100 frames
+
+    @staticmethod
+    def _degrade(h, rng):
+        """Zero 4 bins exactly and fade 4 more to |h| = 1e-6."""
+        h = h.copy()
+        bins = rng.choice(len(h), 8, replace=False)
+        h[bins[:4]] = 0.0
+        h[bins[4:]] *= 1e-6 / np.abs(h[bins[4:]])
+        return h
+
+    @staticmethod
+    def _decode(monkeypatch, search, y, h, ctx):
+        """secbim_decode with ``search`` as the MMP-DF search; also returns every search result."""
+        log = []
+
+        def logged(y_hat, psi, params):
+            est = search(y_hat, psi, params)
+            log.append((_stop_reason(y_hat, params, est), est))
+            return est
+
+        monkeypatch.setattr(svcim.detectors, "mmp_df", logged)
+        det = secbim_decode(y, h, ctx.books, ctx.space, ctx.sets, ctx.mmp)
+        return det, log
+
+    def _assert_agree(self, monkeypatch, y, h, ctx):
+        det, log = self._decode(monkeypatch, mmp_df, y, h, ctx)
+        ref, ref_log = self._decode(monkeypatch, reference_mmp_df, y, h, ctx)
+        assert (det.d_hat, det.l_hat, det.g_hat) == (ref.d_hat, ref.l_hat, ref.g_hat)
+        assert np.array_equal(det.bits, ref.bits)
+        assert len(log) == len(ref_log) == ctx.books.G
+        # residuals from the residual vector: equal to rounding even when tiny
+        r_tol = 1e-12 * np.linalg.norm(y)
+        for (reason, est), (ref_reason, ref_est) in zip(log, ref_log):
+            assert est.support == ref_est.support
+            assert est.ls_solves == ref_est.ls_solves
+            assert reason == ref_reason
+            assert est.residual_norm == pytest.approx(ref_est.residual_norm, rel=1e-9, abs=r_tol)
+
+    def test_frames_agree(self, monkeypatch):
+        frames = 0
+        for case, (g, k, knobs) in enumerate(self.CASES):
+            for ebn0 in self.EBN0:
+                cfg = SystemConfig(scheme="secbim", G=g, N=64, M=32, K=k, ebn0_db=ebn0,
+                                   seed=case, **knobs)
+                ctx = LinkContext.for_config(cfg)
+                rng = np.random.default_rng([case, int(min(ebn0, 99))])
+                for i in range(self.FRAMES):
+                    _, msg, y, ch = transmit_frame(cfg, rng, ctx)
+                    h = ch.cfr
+                    if i % 4 == 3:  # near-degenerate channel, same message
+                        x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
+                        h = self._degrade(h, rng)
+                        y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng)
+                    self._assert_agree(monkeypatch, y, h, ctx)
+                    frames += 1
+                self._assert_agree(monkeypatch, np.zeros(cfg.N, complex), h, ctx)
+        assert frames >= 5000
+
+    @pytest.mark.parametrize("k,omega,upsilon,relative", [
+        (1, 2, 2, True), (2, 1, 1, True), (2, 2, 2, True), (2, 3, 9, False),
+        (3, 3, 4, False), (3, 2, 8, True),
+    ])
+    def test_exact_ties_go_to_the_lowest_column(self, k, omega, upsilon, relative):
+        # integer data make every product and sum exact in both searches, so
+        # duplicate columns tie exactly and both must take the lower index
+        rng = np.random.default_rng(k * 100 + omega * 10 + upsilon)
+        psi = rng.choice([-1.0, 1.0], size=(32, 16))
+        psi[:, 9] = psi[:, 2]
+        psi[:, 12] = psi[:, 5]
+        params = MmpDfParams(k=k, omega=omega, lam=0.01, upsilon=upsilon, relative_stop=relative)
+        for cols in ((2, 5, 7), (9, 12, 0), (2, 9, 4)):
+            y = psi[:, list(cols[:k])] @ np.array([1 + 1j, -2 + 1j, 3j])[:k]
+            for y_hat in (y, np.zeros(32, complex)):
+                est = mmp_df(y_hat, psi, params)
+                ref = reference_mmp_df(y_hat, psi, params)
+                assert est.support == ref.support
+                assert est.ls_solves == ref.ls_solves
+                assert _stop_reason(y_hat, params, est) == _stop_reason(y_hat, params, ref)
+                assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9, abs=1e-9)
+                assert np.allclose(est.coeffs, ref.coeffs, rtol=1e-9, atol=1e-9)
 
 
 class TestSymbolSetDecision:

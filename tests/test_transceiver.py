@@ -66,6 +66,21 @@ class TestSpread:
         with pytest.raises(ValueError):
             spread(s, book)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gather_equals_dense_product(self, k):
+        # spreading only the K active columns gives the dense product's
+        # bytes, signed zeros included, on the default symbol sets
+        space = ApSpace(M=128, K=k)
+        sets = SymbolSets.default(k)
+        rng = np.random.default_rng(k)
+        for i in range(4000):
+            if i % 200 == 0:
+                book = generate_codebook(int(rng.integers(0, 2**31)), 1, 128, 128)
+            value = int(rng.integers(0, 2 ** space.m_bits))
+            s = build_sparse_vector(encode_bits(int_to_bits(value, space.m_bits), space), sets, 128)
+            dense = (book.entries @ s.values) / math.sqrt(k)
+            assert spread(s, book).tobytes() == dense.tobytes()
+
     def test_energy_over_random_books(self):
         # Monte Carlo oracle: E||spread||^2 = N for unit symbols and +-1 entries
         sets = SymbolSets.default(2)
