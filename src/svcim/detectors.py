@@ -128,7 +128,7 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     h = np.asarray(h_freq)
     if len(y) != len(h):
         raise ValueError(f"length mismatch: y {len(y)}, h {len(h)}")
-    return np.exp(-1j * np.arctan2(h.imag, h.real)) * y  # arctan2 is np.angle's own formula
+    return np.exp(-1j * np.angle(h)) * y
 
 
 def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
@@ -144,42 +144,13 @@ def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
 def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
     """Solve ``gram @ x = b`` for a small real ``gram`` and complex ``b``.
 
+    Gaussian elimination with partial pivoting: the first largest pivot
+    wins a tie, and rows are scaled by reciprocal pivots, in the order
+    LAPACK's getrf and getrs take the steps; for 1 x 1 and 2 x 2 systems
+    these are the floating-point operations of ``np.linalg.solve``.
     Returns None on an exactly zero pivot or a non-finite x: the
     rank-deficient subproblems (degenerate channel or codebook draw) that
-    callers score with an infinite residual. 1 x 1 and 2 x 2 systems, the
-    default search's, are written out; they take the same steps as
-    :func:`_eliminate`.
-    """
-    k = len(b)
-    if k == 1:
-        x = None if gram[0][0] == 0.0 else [b[0] * (1.0 / gram[0][0])]
-    elif k == 2:
-        (g00, g01), (g10, g11) = gram
-        b0, b1 = b
-        if abs(g10) > abs(g00):
-            g00, g01, g10, g11, b0, b1 = g10, g11, g00, g01, b1, b0
-        x = None
-        if g00 != 0.0:
-            r0 = 1.0 / g00
-            lo = g10 * r0
-            u11 = g11 - lo * g01
-            if u11 != 0.0:
-                x1 = (b1 - lo * b0) * (1.0 / u11)
-                x = [(b0 - g01 * x1) * r0, x1]
-    else:
-        x = _eliminate(gram, b)
-    if x is None or not all(map(cmath.isfinite, x)):
-        return None
-    return x
-
-
-def _eliminate(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
-    """Gaussian elimination with partial pivoting, None on a zero pivot.
-
-    The first largest pivot wins a tie, and rows are scaled by reciprocal
-    pivots, in the order LAPACK's getrf and getrs take the steps; for 1 x 1
-    and 2 x 2 systems these are the floating-point operations of
-    ``np.linalg.solve``.
+    callers score with an infinite residual.
     """
     k = len(b)
     a = [row[:] for row in gram]
@@ -206,6 +177,8 @@ def _eliminate(gram: list[list[float]], b: list[complex]) -> list[complex] | Non
         x[j] *= inv[j]
         for i in range(j):
             x[i] -= a[i][j] * x[j]
+    if not all(map(cmath.isfinite, x)):
+        return None
     return x
 
 
@@ -231,10 +204,10 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     correlations |c0 - sum_i x_i g_{P_i}|, and the Gram matrix of its
     normal equations is its parent's plus one row read off the cached g of
     the parent's columns. One product gives c0, an inner node computes g
-    only for the column it adds, and each solve is written out
-    (:func:`_solve_normal`). A full-depth candidate gathers its K columns
-    for the last diagonal entry and for its residual vector, whose norm is
-    the candidate's score.
+    only for the column it adds, and each K x K solve is a small
+    elimination in Python (:func:`_solve_normal`). A full-depth candidate
+    gathers its K columns for the last diagonal entry and for its residual
+    vector, whose norm is the candidate's score.
 
     Parameters
     ----------
@@ -365,7 +338,7 @@ def secbim_joint_metrics(
         psi = sensing_matrix(h_freq, book, params.k)
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
-        metrics[gi] = (np.abs(est.coeffs - symbols) ** 2).sum(axis=1)
+        metrics[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
     return metrics, estimates
 
 
@@ -384,7 +357,7 @@ def secbim_decode(
     index, the rest the pattern.
     """
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
-    flat = int(metrics.argmin())  # row-major first minimum = smallest (g, l)
+    flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
     est = estimates[g0]
     d_hat = combo_to_rank(est.support, space)

@@ -17,7 +17,7 @@ def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """MSB-first binary expansion of ``value`` into exactly ``width`` bits."""
     if value < 0 or value >= (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
-    return tuple([(value >> shift) & 1 for shift in range(width - 1, -1, -1)])
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
 def bits_to_int(bits) -> int:
@@ -131,10 +131,10 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
 
 def combo_to_rank(indices, space: ApSpace) -> int:
     """Rank of a K-combination; exact inverse of :func:`rank_to_combo`."""
-    idx = tuple(map(int, indices))
+    idx = tuple(int(i) for i in indices)
     if len(idx) != space.K:
         raise ValueError(f"expected {space.K} indices, got {len(idx)}")
-    if min(idx) < 1 or max(idx) > space.M:
+    if any(i < 1 or i > space.M for i in idx):
         raise ValueError(f"indices {idx} outside [1, {space.M}]")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices {idx} must be strictly increasing")

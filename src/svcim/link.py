@@ -122,11 +122,10 @@ class FrameTrace:
 
 @dataclass(eq=False)
 class LinkContext:
-    """Per-configuration state shared across frames: books, search controls,
-    ML tables and the number of bits a frame carries."""
+    """Per-configuration state shared across frames: books, search controls
+    and ML tables."""
 
     cfg: SystemConfig
-    n_bits: int  # bits_per_symbol(cfg)
     space: ApSpace
     sets: SymbolSets
     books: CodebookSet
@@ -142,8 +141,8 @@ class LinkContext:
         ml = None
         if cfg.detector == "ml":
             ml = build_ml_candidates(books.books, space, sets)
-        return cls(cfg=cfg, n_bits=bits_per_symbol(cfg), space=space, sets=sets, books=books,
-                   noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
+        return cls(cfg=cfg, space=space, sets=sets, books=books, noise=cfg.noise(), mmp=cfg.mmp,
+                   ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
@@ -159,9 +158,9 @@ def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext
     Per frame the generator is consumed in a fixed order: message bits,
     then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
     """
-    tx_bits = rng.integers(0, 2, size=ctx.n_bits, dtype=np.uint8)
-    bits = tx_bits.tolist()  # the codec reads Python ints faster than numpy scalars
     m1 = cfg.G.bit_length() - 1
+    tx_bits = rng.integers(0, 2, size=m1 + ctx.space.m_bits, dtype=np.uint8)
+    bits = tx_bits.tolist()  # the codec reads Python ints faster than numpy scalars
     # the leading log2(G) bits pick the codebook
     msg = encode_bits(bits[m1:], ctx.space, g=1 + bits_to_int(bits[:m1]))
 

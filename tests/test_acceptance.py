@@ -225,7 +225,7 @@ def test_c08_decoder_complexity_trends():
     book_cfgs = [SystemConfig(scheme="esvc", G=1, **base)] + [
         SystemConfig(scheme="secbim", G=g, **base) for g in (2, 4)
     ]
-    book_recs = run_timing(book_cfgs, ("mmpdf",), decodes=600, warmup=60, batches=6)
+    book_recs = run_timing(book_cfgs, ("mmpdf",), decodes=1500, warmup=60, batches=15)
     t_single = book_recs[0].mean_ns
     for rec in book_recs[1:]:
         g = rec.config.G

@@ -20,7 +20,6 @@ from svcim.codebook import (
 )
 from svcim.detectors import (
     MmpDfParams,
-    _eliminate,
     _solve_normal,
     build_ml_candidates,
     cophase,
@@ -270,25 +269,6 @@ class TestLsFit:
         assert np.linalg.norm(coef - ref) <= tol * x_scale
         r_gap = abs(np.linalg.norm(resid) - np.linalg.norm(y - a @ ref))
         assert r_gap <= tol * sv[0] * x_scale
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_written_out_solves_equal_elimination(self, k):
-        # the 1 x 1 and 2 x 2 forms repeat the general elimination's
-        # operations, so their bytes agree; duplicate columns give a zero pivot
-        rng = np.random.default_rng(k)
-        for trial in range(3000):
-            n = int(rng.integers(k, 12))
-            a = np.abs(rng.standard_normal(n))[:, None] * rng.choice([-1.0, 1.0], size=(n, k))
-            if trial % 10 == 0:
-                a[:, -1] = a[:, 0]
-            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            gram, b = (a.T @ a).tolist(), (a.T @ y).tolist()
-            ref = _eliminate(gram, b)
-            got = _solve_normal(gram, b)
-            if ref is None:
-                assert got is None
-            else:
-                assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 def _stop_reason(y_hat, params, est):
