@@ -1,11 +1,12 @@
-"""Generation and storage of the shared Bernoulli spreading codebooks.
+"""Generation of the shared Bernoulli spreading codebooks.
 
 Each codebook is an N x M matrix of equiprobable +1/-1 entries. Book ``g``
 is drawn from its own numpy PCG64 stream keyed by ``(seed, tag, g)`` via
 ``SeedSequence``, so its entries depend only on (seed, g, N, M) and not on
-how many books the set holds. Entries are stored unnormalized; the 1/sqrt(K)
-energy scaling happens at spreading time so books are reusable across
-sparsity settings.
+how many books the set holds; every process rebuilds the same books from the
+seed. A book's identity is its 1-based position g in its set. Entries are
+stored unnormalized; the 1/sqrt(K) energy scaling happens at spreading time so
+books are reusable across sparsity settings.
 """
 from __future__ import annotations
 
@@ -20,11 +21,9 @@ _BOOK_STREAM_TAG = 0xB00C
 
 @dataclass(eq=False)
 class Codebook:
-    """One immutable N x M spreading matrix with its provenance."""
+    """One immutable N x M spreading matrix of +1/-1 entries."""
 
-    id: int
     entries: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=np.float64)
@@ -57,8 +56,6 @@ class CodebookSet:
         shapes = {b.entries.shape for b in self.books}
         if len(shapes) != 1:
             raise ValueError("all books in a set must share N and M")
-        if len({b.id for b in self.books}) != self.G:
-            raise ValueError("book ids must be distinct")
 
     def __getitem__(self, g: int) -> Codebook:
         """Book lookup by 1-based index g."""
@@ -72,14 +69,11 @@ def generate_codebook(seed: int, book_id: int, n: int, m: int) -> Codebook:
     if n < 1 or m < 1:
         raise ValueError("codebook dimensions must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOK_STREAM_TAG, book_id)))
-    entries = rng.integers(0, 2, size=(n, m)).astype(np.float64) * 2.0 - 1.0
-    return Codebook(id=book_id, entries=entries, seed=seed)
+    return Codebook(rng.integers(0, 2, size=(n, m)).astype(np.float64) * 2.0 - 1.0)
 
 
 def generate_set(seed: int, G: int, n: int, m: int) -> CodebookSet:
-    """Generate the full set of G books with ids 1..G."""
-    if G < 1 or G & (G - 1):
-        raise ValueError(f"G must be a power of two, got {G}")
+    """Generate the full set of G books at positions 1..G."""
     return CodebookSet(books=tuple(generate_codebook(seed, g, n, m) for g in range(1, G + 1)))
 
 
@@ -95,44 +89,3 @@ def column_coherence(book: Codebook) -> float:
     gram = np.abs(c.T @ c) / c.shape[0]
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
-
-
-def write_codebook(book: Codebook, fh) -> None:
-    """Append one book to a text stream: a header line, then sign rows."""
-    fh.write(f"N={book.n} M={book.m} id={book.id} seed={book.seed}\n")
-    for row in np.asarray(book.entries):
-        fh.write("".join("+" if x > 0 else "-" for x in row) + "\n")
-
-
-def read_codebook(fh) -> Codebook | None:
-    """Read the next book from a text stream; None at end of stream."""
-    header = fh.readline()
-    if not header.strip():
-        return None
-    fields = dict(part.split("=", 1) for part in header.split())
-    missing = [key for key in ("N", "M", "id", "seed") if key not in fields]
-    if missing:
-        raise ValueError(f"codebook header {header.strip()!r} lacks {', '.join(missing)}")
-    n, m = int(fields["N"]), int(fields["M"])
-    rows = np.empty((n, m), dtype=np.float64)
-    for i in range(n):
-        line = fh.readline().strip()
-        if len(line) != m or set(line) - {"+", "-"}:
-            raise ValueError(f"malformed codebook row {i}: {line!r}")
-        rows[i] = [1.0 if ch == "+" else -1.0 for ch in line]
-    return Codebook(id=int(fields["id"]), entries=rows, seed=int(fields["seed"]))
-
-
-def save_codebook_set(cbs: CodebookSet, path) -> None:
-    """Store a whole set in one file so separate processes share books bit-exactly."""
-    with open(path, "w") as fh:
-        for book in cbs.books:
-            write_codebook(book, fh)
-
-
-def load_codebook_set(path) -> CodebookSet:
-    books = []
-    with open(path) as fh:
-        while (book := read_codebook(fh)) is not None:
-            books.append(book)
-    return CodebookSet(books=tuple(books))

@@ -122,9 +122,16 @@ def binomial_ci95(ber: float, n_bits: int) -> float:
 
 
 def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    name = "workers"
+    if workers is None:
+        name, text = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ValueError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 @lru_cache(maxsize=16)
@@ -203,6 +210,14 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
     pairs so that a transient slowdown of the host hits every pair alike
     and cancels out of time ratios.
     """
+    if batches < 1:
+        raise ValueError(f"batches must be at least 1, got {batches}")
+    if decodes < batches:
+        raise ValueError(f"decodes must be at least batches ({batches}), got {decodes}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup}")
+    if not detectors:
+        raise ValueError("detectors must name at least one detector")
     pairs = []
     for base_cfg in configs:
         for detector in detectors:
@@ -215,7 +230,7 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
                 ),
                 "means": [],
             })
-    per_batch = max(1, decodes // batches)
+    per_batch = decodes // batches
     for batch in range(batches + 1):  # batch 0 warms every pair up
         n = warmup if batch == 0 else per_batch
         if n == 0:

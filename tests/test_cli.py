@@ -146,6 +146,22 @@ class TestTimingCommand:
         ])
         assert rc != 0
 
+    @pytest.mark.parametrize("flags,name", [
+        (["--detectors", ""], "detectors"),
+        (["--decodes", "0"], "decodes"),
+        (["--decodes", "-10"], "decodes"),
+        (["--warmup", "-1"], "warmup"),
+    ], ids=["no-detectors", "decodes=0", "decodes=-10", "warmup=-1"])
+    def test_edge_arguments_fail(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "t.csv"
+        rc = main([
+            "timing", "--N", "32", "--M", "16", "--values", "16", "--detectors", "mmpdf",
+            "--decodes", "20", "--warmup", "0", *flags, "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"error: {name} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["ber", "timing"])
 def test_flag_defaults_are_the_config_defaults(command):

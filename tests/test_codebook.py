@@ -1,6 +1,4 @@
-"""Codebook generation: determinism, entry statistics, coherence, file I/O."""
-import io
-
+"""Codebook generation: determinism, entry statistics, set invariants, coherence."""
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from svcim.codebook import (
     column_coherence,
     generate_codebook,
     generate_set,
-    load_codebook_set,
-    save_codebook_set,
 )
 
 
@@ -50,7 +46,7 @@ class TestGeneration:
 
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
-            Codebook(id=1, entries=np.zeros((2, 2)), seed=0)
+            Codebook(entries=np.zeros((2, 2)))
 
     def test_set_index_bounds(self):
         cbs = generate_set(seed=0, G=2, n=4, m=4)
@@ -59,19 +55,25 @@ class TestGeneration:
         with pytest.raises(ValueError):
             cbs[3]
 
+    def test_set_invariants(self):
+        b1 = generate_codebook(0, 1, 4, 4)
+        b2 = generate_codebook(0, 2, 8, 4)  # different shape
+        with pytest.raises(ValueError):
+            CodebookSet(books=(b1, b2))
+
 
 class TestCoherence:
     def test_orthogonal_columns(self):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
-        assert column_coherence(Codebook(id=1, entries=hadamard, seed=0)) == 0.0
+        assert column_coherence(Codebook(entries=hadamard)) == 0.0
 
     def test_duplicate_columns(self):
         dup = np.ones((4, 3))
-        assert column_coherence(Codebook(id=1, entries=dup, seed=0)) == 1.0
+        assert column_coherence(Codebook(entries=dup)) == 1.0
 
     def test_single_column(self):
         one = np.ones((4, 1))
-        assert column_coherence(Codebook(id=1, entries=one, seed=0)) == 0.0
+        assert column_coherence(Codebook(entries=one)) == 0.0
 
     def test_taller_books_less_coherent(self):
         # direct computation, 20 seeds: more rows decorrelate the columns
@@ -90,38 +92,3 @@ class TestCoherence:
                 np.mean([column_coherence(generate_codebook(s, 1, n, 128)) for s in range(20)])
             )
         assert all(a >= b for a, b in zip(means, means[1:]))
-
-
-class TestFileFormat:
-    def test_set_roundtrip_bit_exact(self, tmp_path):
-        cbs = generate_set(seed=42, G=4, n=16, m=8)
-        path = tmp_path / "books.txt"
-        save_codebook_set(cbs, path)
-        loaded = load_codebook_set(path)
-        assert loaded.G == cbs.G
-        for g in range(1, cbs.G + 1):
-            assert loaded[g].id == cbs[g].id
-            assert loaded[g].seed == cbs[g].seed
-            assert np.array_equal(loaded[g].entries, cbs[g].entries)
-
-    def test_malformed_row_rejected(self):
-        text = "N=2 M=2 id=1 seed=0\n+-\n+x\n"
-        from svcim.codebook import read_codebook
-
-        with pytest.raises(ValueError):
-            read_codebook(io.StringIO(text))
-
-    def test_header_missing_key_rejected(self):
-        from svcim.codebook import read_codebook
-
-        with pytest.raises(ValueError, match="lacks N"):
-            read_codebook(io.StringIO("M=4 id=1 seed=0\n"))
-
-    def test_set_invariants(self):
-        b1 = generate_codebook(0, 1, 4, 4)
-        b2 = generate_codebook(0, 1, 4, 4)  # same id
-        with pytest.raises(ValueError):
-            CodebookSet(books=(b1, b2))
-        b3 = generate_codebook(0, 2, 8, 4)  # different shape
-        with pytest.raises(ValueError):
-            CodebookSet(books=(b1, b3))

@@ -15,8 +15,6 @@ from svcim.codebook import (
     CodebookSet,
     generate_codebook,
     generate_set,
-    load_codebook_set,
-    save_codebook_set,
 )
 from svcim.detectors import (
     MmpDfParams,
@@ -639,30 +637,6 @@ class TestMlDetectors:
         book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
             build_ml_candidates([book], space, sets)
-
-
-class TestBookPositions:
-    def test_g_hat_is_the_position_not_the_book_id(self, tmp_path):
-        # a loaded set need not hold ids 1..G; the transmitter spreads with
-        # books[g] by position, so both detectors must answer by position
-        save_codebook_set(CodebookSet((generate_codebook(0, 5, 32, 16),
-                                       generate_codebook(0, 6, 32, 16))), tmp_path / "books.txt")
-        books = load_codebook_set(tmp_path / "books.txt")
-        rng = np.random.default_rng(31)
-        space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
-        cand = build_ml_candidates(books.books, space, sets)
-        for g in (1, 2):
-            for value in range(0, 2 ** space.m_bits, 5):
-                bits = int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
-                msg = encode_bits(bits[1:], space, g=g)
-                x = spread(build_sparse_vector(msg, sets, 16), books[g])
-                ch = draw_channel(10, 32, rng)
-                y = apply_freq(x, ch, _noiseless(), rng)
-                for det in (secbim_decode(y, ch.cfr, books, space, sets, MmpDfParams(k=2)),
-                            ml_secbim(y, ch.cfr, books, space, cand)):
-                    assert det.g_hat == g
-                    assert tuple(det.bits) == bits
 
 
 class TestNonFiniteInput:

@@ -150,6 +150,18 @@ class TestRunBerSweep:
             assert rec.ber == rec.bit_errors / n_bits
             assert rec.ci95 == binomial_ci95(rec.ber, n_bits)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_worker_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=f"^{harness.WORKERS_ENV} .*{value}"):
+            run_ber_sweep(small_plan(values=(0.0,), max_trials=100), measure_time=False)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"^workers .*{workers}"):
+            run_ber_sweep(small_plan(values=(0.0,), max_trials=100), workers=workers,
+                          measure_time=False)
+
 
 class TestConfidenceInterval:
     def test_formula(self):
@@ -264,10 +276,23 @@ class TestRunTiming:
         single = SystemConfig(scheme="esvc", G=1, **base)
         joint = SystemConfig(scheme="secbim", G=4, **base)
         t_single, t_joint = run_timing(
-            [single, joint], detectors=("mmpdf",), decodes=900, warmup=30, batches=15
+            [single, joint], detectors=("mmpdf",), decodes=1500, warmup=30, batches=15
         )
         ratio = t_joint.mean_ns / t_single.mean_ns
         assert 0.7 * 4 <= ratio <= 1.3 * 4
+
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(batches=0), "batches"),
+        (dict(decodes=0), "decodes"),
+        (dict(decodes=-10), "decodes"),
+        (dict(decodes=4), "decodes"),
+        (dict(warmup=-1), "warmup"),
+        (dict(detectors=()), "detectors"),
+    ], ids=["batches=0", "decodes=0", "decodes=-10", "decodes<batches", "warmup=-1", "no-detectors"])
+    def test_edge_inputs_rejected(self, overrides, name):
+        kwargs = dict(detectors=("mmpdf",), decodes=20, warmup=0, batches=5)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            run_timing([SystemConfig(N=32, M=16)], **{**kwargs, **overrides})
 
     def test_ml_time_scales_with_books(self):
         # candidate table grows by G, so should the enumeration time

@@ -53,7 +53,7 @@ class TestSpread:
         assert np.allclose(spread(e1, book), book.entries[:, 0])
 
     def test_hand_computation_all_ones_book(self):
-        book = Codebook(id=1, entries=np.ones((2, 2)), seed=0)
+        book = Codebook(entries=np.ones((2, 2)))
         s = SparseVector(values=np.array([1, 1j]), support=(1, 2))
         expected = np.array([(1 + 1j), (1 + 1j)]) / math.sqrt(2)
         assert np.allclose(spread(s, book), expected)
