@@ -5,6 +5,7 @@ from .codebook import Codebook, CodebookSet, column_coherence, generate_set
 from .detectors import (
     DetectionResult,
     MmpDfParams,
+    Sensing,
     SparseEstimate,
     ml_secbim,
     mmp_df,
@@ -43,6 +44,7 @@ __all__ = [
     "LinkContext",
     "MmpDfParams",
     "NoiseSpec",
+    "Sensing",
     "SparseEstimate",
     "SparseMessage",
     "SparseVector",

@@ -1,14 +1,15 @@
 """Receive-side algorithms: greedy sparse recovery and ML references.
 
 The decode pipeline co-phases the received block so the effective channel
-gain is the real, nonnegative magnitude response, builds the matching
-sensing matrix, and recovers the activation pattern with a depth-first
-multipath matching pursuit (MMP-DF). Symbol-set and codebook decisions are
-nearest-vector rules on the recovered amplitudes. Exhaustive ML detectors
-over the candidate set serve as the optimality baseline; their candidate
-blocks are precomputed once per configuration so timing comparisons
-measure the decision metric itself. Both detectors handle any number of
-codebooks G; the single-codebook scheme is the case G = 1.
+gain is the real, nonnegative magnitude response, pairs that gain with the
+codebook as the (factored) sensing matrix, and recovers the activation
+pattern with a depth-first multipath matching pursuit (MMP-DF). Symbol-set
+and codebook decisions are nearest-vector rules on the recovered
+amplitudes. Exhaustive ML detectors over the candidate set serve as the
+optimality baseline; their candidate blocks are precomputed once per
+configuration so timing comparisons measure the decision metric itself.
+Both detectors handle any number of codebooks G; the single-codebook scheme
+is the case G = 1.
 
 Index convention: supports and sparse-estimate indices are 1-based, like
 ``SparseMessage.indices``; matrix columns are 0-based internally.
@@ -73,6 +74,19 @@ class SparseEstimate:
     coeffs: np.ndarray
     residual_norm: float
     ls_solves: int  # full-depth least-squares solves spent by the search
+    stop: str  # why the search returned: "threshold", "budget" or "exhausted"
+
+
+@dataclass(frozen=True, eq=False)
+class Sensing:
+    """The sensing matrix psi = diag(gains) @ entries, kept factored.
+
+    For a co-phased block ``entries`` is the +-1 codebook and ``gains`` is
+    |h| / sqrt(K); a generic real N x M matrix is the case gains = ones.
+    """
+
+    entries: np.ndarray  # real, N x M
+    gains: np.ndarray  # real, length N
 
 
 @dataclass(eq=False)
@@ -131,14 +145,14 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.angle(h)) * y
 
 
-def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> np.ndarray:
-    """diag(|h|) C / sqrt(k): the matrix the co-phased block is sparse in."""
+def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> Sensing:
+    """diag(|h|) C / sqrt(k), the matrix the co-phased block is sparse in, factored."""
     h = np.asarray(h_freq)
     if len(h) != book.n:
         raise ValueError(f"channel length {len(h)} != codebook rows {book.n}")
     if k < 1:
         raise ValueError(f"sparsity k must be >= 1, got {k}")
-    return (np.abs(h) / math.sqrt(k))[:, None] * book.entries
+    return Sensing(book.entries, np.abs(h) / math.sqrt(k))
 
 
 def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
@@ -187,7 +201,7 @@ def _bordered(gram: list[list[float]], row: list[float], diag: float) -> list[li
     return [r + [v] for r, v in zip(gram, row)] + [row + [diag]]
 
 
-def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEstimate:
+def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstimate:
     """Depth-first multipath matching pursuit.
 
     At each tree node the columns are ranked by correlation with the
@@ -199,47 +213,55 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     after ``upsilon`` full-depth candidates (or tree exhaustion). With
     ``omega=1`` the search reduces to orthogonal matching pursuit.
 
-    Only full-depth candidates form a residual vector. With c0 = psi^T y
-    and g_j = psi^T psi_j, a path P with LS amplitudes x has residual
-    correlations |c0 - sum_i x_i g_{P_i}|, and the Gram matrix of its
-    normal equations is its parent's plus one row read off the cached g of
-    the parent's columns. One product gives c0, an inner node computes g
-    only for the column it adds, and each K x K solve is a small
-    elimination in Python (:func:`_solve_normal`). A full-depth candidate
-    gathers its K columns for the last diagonal entry and for its residual
-    vector, whose norm is the candidate's score.
+    Only full-depth candidates form a residual vector. With psi = diag(w) C,
+    c0 = psi^T y = C^T (w y) and g_j = psi^T psi_j = C^T (w^2 c_j), a path P
+    with LS amplitudes x has residual correlations |c0 - sum_i x_i g_{P_i}|,
+    and the Gram matrix of its normal equations is its parent's plus one
+    row read off the cached g of the parent's columns. One product gives
+    c0, an inner node computes g only for the column it adds, and each
+    K x K solve is a small elimination in Python (:func:`_solve_normal`).
+    A full-depth candidate gathers its K columns of psi for the last
+    diagonal entry and for its residual vector, whose norm is the
+    candidate's score. The N x M product psi is never formed.
 
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : real sensing matrix, N x M with M >= params.k
+    psi : real sensing matrix diag(gains) @ entries, N x M with M >= params.k
     params : search controls
 
     Returns
     -------
-    SparseEstimate with ascending 1-based support.
+    SparseEstimate with ascending 1-based support and the stop reason.
 
     Raises
     ------
-    ValueError : on a complex ``psi``, mismatched shapes, or a NaN or inf
-        in ``y_hat`` or ``psi``.
+    ValueError : on complex ``entries`` or ``gains``, mismatched shapes, or
+        a NaN or inf in ``y_hat``, ``entries`` or ``gains``.
     """
     y = np.ascontiguousarray(y_hat, dtype=np.complex128)
-    psi = np.asarray(psi)
-    if np.iscomplexobj(psi):
-        raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
-    n, m = psi.shape
+    c = np.asarray(psi.entries)
+    w = np.asarray(psi.gains)
+    for name, arr in (("entries", c), ("gains", w)):
+        if np.iscomplexobj(arr):
+            raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
+    if c.ndim != 2:
+        raise ValueError(f"psi entries must be 2-D, got shape {c.shape}")
+    n, m = c.shape
+    if w.shape != (n,):
+        raise ValueError(f"psi gains must have shape ({n},), got {w.shape}")
     k = params.k
     if m < k:
         raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
-    psi_t = psi.T
+    c_t = c.T
     y2 = y.view(np.float64).reshape(n, 2)  # row i holds (Re y_i, Im y_i)
-    c0 = psi_t.dot(y2).view(np.complex128)[:, 0]
-    if not np.isfinite(c0).all():  # a NaN or inf in y_hat or psi reaches c0
-        raise ValueError("y_hat or psi holds a NaN or inf")
+    c0 = c_t.dot(w[:, None] * y2).view(np.complex128)[:, 0]
+    if not np.isfinite(c0).all():  # a NaN or inf in y_hat, entries or gains reaches c0
+        raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
+    w2 = w * w
     stop_level = params.lam * (math.sqrt(np.vdot(y, y).real) if params.relative_stop else 1.0)
     omega = min(params.omega, m)
     gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
@@ -248,10 +270,11 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
     best_path: tuple[int, ...] | None = None
     best_coeffs: np.ndarray | None = None  # in best_path's order
     full_solves = 0
+    stop = "exhausted"
     seen: set[tuple[int, ...]] = set()
 
     def dfs(path: tuple[int, ...], x: list[complex], path_gram: list[list[float]]) -> bool:
-        nonlocal best_resid, best_path, best_coeffs, full_solves
+        nonlocal best_resid, best_path, best_coeffs, full_solves, stop
         corr = c0
         for col, xi in zip(path, x):
             corr = corr - xi * gram[col]
@@ -272,7 +295,7 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
                     continue
                 seen.add(support)
                 full_solves += 1
-                a = psi.take(new_path, axis=1)
+                a = c.take(new_path, axis=1) * w[:, None]
                 new = a[:, -1]
                 coef = _solve_normal(_bordered(path_gram, row, new.dot(new)),
                                      [c0.item(i) for i in new_path])
@@ -287,13 +310,15 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
                     best_path = new_path
                     best_coeffs = coef
                 if r_norm < stop_level:
+                    stop = "threshold"
                     return True
                 if full_solves >= params.upsilon:
+                    stop = "budget"
                     return True
             else:
                 g = gram.get(col)
                 if g is None:
-                    g = gram[col] = psi_t.dot(psi[:, col])
+                    g = gram[col] = c_t.dot(w2 * c[:, col])
                 new_gram = _bordered(path_gram, row, g.item(col))
                 coef = _solve_normal(new_gram, [c0.item(i) for i in new_path])
                 if coef is None:
@@ -311,6 +336,7 @@ def mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEst
         coeffs=np.zeros(k, dtype=np.complex128) if best_coeffs is None else best_coeffs[order],
         residual_norm=best_resid,
         ls_solves=full_solves,
+        stop=stop,
     )
 
 

@@ -205,15 +205,18 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
 
     Frames (message, channel, noise draws) are generated outside the timed
     region; only the detector call is timed: ``warmup`` decodes per pair
-    first, then ``batches`` equal batches whose median batch mean is
-    reported. Batches are interleaved round-robin across all measured
-    pairs so that a transient slowdown of the host hits every pair alike
-    and cancels out of time ratios.
+    first, then ``decodes`` split into ``batches`` equal batches (it must be
+    a multiple of ``batches``) whose median batch mean is reported. Batches
+    are interleaved round-robin across all measured pairs so that a
+    transient slowdown of the host hits every pair alike and cancels out of
+    time ratios.
     """
     if batches < 1:
         raise ValueError(f"batches must be at least 1, got {batches}")
     if decodes < batches:
         raise ValueError(f"decodes must be at least batches ({batches}), got {decodes}")
+    if decodes % batches:
+        raise ValueError(f"decodes must be a multiple of batches ({batches}), got {decodes}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     if not detectors:

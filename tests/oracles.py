@@ -3,7 +3,12 @@ import math
 
 import numpy as np
 
-from svcim.detectors import MmpDfParams, SparseEstimate
+from svcim.detectors import MmpDfParams, Sensing, SparseEstimate
+
+
+def dense(psi: Sensing) -> np.ndarray:
+    """The N x M matrix diag(gains) @ entries that a ``Sensing`` stands for."""
+    return np.asarray(psi.gains)[:, None] * np.asarray(psi.entries)
 
 
 def reference_omp(y, psi, k):
@@ -45,7 +50,7 @@ def _ls_fit(
     return coef, y - a @ coef
 
 
-def reference_mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) -> SparseEstimate:
+def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstimate:
     """Depth-first multipath matching pursuit.
 
     At each tree node the columns are ranked by correlation with the
@@ -60,7 +65,7 @@ def reference_mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) ->
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : real sensing matrix, N x M with M >= params.k
+    psi : real sensing matrix diag(gains) @ entries, N x M with M >= params.k
     params : search controls
 
     Returns
@@ -68,7 +73,7 @@ def reference_mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) ->
     SparseEstimate with ascending 1-based support.
     """
     y = np.asarray(y_hat, dtype=np.complex128)
-    psi = np.asarray(psi)
+    psi = dense(psi)
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
     n, m = psi.shape
@@ -129,4 +134,7 @@ def reference_mmp_df(y_hat: np.ndarray, psi: np.ndarray, params: MmpDfParams) ->
         coeffs=np.asarray(coeffs, dtype=np.complex128),
         residual_norm=best_resid,
         ls_solves=full_solves,
+        # inferred, as the search above does not record why it returned
+        stop=("threshold" if best_resid < stop_level
+              else "budget" if full_solves >= params.upsilon else "exhausted"),
     )

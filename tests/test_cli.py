@@ -151,7 +151,8 @@ class TestTimingCommand:
         (["--decodes", "0"], "decodes"),
         (["--decodes", "-10"], "decodes"),
         (["--warmup", "-1"], "warmup"),
-    ], ids=["no-detectors", "decodes=0", "decodes=-10", "warmup=-1"])
+        (["--decodes", "19"], "decodes"),  # 10 batches
+    ], ids=["no-detectors", "decodes=0", "decodes=-10", "warmup=-1", "decodes%batches"])
     def test_edge_arguments_fail(self, tmp_path, capsys, flags, name):
         out = tmp_path / "t.csv"
         rc = main([

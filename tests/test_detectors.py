@@ -18,6 +18,7 @@ from svcim.codebook import (
 )
 from svcim.detectors import (
     MmpDfParams,
+    Sensing,
     _solve_normal,
     build_ml_candidates,
     cophase,
@@ -31,7 +32,7 @@ from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
-from oracles import reference_mmp_df, reference_omp
+from oracles import dense, reference_mmp_df, reference_omp
 
 
 def _noiseless():
@@ -83,12 +84,12 @@ class TestSensingMatrix:
     def test_identity_channel(self):
         book = generate_codebook(2, 1, 8, 4)
         psi = sensing_matrix(np.ones(8), book, k=2)
-        assert np.allclose(psi, book.entries / math.sqrt(2))
+        assert np.allclose(dense(psi), book.entries / math.sqrt(2))
 
     def test_rows_scale_with_gain(self):
         book = generate_codebook(3, 1, 4, 4)
         h = np.array([1.0, 2.0, 0.5, 3.0]) * np.exp(1j * np.array([0.1, -2.0, 1.5, 0.4]))
-        psi = sensing_matrix(h, book, k=2)
+        psi = dense(sensing_matrix(h, book, k=2))
         for beta in range(4):
             assert np.allclose(np.abs(psi[beta]), abs(h[beta]) / math.sqrt(2))
 
@@ -103,13 +104,23 @@ class TestSensingMatrix:
             )
             s = build_sparse_vector(msg, sets, 32)
             lhs = cophase(y, ch.cfr)
-            rhs = sensing_matrix(ch.cfr, book, k=2) @ s.values
+            rhs = dense(sensing_matrix(ch.cfr, book, k=2)) @ s.values
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dimension_mismatch(self):
         book = generate_codebook(2, 1, 8, 4)
         with pytest.raises(ValueError):
             sensing_matrix(np.ones(4), book, k=2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_factors_equal_the_dense_product(self, k):
+        # the factored form stands for exactly the matrix that used to be built
+        rng = np.random.default_rng(40 + k)
+        book = generate_codebook(k, 1, 64, 32)
+        h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        psi = sensing_matrix(h, book, k)
+        expected = (np.abs(h) / math.sqrt(k))[:, None] * book.entries
+        assert dense(psi).tobytes() == expected.tobytes()
 
 
 class TestMmpDf:
@@ -122,7 +133,7 @@ class TestMmpDf:
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             s = build_sparse_vector(msg, sets, 16)
-            est = mmp_df(psi @ s.values, psi, params)
+            est = mmp_df(dense(psi) @ s.values, psi, params)
             assert est.support == msg.indices
             assert np.allclose(est.coeffs, s.values[np.array(msg.indices) - 1])
             assert est.residual_norm < 1e-9
@@ -136,7 +147,7 @@ class TestMmpDf:
                 h = np.abs(rng.standard_normal(32) + 1j * rng.standard_normal(32))
                 psi = h[:, None] * book.entries
                 y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-                est = mmp_df(y, psi, params)
+                est = mmp_df(y, Sensing(psi, np.ones(32)), params)
                 expected = int(np.argmax(np.abs(psi.conj().T @ y))) + 1
                 assert est.support == (expected,)
 
@@ -153,7 +164,7 @@ class TestMmpDf:
             y_hat = cophase(y, ch.cfr)
             psi = sensing_matrix(ch.cfr, book, k=2)
             est = mmp_df(y_hat, psi, params)
-            oracle = reference_omp(y_hat, psi, 2)
+            oracle = reference_omp(y_hat, dense(psi), 2)
             assert tuple(i - 1 for i in est.support) == oracle
 
     def test_full_depth_solve_budget(self):
@@ -162,7 +173,7 @@ class TestMmpDf:
             params = MmpDfParams(k=2, omega=omega, upsilon=upsilon)
             psi = rng.standard_normal((16, 12))
             y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            est = mmp_df(y, psi, params)
+            est = mmp_df(y, Sensing(psi, np.ones(16)), params)
             assert est.ls_solves <= min(upsilon, omega ** 2)
             assert est.ls_solves >= 1
 
@@ -170,7 +181,7 @@ class TestMmpDf:
         rng = np.random.default_rng(8)
         psi = rng.standard_normal((20, 10))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        est = mmp_df(y, psi, MmpDfParams(k=3, omega=2, upsilon=4))
+        est = mmp_df(y, Sensing(psi, np.ones(20)), MmpDfParams(k=3, omega=2, upsilon=4))
         assert est.support == tuple(sorted(est.support))
         sup0 = [i - 1 for i in est.support]
         assert len(est.coeffs) == 3
@@ -183,19 +194,47 @@ class TestMmpDf:
         # candidate is skipped with infinite residual instead of crashing
         psi = np.ones((8, 2))
         y = np.ones(8, dtype=complex)
-        est = mmp_df(y, psi, MmpDfParams(k=2, omega=1, upsilon=1))
+        est = mmp_df(y, Sensing(psi, np.ones(8)), MmpDfParams(k=2, omega=1, upsilon=1))
         assert est.support == (1, 2)
         assert math.isinf(est.residual_norm)
         assert np.array_equal(est.coeffs, np.zeros(2))
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
-            mmp_df(np.zeros(4, complex), np.ones((4, 1)), MmpDfParams(k=2))
+            mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4)), MmpDfParams(k=2))
 
     def test_complex_psi_rejected(self):
         psi = generate_codebook(3, 1, 16, 8).entries * (1 + 1j)
         with pytest.raises(ValueError, match="psi"):
+            mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16)), MmpDfParams(k=2))
+
+    @pytest.mark.parametrize("field", ["entries", "gains"])
+    def test_complex_factor_rejected(self, field):
+        parts = {"entries": generate_codebook(3, 1, 16, 8).entries, "gains": np.ones(16)}
+        parts[field] = parts[field] * (1 + 1j)
+        with pytest.raises(ValueError, match=f"psi {field} must be real"):
+            mmp_df(np.ones(16, complex), Sensing(**parts), MmpDfParams(k=2))
+
+    @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
+                             ids=["short", "long", "2-D", "scalar"])
+    def test_misshapen_gains_rejected(self, gains):
+        psi = Sensing(generate_codebook(3, 1, 16, 8).entries, gains)
+        with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
             mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
+
+    def test_one_dimensional_entries_rejected(self):
+        with pytest.raises(ValueError, match="psi entries must be 2-D"):
+            mmp_df(np.ones(16, complex), Sensing(np.ones(16), np.ones(16)), MmpDfParams(k=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gains_rejected(self, value):
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        gains = np.ones(16)
+        gains[5] = value
+        psi = Sensing(generate_codebook(3, 1, 16, 8).entries, gains)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            mmp_df(y, psi, MmpDfParams(k=2))
 
     @pytest.mark.parametrize("where", ["y_hat", "psi"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -208,14 +247,14 @@ class TestMmpDf:
         else:
             psi[5, 3] = value
         with pytest.raises(ValueError, match="NaN or inf"):
-            mmp_df(y, psi, MmpDfParams(k=2))
+            mmp_df(y, Sensing(psi, np.ones(16)), MmpDfParams(k=2))
 
     def test_absolute_stop_switch(self):
         # pure noise scaled to norm 10: candidate residuals sit near 9, so a
         # relative threshold of 0.95 stops at the first candidate while the
         # same number read as an absolute residual keeps searching
         rng = np.random.default_rng(14)
-        psi = generate_codebook(3, 1, 32, 16).entries / math.sqrt(2)
+        psi = Sensing(generate_codebook(3, 1, 32, 16).entries / math.sqrt(2), np.ones(32))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y *= 10.0 / np.linalg.norm(y)
         relative = mmp_df(y, psi, MmpDfParams(k=2, omega=2, lam=0.95, upsilon=4))
@@ -227,8 +266,21 @@ class TestMmpDf:
         assert absolute.ls_solves == 3
         assert absolute.residual_norm <= relative.residual_norm
 
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(15)
+        psi = Sensing(generate_codebook(5, 1, 32, 16).entries, rng.uniform(0.2, 2.0, 32))
+        exact = dense(psi)[:, [3, 11]] @ np.array([1 + 1j, -1 + 1j])
+        noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        for y, omega, upsilon, stop, solves in [
+            (exact, 2, 2, "threshold", 1),
+            (noise, 2, 2, "budget", 2),
+            (noise, 1, 2, "exhausted", 1),  # omega = 1 leaves a single candidate
+        ]:
+            est = mmp_df(y, psi, MmpDfParams(k=2, omega=omega, upsilon=upsilon))
+            assert (est.stop, est.ls_solves) == (stop, solves)
+
     def test_all_zero_input_is_deterministic(self):
-        psi = generate_codebook(13, 1, 16, 8).entries / math.sqrt(2)
+        psi = Sensing(generate_codebook(13, 1, 16, 8).entries / math.sqrt(2), np.ones(16))
         est = mmp_df(np.zeros(16, complex), psi, MmpDfParams(k=2))
         assert est.support == (1, 2)  # stable tie-break toward low columns
         assert np.allclose(est.coeffs, 0.0)
@@ -332,8 +384,8 @@ class TestGramSearchMatchesReference:
             assert reason == ref_reason
             assert est.residual_norm == pytest.approx(ref_est.residual_norm, rel=1e-9, abs=r_tol)
 
-    def test_frames_agree(self, monkeypatch):
-        frames = 0
+    def _frames(self):
+        """(y, h, ctx) of every frame, then an all-zero block, per case and Eb/N0."""
         for case, (g, k, knobs) in enumerate(self.CASES):
             for ebn0 in self.EBN0:
                 cfg = SystemConfig(scheme="secbim", G=g, N=64, M=32, K=k, ebn0_db=ebn0,
@@ -347,10 +399,25 @@ class TestGramSearchMatchesReference:
                         x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
                         h = self._degrade(h, rng)
                         y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng)
-                    self._assert_agree(monkeypatch, y, h, ctx)
-                    frames += 1
-                self._assert_agree(monkeypatch, np.zeros(cfg.N, complex), h, ctx)
+                    yield y, h, ctx
+                yield np.zeros(cfg.N, complex), h, ctx
+
+    def test_frames_agree(self, monkeypatch):
+        frames = 0
+        for y, h, ctx in self._frames():
+            self._assert_agree(monkeypatch, y, h, ctx)
+            frames += 1
         assert frames >= 5000
+
+    def test_search_reports_its_stop_reason(self, monkeypatch):
+        reasons = set()
+        for y, h, ctx in self._frames():
+            _, log = self._decode(monkeypatch, mmp_df, y, h, ctx)
+            for reason, est in log:
+                assert est.stop == reason
+                reasons.add(reason)
+        # no tree here runs out before upsilon; TestMmpDf::test_stop_reasons has one that does
+        assert {"threshold", "budget"} <= reasons
 
     @pytest.mark.parametrize("k,omega,upsilon,relative", [
         (1, 2, 2, True), (2, 1, 1, True), (2, 2, 2, True), (2, 3, 9, False),
@@ -360,12 +427,13 @@ class TestGramSearchMatchesReference:
         # integer data make every product and sum exact in both searches, so
         # duplicate columns tie exactly and both must take the lower index
         rng = np.random.default_rng(k * 100 + omega * 10 + upsilon)
-        psi = rng.choice([-1.0, 1.0], size=(32, 16))
-        psi[:, 9] = psi[:, 2]
-        psi[:, 12] = psi[:, 5]
+        c = rng.choice([-1.0, 1.0], size=(32, 16))
+        c[:, 9] = c[:, 2]
+        c[:, 12] = c[:, 5]
+        psi = Sensing(c, np.ones(32))
         params = MmpDfParams(k=k, omega=omega, lam=0.01, upsilon=upsilon, relative_stop=relative)
         for cols in ((2, 5, 7), (9, 12, 0), (2, 9, 4)):
-            y = psi[:, list(cols[:k])] @ np.array([1 + 1j, -2 + 1j, 3j])[:k]
+            y = c[:, list(cols[:k])] @ np.array([1 + 1j, -2 + 1j, 3j])[:k]
             for y_hat in (y, np.zeros(32, complex)):
                 est = mmp_df(y_hat, psi, params)
                 ref = reference_mmp_df(y_hat, psi, params)
@@ -384,7 +452,7 @@ class TestSymbolSetDecision:
         space = ApSpace(M=16, K=2)
         books = generate_set(5, n_books, 32, 16)
         psi = sensing_matrix(np.ones(32), books[1], k=2)
-        y = psi[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
+        y = dense(psi)[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
         det = secbim_decode(y, np.ones(32, complex), books, space, SymbolSets.default(2),
                             MmpDfParams(k=2))
         assert det.estimate.support == (1, 2)

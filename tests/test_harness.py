@@ -288,7 +288,9 @@ class TestRunTiming:
         (dict(decodes=4), "decodes"),
         (dict(warmup=-1), "warmup"),
         (dict(detectors=()), "detectors"),
-    ], ids=["batches=0", "decodes=0", "decodes=-10", "decodes<batches", "warmup=-1", "no-detectors"])
+        (dict(decodes=19, batches=10), "decodes"),
+    ], ids=["batches=0", "decodes=0", "decodes=-10", "decodes<batches", "warmup=-1", "no-detectors",
+            "decodes%batches"])
     def test_edge_inputs_rejected(self, overrides, name):
         kwargs = dict(detectors=("mmpdf",), decodes=20, warmup=0, batches=5)
         with pytest.raises(ValueError, match=f"^{name} "):
