@@ -29,10 +29,9 @@ from .index_codec import (
     SymbolSets,
     combo_to_rank,
     decode_to_bits,
-    encode_bits,
     int_to_bits,
+    rank_to_combo,
 )
-from .transceiver import build_sparse_vector
 
 # Refuse ML enumeration beyond this many candidate blocks.
 ML_CANDIDATE_CAP = 1 << 20
@@ -106,7 +105,11 @@ class DetectionResult:
     estimate: SparseEstimate | None = field(default=None, repr=False)
 
 
-def _require_finite(y_freq: np.ndarray, h_freq: np.ndarray) -> None:
+def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, n: int) -> None:
+    """Reject a y_freq or h_freq that is not a length-n vector or holds a NaN or inf."""
+    for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
+        if np.shape(arr) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {np.shape(arr)}")
     if math.isfinite(abs(np.vdot(y_freq, h_freq))):  # a NaN or inf in either propagates
         return
     for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
@@ -355,16 +358,16 @@ def secbim_joint_metrics(
     length-M estimate and each set placed on its support, as both are zero
     off the support.
     """
-    _require_finite(y_freq, h_freq)
+    _require_inputs(y_freq, h_freq, books.books[0].n)
     y_hat = cophase(y_freq, h_freq)
-    symbols = np.array([sets.original, sets.extended_set])
     estimates: list[SparseEstimate] = []
-    metrics = np.empty((books.G, 2))
+    coeffs = np.empty((books.G, params.k), dtype=np.complex128)
     for gi, book in enumerate(books.books):
         psi = sensing_matrix(h_freq, book, params.k)
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
-        metrics[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
+        coeffs[gi] = est.coeffs
+    metrics = np.sum(np.abs(coeffs[:, None, :] - sets.rows) ** 2, axis=2)
     return metrics, estimates
 
 
@@ -398,11 +401,16 @@ class MlCandidates:
 
     Row ``(g - 1) * 2**m_bits + word`` holds book position g spreading
     ``word``; ``spread_abs2`` caches the entrywise squared magnitudes so
-    each decode reduces to two matrix-vector products.
+    each decode reduces to two matrix-vector products. Both arrays are
+    read-only, as every context of a configuration shares one table.
     """
 
     spread: np.ndarray  # (rows, N) complex candidate blocks, 1/sqrt(K) applied
     spread_abs2: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.spread.setflags(write=False)
+        self.spread_abs2.setflags(write=False)
 
 
 def build_ml_candidates(
@@ -410,7 +418,16 @@ def build_ml_candidates(
     space: ApSpace,
     sets: SymbolSets,
 ) -> MlCandidates:
-    """Enumerate and spread all candidate sparse vectors, once per config."""
+    """Spread every candidate word with every book, once per configuration.
+
+    Word w < C(M, K) is rank w on the original symbol set and word
+    C(M, K) + d is rank d on the extended set (see ``encode_bits``). A row
+    is the sum of the word's K active book columns times their symbols,
+    scaled by 1/sqrt(K): each product is an exact +-1 times a symbol, so the
+    rows equal spreading the length-M sparse vector with a full product.
+    """
+    if not books:
+        raise ValueError("books must hold at least one codebook")
     n_words = 1 << space.m_bits
     rows = len(books) * n_words
     if rows > ML_CANDIDATE_CAP:
@@ -418,12 +435,18 @@ def build_ml_candidates(
             f"ML candidate space of {rows} blocks exceeds the cap of {ML_CANDIDATE_CAP}; "
             "use the greedy detector for this configuration"
         )
-    vdd = np.zeros((n_words, space.M), dtype=np.complex128)
-    for word in range(n_words):
-        msg = encode_bits(int_to_bits(word, space.m_bits), space)
-        vdd[word] = build_sparse_vector(msg, sets, space.M).values
+    cols = np.array([rank_to_combo(d, space) for d in range(space.n_combos)]) - 1
+    cols = np.concatenate([cols, cols[:space.n_reused]])  # (n_words, K), 0-based
+    symbols = np.repeat(sets.rows, [space.n_combos, space.n_reused], axis=0)
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
-    spread = np.vstack([(vdd @ b.entries.T) * inv_sqrt_k for b in books])
+    spread = np.empty((rows, books[0].n), dtype=np.complex128)
+    for g, book in enumerate(books):
+        book_cols = book.entries.T  # row j is column j of the book
+        # summed onto +0 like a BLAS product, so a zero part is never -0
+        acc = np.zeros((n_words, book.n), dtype=np.complex128)
+        for k in range(space.K):
+            acc += book_cols[cols[:, k]] * symbols[:, k, None]
+        np.multiply(acc, inv_sqrt_k, out=spread[g * n_words:(g + 1) * n_words])
     return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)
 
 
@@ -448,7 +471,7 @@ def ml_secbim(
     n_words = 1 << space.m_bits
     if len(cand.spread) != books.G * n_words:
         raise ValueError(f"cand holds {len(cand.spread)} rows, G * 2**m_bits is {books.G * n_words}")
-    _require_finite(y_freq, h_freq)
+    _require_inputs(y_freq, h_freq, cand.spread.shape[1])
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
     g0, word = divmod(i, n_words)

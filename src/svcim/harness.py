@@ -22,10 +22,8 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import islice, starmap
 
 import numpy as np
@@ -134,15 +132,10 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
-@lru_cache(maxsize=16)
-def _context_for(cfg: SystemConfig) -> LinkContext:
-    return LinkContext.for_config(cfg)
-
-
 def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int, n_trials: int,
                measure_time: bool) -> tuple[int, int, int]:
     """Simulate one shard; returns (trials, bit_errors, decode_ns_total)."""
-    ctx = _context_for(cfg)
+    ctx = LinkContext.for_config(cfg)
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _FRAME_STREAM_TAG, point_idx, shard_idx))
     )
@@ -182,7 +175,13 @@ def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
     """
     workers = _worker_count(workers)
     records = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    pool_cm = nullcontext()
+    if workers > 1:
+        # imported here, so that a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_cm = ProcessPoolExecutor(workers)
+    with pool_cm as pool:
         for point_idx, value in enumerate(plan.values):
             cfg = plan.config_at(value)
             trials = bit_errors = decode_ns = 0

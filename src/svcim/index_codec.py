@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+
 
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """MSB-first binary expansion of ``value`` into exactly ``width`` bits."""
@@ -91,6 +93,8 @@ class SymbolSets:
 
     original: tuple[complex, ...]
     extended_set: tuple[complex, ...]
+    # Read-only (2, K) complex array: row 0 the original set, row 1 the extended.
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.original) != len(self.extended_set):
@@ -100,6 +104,9 @@ class SymbolSets:
                 raise ValueError("symbols must have unit magnitude")
             if a == b:
                 raise ValueError("original and extended symbols must differ element-wise")
+        rows = np.array([self.original, self.extended_set], dtype=np.complex128)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def default(cls, k: int) -> "SymbolSets":
@@ -113,18 +120,29 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
 
     Uses the combinatorial number system: d = sum_k C(c_k, k) over the
     zero-based positions c_1 < ... < c_K, which orders combinations
-    colexicographically. Returns 1-based, strictly increasing indices.
+    colexicographically. Each c_k is the largest c with C(c, k) <= the
+    remaining rank, found by bisection below c_(k+1) (below M for c_K), so
+    a call makes O(K log M) binomial evaluations. Returns 1-based, strictly
+    increasing indices.
     """
     if not 0 <= d < space.n_combos:
         raise ValueError(f"rank {d} outside [0, {space.n_combos - 1}]")
     out = []
     x = d
+    hi = space.M
     for k in range(space.K, 0, -1):
-        c = k - 1
-        while comb(c + 1, k) <= x:
-            c += 1
-        out.append(c + 1)
-        x -= comb(c, k)
+        # invariant: C(lo, k) = below <= x < C(hi, k)
+        lo, below = k - 1, 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            value = comb(mid, k)
+            if value <= x:
+                lo, below = mid, value
+            else:
+                hi = mid
+        out.append(lo + 1)
+        x -= below
+        hi = lo
     out.reverse()
     return tuple(out)
 

@@ -120,10 +120,29 @@ class FrameTrace:
     decode_ns: int = 0  # wall clock spent inside the detector call
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_table(seed: int, G: int, N: int, M: int, K: int | None = None):
+    """The process's one bounded memo of read-only per-configuration tables.
+
+    Called with (seed, G, N, M) it holds that codebook set; called with K
+    as well, the exhaustive-ML candidate table those books spread for
+    sparsity K. Sixteen entries at most, each built on first use.
+    """
+    if K is None:
+        return generate_set(seed, G, N, M)
+    return build_ml_candidates(_shared_table(seed, G, N, M).books, ApSpace(M=M, K=K),
+                               SymbolSets.default(K))
+
+
 @dataclass(eq=False)
 class LinkContext:
     """Per-configuration state shared across frames: books, search controls
-    and ML tables."""
+    and ML tables.
+
+    The books and the ML table come from the process-wide memo
+    :func:`_shared_table`, so configs that differ only in Eb/N0, L, v,
+    channel path, search controls or detector share them.
+    """
 
     cfg: SystemConfig
     space: ApSpace
@@ -135,14 +154,10 @@ class LinkContext:
 
     @classmethod
     def for_config(cls, cfg: SystemConfig) -> "LinkContext":
-        space = cfg.space()
-        sets = SymbolSets.default(cfg.K)
-        books = generate_set(cfg.seed, cfg.G, cfg.N, cfg.M)
-        ml = None
-        if cfg.detector == "ml":
-            ml = build_ml_candidates(books.books, space, sets)
-        return cls(cfg=cfg, space=space, sets=sets, books=books, noise=cfg.noise(), mmp=cfg.mmp,
-                   ml=ml)
+        books = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M)
+        ml = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M, cfg.K) if cfg.detector == "ml" else None
+        return cls(cfg=cfg, space=cfg.space(), sets=SymbolSets.default(cfg.K), books=books,
+                   noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:

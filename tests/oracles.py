@@ -1,9 +1,12 @@
 """Independent reference implementations the solver tests are checked against."""
 import math
+from math import comb
 
 import numpy as np
 
-from svcim.detectors import MmpDfParams, Sensing, SparseEstimate
+from svcim.detectors import MlCandidates, MmpDfParams, Sensing, SparseEstimate
+from svcim.index_codec import ApSpace, encode_bits, int_to_bits
+from svcim.transceiver import build_sparse_vector
 
 
 def dense(psi: Sensing) -> np.ndarray:
@@ -138,3 +141,35 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> Sp
         stop=("threshold" if best_resid < stop_level
               else "budget" if full_solves >= params.upsilon else "exhausted"),
     )
+
+
+def reference_rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
+    """Unrank by walking each position c upward until C(c + 1, k) exceeds the rest.
+
+    The linear scan that ``rank_to_combo`` replaced with bisection; up to M
+    binomial evaluations per level.
+    """
+    if not 0 <= d < space.n_combos:
+        raise ValueError(f"rank {d} outside [0, {space.n_combos - 1}]")
+    out = []
+    x = d
+    for k in range(space.K, 0, -1):
+        c = k - 1
+        while comb(c + 1, k) <= x:
+            c += 1
+        out.append(c + 1)
+        x -= comb(c, k)
+    out.reverse()
+    return tuple(out)
+
+
+def reference_ml_candidates(books, space: ApSpace, sets) -> MlCandidates:
+    """The ML table built word by word: encode, place the symbols, spread with a full product."""
+    n_words = 1 << space.m_bits
+    vdd = np.zeros((n_words, space.M), dtype=np.complex128)
+    for word in range(n_words):
+        msg = encode_bits(int_to_bits(word, space.m_bits), space)
+        vdd[word] = build_sparse_vector(msg, sets, space.M).values
+    inv_sqrt_k = 1.0 / math.sqrt(space.K)
+    spread = np.vstack([(vdd @ b.entries.T) * inv_sqrt_k for b in books])
+    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)

@@ -32,7 +32,7 @@ from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
-from oracles import dense, reference_mmp_df, reference_omp
+from oracles import dense, reference_ml_candidates, reference_mmp_df, reference_omp
 
 
 def _noiseless():
@@ -559,6 +559,30 @@ class TestSecbimDecode:
                     else:
                         assert np.isclose(metrics[gi, li], full, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_metrics_equal_the_per_book_expression(self, k):
+        # all books are scored in one expression; the bytes are those of one
+        # expression per book
+        rng = np.random.default_rng(50 + k)
+        space = ApSpace(M=16, K=k)
+        sets = SymbolSets.default(k)
+        params = MmpDfParams(k=k)
+        books = generate_set(59, 4, 32, 16)
+        symbols = np.array([sets.original, sets.extended_set])
+        noise = NoiseSpec(ebn0_db=4.0, eb=48 / (2 + space.m_bits))
+        for _ in range(100):
+            value = int(rng.integers(0, 2 ** space.m_bits))
+            msg = encode_bits(int_to_bits(value, space.m_bits), space)
+            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(1, 5))])
+            ch = draw_channel(10, 32, rng)
+            y = apply_freq(x, ch, noise, rng)
+            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
+            per_book = np.empty((books.G, 2))
+            for gi, est in enumerate(estimates):
+                per_book[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
+            assert metrics.shape == per_book.shape
+            assert metrics.tobytes() == per_book.tobytes()
+
     def test_noiseless_recovery_g4(self):
         rng = np.random.default_rng(12)
         space = ApSpace(M=32, K=2)
@@ -699,6 +723,29 @@ class TestMlDetectors:
             with pytest.raises(ValueError, match="cand"):
                 ml_secbim(y, y, other_books, space, cand)
 
+    @pytest.mark.parametrize("g,n,m,k", [(1, 16, 8, 1), (4, 32, 16, 2), (2, 32, 16, 3),
+                                         (1, 64, 32, 2)])
+    def test_table_equals_the_word_by_word_build(self, g, n, m, k):
+        books = generate_set(73, g, n, m)
+        space = ApSpace(M=m, K=k)
+        sets = SymbolSets.default(k)
+        cand = build_ml_candidates(books.books, space, sets)
+        ref = reference_ml_candidates(books.books, space, sets)
+        for got, want in ((cand.spread, ref.spread), (cand.spread_abs2, ref.spread_abs2)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_table_is_read_only(self):
+        books = generate_set(73, 2, 32, 16)
+        cand = build_ml_candidates(books.books, ApSpace(M=16, K=2), SymbolSets.default(2))
+        for arr in (cand.spread, cand.spread_abs2):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+
+    def test_no_books_rejected(self):
+        with pytest.raises(ValueError, match="books"):
+            build_ml_candidates([], ApSpace(M=8, K=2), SymbolSets.default(2))
+
     def test_candidate_cap_refusal(self):
         space = ApSpace(M=2048, K=2)  # 2^21 words: over the default cap
         sets = SymbolSets.default(2)
@@ -717,6 +764,22 @@ class TestNonFiniteInput:
         arrays[name][5] = value
         with pytest.raises(ValueError, match=name):
             decode_frame(ctx, arrays["y_freq"], arrays["h_freq"])
+
+
+class TestMismatchedLengths:
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("y_shape,h_shape,name", [
+        ((32,), (16,), "h_freq"),
+        ((16,), (32,), "y_freq"),
+        ((16,), (16,), "y_freq"),
+        ((64,), (64,), "y_freq"),
+        ((32, 1), (32,), "y_freq"),
+    ], ids=["short-h", "short-y", "both-short", "both-long", "2-D-y"])
+    def test_rejected_with_value_error(self, detector, y_shape, h_shape, name):
+        # the books and the ML table are N = 32 wide
+        ctx = LinkContext.for_config(SystemConfig(N=32, M=16, detector=detector))
+        with pytest.raises(ValueError, match=f"^{name} must have shape \\(32,\\)"):
+            decode_frame(ctx, np.ones(y_shape, dtype=complex), np.ones(h_shape, dtype=complex))
 
 
 class TestScaleInvariance:

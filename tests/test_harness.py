@@ -2,6 +2,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -149,6 +152,15 @@ class TestRunBerSweep:
             n_bits = rec.trials * bits_per_symbol(rec.config)
             assert rec.ber == rec.bit_errors / n_bits
             assert rec.ci95 == binomial_ci95(rec.ber, n_bits)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported by run_ber_sweep when it runs more than one worker
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = ("import sys, svcim; print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+                " or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_worker_env_rejected(self, monkeypatch, value):

@@ -5,6 +5,7 @@ The independent oracle for the ranking order is a plain enumeration:
 first). The arithmetic unranker must agree with it everywhere.
 """
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -21,6 +22,8 @@ from svcim.index_codec import (
     int_to_bits,
     rank_to_combo,
 )
+
+from oracles import reference_rank_to_combo
 
 
 def colex_combinations(m: int, k: int) -> list[tuple[int, ...]]:
@@ -88,6 +91,21 @@ class TestRanking:
             expected = colex_combinations(m, k)
             got = [rank_to_combo(d, space) for d in range(space.n_combos)]
             assert got == expected
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (5, 1), (4, 2), (9, 2), (8, 3), (10, 4), (12, 6),
+                                     (7, 6), (32, 2), (16, 3)])
+    def test_bisection_equals_linear_scan_on_every_rank(self, m, k):
+        space = ApSpace(M=m, K=k)
+        for d in range(space.n_combos):
+            assert rank_to_combo(d, space) == reference_rank_to_combo(d, space)
+
+    @pytest.mark.parametrize("m,k", [(128, 2), (64, 4)])
+    def test_bisection_equals_linear_scan_on_random_ranks(self, m, k):
+        space = ApSpace(M=m, K=k)
+        rng = random.Random(m * 100 + k)
+        ranks = [0, space.n_combos - 1] + [rng.randrange(space.n_combos) for _ in range(20_000)]
+        for d in ranks:
+            assert rank_to_combo(d, space) == reference_rank_to_combo(d, space)
 
     def test_rank_examples(self):
         space = ApSpace(M=4, K=2)
@@ -232,3 +250,10 @@ class TestSymbolSets:
     def test_sets_must_differ(self):
         with pytest.raises(ValueError):
             SymbolSets(original=(1, 1j), extended_set=(1, -1j))
+
+    def test_rows_stack_the_sets_read_only(self):
+        sets = SymbolSets.default(3)
+        assert sets.rows.tolist() == [list(sets.original), list(sets.extended_set)]
+        assert not sets.rows.flags.writeable
+        # a derived field: equality and hashing still follow the two sets
+        assert sets == SymbolSets.default(3) and hash(sets) == hash(SymbolSets.default(3))

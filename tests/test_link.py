@@ -1,4 +1,6 @@
-"""Config validation, bit-budget arithmetic and frame orchestration."""
+"""Config validation, bit-budget arithmetic, shared tables and frame orchestration."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,43 @@ class TestRunFrame:
         for _ in range(50):
             trace = run_frame(cfg, rng, ctx)
             assert np.array_equal(trace.tx_bits, trace.rx_bits)
+
+
+class TestSharedTables:
+    BASE = SystemConfig(N=32, M=16, K=2, seed=11, detector="ml")
+    # fields outside the tables' keys: (seed, G, N, M) for books, plus K for ML
+    SAME_TABLES = [dict(ebn0_db=3.0), dict(L=12), dict(v=4), dict(channel_path="time"),
+                   dict(mmp_omega=3, mmp_lam=0.2, mmp_upsilon=4, mmp_relative_stop=False)]
+    OTHER_TABLES = [dict(seed=12), dict(scheme="secbim", G=2), dict(N=64), dict(M=32)]
+
+    def _pair(self, change):
+        return LinkContext.for_config(self.BASE), LinkContext.for_config(replace(self.BASE, **change))
+
+    @pytest.mark.parametrize("change", SAME_TABLES, ids=lambda c: ",".join(c))
+    def test_same_books_and_table_when_other_fields_differ(self, change):
+        a, b = self._pair(change)
+        assert a.books is b.books
+        assert a.ml is not None and a.ml is b.ml
+
+    def test_same_books_across_detectors(self):
+        a, b = self._pair(dict(detector="mmpdf"))
+        assert a.books is b.books and b.ml is None
+
+    @pytest.mark.parametrize("change", OTHER_TABLES, ids=lambda c: ",".join(c))
+    def test_nothing_shared_across_seed_g_n_or_m(self, change):
+        a, b = self._pair(change)
+        assert a.books is not b.books and a.ml is not b.ml
+
+    def test_table_not_shared_across_k(self):
+        a, b = self._pair(dict(K=3))
+        assert a.books is b.books  # books do not depend on K
+        assert a.ml is not b.ml and a.ml.spread.shape != b.ml.spread.shape
+
+    def test_shared_arrays_are_read_only(self):
+        ctx = LinkContext.for_config(self.BASE)
+        shared = [book.entries for book in ctx.books.books]
+        shared += [ctx.ml.spread, ctx.ml.spread_abs2, ctx.sets.rows]
+        assert not any(arr.flags.writeable for arr in shared)
 
 
 class TestConfigText:
