@@ -37,7 +37,7 @@ def main() -> None:
         for rec in run_ber_sweep(plan):
             records.append(rec)
             print(f"{label} ebn0={rec.config.ebn0_db:5.1f} ber={rec.ber:.3e} trials={rec.trials}")
-    emit_results(records, "csv", args.out)
+    emit_results(records, "csv", args.out, "ebn0_db")
     print(f"wrote {args.out}")
 
 

@@ -102,7 +102,7 @@ def _cmd_ber(args: argparse.Namespace) -> int:
             f" trials={rec.trials} errors={rec.bit_errors} ber={rec.ber:.3e}"
             f" ci95={rec.ci95:.1e}"
         )
-    emit_results(records, args.format, args.out)
+    emit_results(records, args.format, args.out, plan.axis_field)
     print(f"wrote {args.out}")
     return 0
 

@@ -19,6 +19,12 @@ import numpy as np
 _BOOK_STREAM_TAG = 0xB00C
 
 
+def require_pow2(n: int, name: str) -> None:
+    """The one power-of-two rule of the link (N and G); the error names ``name``."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"{name} must be a power of two, got {n}")
+
+
 @dataclass(eq=False)
 class Codebook:
     """One immutable N x M spreading matrix of +1/-1 entries."""
@@ -51,8 +57,7 @@ class CodebookSet:
 
     def __post_init__(self) -> None:
         self.G = len(self.books)
-        if self.G < 1 or self.G & (self.G - 1):
-            raise ValueError(f"G must be a power of two, got {self.G}")
+        require_pow2(self.G, "G")
         shapes = {b.entries.shape for b in self.books}
         if len(shapes) != 1:
             raise ValueError("all books in a set must share N and M")

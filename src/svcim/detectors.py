@@ -356,8 +356,10 @@ def secbim_joint_metrics(
     distances from that recovery's K least-squares amplitudes to the
     original and to the extended symbol set: the distance between the
     length-M estimate and each set placed on its support, as both are zero
-    off the support.
+    off the support. ``params.k`` must equal the length of the sets.
     """
+    if params.k != len(sets.original):
+        raise ValueError(f"params.k = {params.k} but sets hold {len(sets.original)} symbols")
     _require_inputs(y_freq, h_freq, books.books[0].n)
     y_hat = cophase(y_freq, h_freq)
     estimates: list[SparseEstimate] = []
@@ -383,8 +385,11 @@ def secbim_decode(
 
     Takes the minimum of the 2G joint metrics; ties resolve to the
     smallest (g, l). The first log2(G) output bits carry the codebook
-    index, the rest the pattern.
+    index, the rest the pattern. ``params.k``, ``space.K`` and the length
+    of the sets must agree.
     """
+    if params.k != space.K:
+        raise ValueError(f"params.k = {params.k} but space.K = {space.K}")
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
     flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)

@@ -67,8 +67,9 @@ class SweepPlan:
             getattr(self.config_at(value), self.axis_field) for value in self.values))
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if self.min_errors < 1 or self.max_trials < 1 or self.shard_trials < 1:
-            raise ValueError("min_errors, max_trials and shard_trials must be >= 1")
+        for name in ("min_errors", "max_trials", "shard_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def axis_field(self) -> str:
@@ -143,7 +144,7 @@ def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int, n_trials: int,
     decode_ns = 0
     for _ in range(n_trials):
         trace = run_frame(cfg, rng, ctx)
-        errors += int(np.count_nonzero(trace.tx_bits != trace.rx_bits))
+        errors += int(np.count_nonzero(trace.tx_bits != trace.detection.bits))
         if measure_time:
             decode_ns += trace.decode_ns
     return n_trials, errors, decode_ns
@@ -220,39 +221,29 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     if not detectors:
         raise ValueError("detectors must name at least one detector")
-    pairs = []
+    pairs = []  # (ctx, rng, batch means) per (config, detector)
     for base_cfg in configs:
         for detector in detectors:
             cfg = replace(base_cfg, detector=detector)
-            pairs.append({
-                "cfg": cfg,
-                "ctx": LinkContext.for_config(cfg),
-                "rng": np.random.default_rng(
-                    np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG))
-                ),
-                "means": [],
-            })
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG)))
+            pairs.append((LinkContext.for_config(cfg), rng, []))
     per_batch = decodes // batches
     for batch in range(batches + 1):  # batch 0 warms every pair up
         n = warmup if batch == 0 else per_batch
         if n == 0:
             continue
-        for pair in pairs:
-            inputs = [transmit_frame(pair["cfg"], pair["rng"], pair["ctx"])[2:] for _ in range(n)]
+        for ctx, rng, means in pairs:
+            inputs = [transmit_frame(ctx, rng)[2:] for _ in range(n)]
             t0 = time.perf_counter_ns()
             for y_freq, ch in inputs:
-                decode_frame(pair["ctx"], y_freq, ch.cfr)
+                decode_frame(ctx, y_freq, ch.cfr)
             elapsed = time.perf_counter_ns() - t0
             if batch > 0:
-                pair["means"].append(elapsed / n)
+                means.append(elapsed / n)
     return [
-        TimingRecord(
-            config=pair["cfg"],
-            decodes=per_batch * batches,
-            mean_ns=float(np.median(pair["means"])),
-            spread_ns=float(np.std(pair["means"])),
-        )
-        for pair in pairs
+        TimingRecord(config=ctx.cfg, decodes=per_batch * batches,
+                     mean_ns=float(np.median(means)), spread_ns=float(np.std(means)))
+        for ctx, _, means in pairs
     ]
 
 
@@ -302,27 +293,31 @@ def _series_key(cfg: SystemConfig, axis_field: str):
                  if name != axis_field)
 
 
-def plot_description(records, axis_field: str = "ebn0_db") -> dict:
-    """Plot-ready series: x values against BER and log10(BER) per config."""
+def plot_description(records, axis_field: str) -> dict:
+    """Plot-ready series: x values against BER and log10(BER) per config.
+
+    ``axis_field`` is the SystemConfig field on the x axis, the sweep's
+    ``SweepPlan.axis_field``; records that differ only in it form one series,
+    whose label leaves it out.
+    """
     series: dict = {}
     for rec in records:
-        key = _series_key(rec.config, axis_field)
+        cfg = rec.config
+        dims = " ".join(f"{name}={getattr(cfg, name)}" for name in ("N", "M", "G")
+                        if name != axis_field)
         entry = series.setdefault(
-            key,
-            {
-                "label": f"{rec.config.scheme}/{rec.config.detector} "
-                         f"N={rec.config.N} M={rec.config.M} G={rec.config.G}",
-                "x": [], "ber": [], "log10_ber": [],
-            },
+            _series_key(cfg, axis_field),
+            {"label": f"{cfg.scheme}/{cfg.detector} {dims}", "x": [], "ber": [], "log10_ber": []},
         )
-        entry["x"].append(getattr(rec.config, axis_field))
+        entry["x"].append(getattr(cfg, axis_field))
         entry["ber"].append(rec.ber)
         entry["log10_ber"].append(math.log10(rec.ber) if rec.ber > 0 else None)
     return {"x_axis": axis_field, "series": list(series.values())}
 
 
-def emit_results(records, fmt: str, path) -> None:
-    """Write records to ``path`` as ``csv`` or as a ``plot`` JSON description."""
+def emit_results(records, fmt: str, path, axis_field: str) -> None:
+    """Write records to ``path`` as ``csv`` or as a ``plot`` JSON description
+    with ``axis_field`` on the x axis."""
     if fmt not in ("csv", "plot"):
         raise ValueError(f"format must be 'csv' or 'plot', got {fmt!r}")
     try:
@@ -331,7 +326,7 @@ def emit_results(records, fmt: str, path) -> None:
             write_ber_csv(records, buf)
             payload = buf.getvalue()
         else:
-            payload = json.dumps(plot_description(records), indent=2) + "\n"
+            payload = json.dumps(plot_description(records, axis_field), indent=2) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(payload)
     except OSError as exc:

@@ -57,18 +57,11 @@ class ApSpace:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K >= self.M:
             raise ValueError(f"K must be < M, got K={self.K}, M={self.M}")
-        n_combos = comb(self.M, self.K)
-        if n_combos < 2:
-            raise ValueError("activation-pattern space must hold at least 2 patterns")
+        n_combos = comb(self.M, self.K)  # >= M >= 2 for 1 <= K < M
         m_bits = n_combos.bit_length()
         object.__setattr__(self, "n_combos", n_combos)
         object.__setattr__(self, "m_bits", m_bits)
         object.__setattr__(self, "n_reused", (1 << m_bits) - n_combos)
-
-    @property
-    def a_floor(self) -> int:
-        """floor(log2 C(M, K)): bits carried without pattern reuse."""
-        return self.m_bits - 1
 
 
 @dataclass(frozen=True)

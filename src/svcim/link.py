@@ -21,7 +21,7 @@ import numpy as np
 
 from . import detectors
 from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
-from .codebook import CodebookSet, generate_set
+from .codebook import CodebookSet, generate_set, require_pow2
 from .detectors import DetectionResult, MlCandidates, MmpDfParams, build_ml_candidates
 from .index_codec import ApSpace, SparseMessage, SymbolSets, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
@@ -66,16 +66,13 @@ class SystemConfig:
             choices = f.metadata.get("choices")
             if choices is not None and getattr(self, f.name) not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
-        if self.N < 2 or self.N & (self.N - 1):
-            raise ValueError(f"N must be a power of two >= 2, got {self.N}")
-        if not 1 <= self.K < self.M:
-            raise ValueError(f"need 1 <= K < M, got K={self.K}, M={self.M}")
+        require_pow2(self.N, "N")
+        self.space()  # validates K against M
         if not 0 <= self.L < self.N:
             raise ValueError(f"need 0 <= L < N, got L={self.L}, N={self.N}")
         if not 1 <= self.v <= self.L:
             raise ValueError(f"need 1 <= v <= L, got v={self.v}, L={self.L}")
-        if self.G < 1 or self.G & (self.G - 1):
-            raise ValueError(f"G must be a power of two, got {self.G}")
+        require_pow2(self.G, "G")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
         if np.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
@@ -110,10 +107,9 @@ def spectral_efficiency(cfg: SystemConfig) -> float:
 
 @dataclass(eq=False)
 class FrameTrace:
-    """One simulated frame end to end."""
+    """One simulated frame end to end; the received bits are ``detection.bits``."""
 
     tx_bits: np.ndarray
-    rx_bits: np.ndarray
     msg: SparseMessage
     ch: ChannelRealization
     detection: DetectionResult
@@ -167,12 +163,13 @@ def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> De
     return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, ctx.mmp)
 
 
-def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext):
-    """Everything before detection: bits, encode, channel, received block.
+def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
+    """Everything before detection for ``ctx.cfg``: bits, encode, channel, received block.
 
     Per frame the generator is consumed in a fixed order: message bits,
     then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
     """
+    cfg = ctx.cfg
     m1 = cfg.G.bit_length() - 1
     tx_bits = rng.integers(0, 2, size=m1 + ctx.space.m_bits, dtype=np.uint8)
     bits = tx_bits.tolist()  # the codec reads Python ints faster than numpy scalars
@@ -193,22 +190,22 @@ def transmit_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext
 
 
 def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext | None = None) -> FrameTrace:
-    """Simulate one frame: random bits through encode, channel and decode."""
+    """Simulate one frame: random bits through encode, channel and decode.
+
+    ``ctx`` defaults to a fresh context for ``cfg``; a context built for
+    another config is a ``ValueError`` naming the fields that differ.
+    """
     if ctx is None:
         ctx = LinkContext.for_config(cfg)
-    tx_bits, msg, y_freq, ch = transmit_frame(cfg, rng, ctx)
+    elif ctx.cfg is not cfg and ctx.cfg != cfg:  # the identity test spares a sweep's frames
+        differ = [f.name for f in fields(cfg) if getattr(ctx.cfg, f.name) != getattr(cfg, f.name)]
+        raise ValueError(f"ctx was built for another config: {', '.join(differ)} differ from cfg")
+    tx_bits, msg, y_freq, ch = transmit_frame(ctx, rng)
 
     t0 = time.perf_counter_ns()
     det = decode_frame(ctx, y_freq, ch.cfr)
     decode_ns = time.perf_counter_ns() - t0
-    return FrameTrace(
-        tx_bits=tx_bits,
-        rx_bits=det.bits,
-        msg=msg,
-        ch=ch,
-        detection=det,
-        decode_ns=decode_ns,
-    )
+    return FrameTrace(tx_bits=tx_bits, msg=msg, ch=ch, detection=det, decode_ns=decode_ns)
 
 
 # --- field-driven text codec: config files, CSV rows and CLI flags ---

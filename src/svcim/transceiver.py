@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, require_pow2
 from .index_codec import SparseMessage, SymbolSets
-
-
-def _require_pow2(n: int, what: str = "N") -> None:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"{what} must be a power of two, got {n}")
 
 
 @dataclass(eq=False)
@@ -63,7 +58,7 @@ def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
     """Unitary IFFT plus cyclic prefix: the last cp_len samples are prepended."""
     x_freq = np.asarray(x_freq)
     n = len(x_freq)
-    _require_pow2(n)
+    require_pow2(n, "N")
     if not 0 <= cp_len < n:
         raise ValueError(f"CP length {cp_len} outside [0, {n})")
     body = np.fft.ifft(x_freq) * math.sqrt(n)
@@ -74,7 +69,7 @@ def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
     """Drop the cyclic prefix and apply the unitary FFT."""
     y_time = np.asarray(y_time)
     n = len(y_time) - cp_len
-    _require_pow2(n)
+    require_pow2(n, "N")
     if cp_len < 0 or cp_len >= n:
         raise ValueError(f"CP length {cp_len} inconsistent with frame of {len(y_time)}")
     return np.fft.fft(y_time[cp_len:]) / math.sqrt(n)

@@ -1,4 +1,5 @@
 """Independent reference implementations the solver tests are checked against."""
+import functools
 import math
 from math import comb
 
@@ -53,7 +54,24 @@ def _ls_fit(
     return coef, y - a @ coef
 
 
-def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstimate:
+def _lstsq_fit(
+    psi: np.ndarray, cols: list[int], y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Least squares on the chosen real columns via ``np.linalg.lstsq`` (SVD).
+
+    Unlike the normal equations it does not square the condition number.
+    Returns None when the columns are rank-deficient at lstsq's default
+    cutoff, the degenerate case of :func:`_ls_fit`.
+    """
+    a = psi[:, cols]
+    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank < len(cols):
+        return None
+    return coef, y - a @ coef
+
+
+def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
+                     fit=_ls_fit) -> SparseEstimate:
     """Depth-first multipath matching pursuit.
 
     At each tree node the columns are ranked by correlation with the
@@ -70,6 +88,8 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> Sp
     y_hat : co-phased received vector, length N
     psi : real sensing matrix diag(gains) @ entries, N x M with M >= params.k
     params : search controls
+    fit : the least-squares fit of every tree node and leaf, ``_ls_fit``
+        (normal equations) or ``_lstsq_fit``
 
     Returns
     -------
@@ -110,21 +130,21 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> Sp
                     continue
                 seen.add(support)
                 full_solves += 1
-                fit = _ls_fit(psi, list(support), y)
-                r_norm = math.inf if fit is None else float(np.linalg.norm(fit[1]))
+                leaf = fit(psi, list(support), y)
+                r_norm = math.inf if leaf is None else float(np.linalg.norm(leaf[1]))
                 if r_norm < best_resid or best_support is None:
                     best_resid = r_norm
                     best_support = support
-                    best_coeffs = None if fit is None else fit[0]
+                    best_coeffs = None if leaf is None else leaf[0]
                 if r_norm < stop_level:
                     return True
                 if full_solves >= params.upsilon:
                     return True
             else:
-                fit = _ls_fit(psi, list(new_path), y)
-                if fit is None:
+                node = fit(psi, list(new_path), y)
+                if node is None:
                     continue  # degenerate partial path: its completions are too
-                if dfs(new_path, fit[1]):
+                if dfs(new_path, node[1]):
                     return True
         return False
 
@@ -141,6 +161,11 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> Sp
         stop=("threshold" if best_resid < stop_level
               else "budget" if full_solves >= params.upsilon else "exhausted"),
     )
+
+
+# The same search with every fit by lstsq: the decisions of a solver that
+# does not square the condition number, for the deep-fade comparison.
+reference_mmp_df_lstsq = functools.partial(reference_mmp_df, fit=_lstsq_fit)
 
 
 def reference_rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:

@@ -37,6 +37,20 @@ class TestBerCommand:
         payload = json.loads(out.read_text())
         assert payload["x_axis"] == "ebn0_db"
 
+    def test_plot_x_axis_is_the_sweep_axis(self, tmp_path):
+        out = tmp_path / "ber.json"
+        rc = main([
+            "ber", "--N", "32", "--ebn0", "8", "--axis", "M", "--values", "8,16",
+            "--min-errors", "10", "--max-trials", "100",
+            "--format", "plot", "--out", str(out),
+        ])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["x_axis"] == "M"
+        (series,) = payload["series"]  # one curve over M, not one point per M
+        assert series["x"] == [8, 16]
+        assert series["label"] == "esvc/mmpdf N=32 G=1"
+
     def test_axis_over_config_field(self, tmp_path):
         out = tmp_path / "ber.csv"
         rc = main([

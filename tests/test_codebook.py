@@ -8,7 +8,34 @@ from svcim.codebook import (
     column_coherence,
     generate_codebook,
     generate_set,
+    require_pow2,
 )
+from svcim.link import SystemConfig
+from svcim.transceiver import ofdm_demodulate, ofdm_modulate
+
+
+class TestPowerOfTwo:
+    """``require_pow2`` is the one power-of-two rule; each caller names its field."""
+
+    CALLERS = {
+        "SystemConfig.N": ("N", lambda n: SystemConfig(N=n)),
+        "SystemConfig.G": ("G", lambda n: SystemConfig(scheme="secbim", G=n)),
+        "CodebookSet": ("G", lambda n: CodebookSet(tuple(Codebook(np.ones((2, 2)))
+                                                          for _ in range(n)))),
+        "ofdm_modulate": ("N", lambda n: ofdm_modulate(np.zeros(n, complex), 0)),
+        "ofdm_demodulate": ("N", lambda n: ofdm_demodulate(np.zeros(n, complex), 0)),
+    }
+
+    @pytest.mark.parametrize("n", [0, 3, 48])
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_callers_reject_and_name_the_field(self, caller, n):
+        name, call = self.CALLERS[caller]
+        with pytest.raises(ValueError, match=f"^{name} must be a power of two, got {n}$"):
+            call(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 1 << 40])
+    def test_powers_of_two_pass(self, n):
+        require_pow2(n, "N")
 
 
 class TestGeneration:

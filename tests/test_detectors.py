@@ -32,7 +32,13 @@ from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
-from oracles import dense, reference_ml_candidates, reference_mmp_df, reference_omp
+from oracles import (
+    dense,
+    reference_ml_candidates,
+    reference_mmp_df,
+    reference_mmp_df_lstsq,
+    reference_omp,
+)
 
 
 def _noiseless():
@@ -393,7 +399,7 @@ class TestGramSearchMatchesReference:
                 ctx = LinkContext.for_config(cfg)
                 rng = np.random.default_rng([case, int(min(ebn0, 99))])
                 for i in range(self.FRAMES):
-                    _, msg, y, ch = transmit_frame(cfg, rng, ctx)
+                    _, msg, y, ch = transmit_frame(ctx, rng)
                     h = ch.cfr
                     if i % 4 == 3:  # near-degenerate channel, same message
                         x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
@@ -442,6 +448,49 @@ class TestGramSearchMatchesReference:
                 assert _stop_reason(y_hat, params, est) == _stop_reason(y_hat, params, ref)
                 assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9, abs=1e-9)
                 assert np.allclose(est.coeffs, ref.coeffs, rtol=1e-9, atol=1e-9)
+
+
+class TestDeepFadeDecisionsMatchLstsq:
+    """The search solves normal equations, which square the condition number
+    of the K active columns. On deep fades its decisions must still equal
+    those of the same search with every fit by ``np.linalg.lstsq``
+    (``oracles.reference_mmp_df_lstsq``)."""
+
+    K3 = dict(mmp_omega=3, mmp_lam=0.05, mmp_upsilon=4, mmp_relative_stop=False)
+    CASES = ((1, 2, {}), (4, 2, {}), (1, 3, K3), (4, 3, K3))  # (G, K, search knobs)
+    EBN0 = (0.0, 5.0, 10.0, 20.0, math.inf)
+    FRAMES = 104  # per case and Eb/N0: 2080 frames, half of each fade
+
+    def _frames(self):
+        """(y, h, ctx) per frame: even frames take the zeroed and 1e-6 bins of
+        ``TestGramSearchMatchesReference._degrade``, odd frames |h| cubed."""
+        for case, (g, k, knobs) in enumerate(self.CASES):
+            for ebn0 in self.EBN0:
+                cfg = SystemConfig(scheme="secbim", G=g, N=64, M=32, K=k, ebn0_db=ebn0,
+                                   seed=case, **knobs)
+                ctx = LinkContext.for_config(cfg)
+                rng = np.random.default_rng([7, case, int(min(ebn0, 99))])
+                for i in range(self.FRAMES):
+                    _, msg, _, ch = transmit_frame(ctx, rng)
+                    if i % 2:
+                        h = ch.cfr * np.abs(ch.cfr) ** 2
+                    else:
+                        h = TestGramSearchMatchesReference._degrade(ch.cfr, rng)
+                    x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
+                    yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng), h, ctx
+
+    def test_decisions_agree(self, monkeypatch):
+        decode = TestGramSearchMatchesReference._decode
+        frames = differ = 0
+        for y, h, ctx in self._frames():
+            det, log = decode(monkeypatch, mmp_df, y, h, ctx)
+            ref, ref_log = decode(monkeypatch, reference_mmp_df_lstsq, y, h, ctx)
+            assert [est.support for _, est in log] == [est.support for _, est in ref_log]
+            differ += ((det.d_hat, det.l_hat, det.g_hat) != (ref.d_hat, ref.l_hat, ref.g_hat)
+                       or not np.array_equal(det.bits, ref.bits))
+            frames += 1
+        assert frames >= 2000
+        assert differ == 0
 
 
 class TestSymbolSetDecision:
@@ -638,6 +687,33 @@ class TestSecbimDecode:
             y = apply_freq(x, ch, noise, rng)
             wrong += secbim_decode(y, ch.cfr, books, space, sets, params).g_hat != g
         assert wrong / n_trials < 1e-3
+
+
+class TestSparsityAgreement:
+    """``params.k``, ``space.K`` and the symbol sets each hold K; the decoder
+    names the two that disagree instead of failing inside numpy."""
+
+    @staticmethod
+    def _frame():
+        cfg = SystemConfig(scheme="secbim", G=2, N=32, M=16, K=2, ebn0_db=10.0)
+        ctx = LinkContext.for_config(cfg)
+        _, _, y, ch = transmit_frame(ctx, np.random.default_rng(0))
+        return ctx, y, ch.cfr
+
+    def test_decode_params_k_against_space(self):
+        ctx, y, h = self._frame()
+        with pytest.raises(ValueError, match=r"^params\.k = 3 but space\.K = 2$"):
+            secbim_decode(y, h, ctx.books, ctx.space, ctx.sets, MmpDfParams(k=3))
+
+    def test_decode_sets_against_params_k(self):
+        ctx, y, h = self._frame()
+        with pytest.raises(ValueError, match=r"^params\.k = 2 but sets hold 3 symbols$"):
+            secbim_decode(y, h, ctx.books, ctx.space, SymbolSets.default(3), ctx.mmp)
+
+    def test_metrics_params_k_against_sets(self):
+        ctx, y, h = self._frame()
+        with pytest.raises(ValueError, match=r"^params\.k = 3 but sets hold 2 symbols$"):
+            secbim_joint_metrics(y, h, ctx.books, ctx.sets, MmpDfParams(k=3))
 
 
 class TestMlDetectors:

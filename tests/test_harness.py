@@ -57,6 +57,11 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             small_plan(sweep_axis="N", values=(32, 48))
 
+    @pytest.mark.parametrize("name", ["min_errors", "max_trials", "shard_trials"])
+    def test_limit_below_one_named(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            small_plan(**{name: 0})
+
     def test_axis_substitution(self):
         plan = small_plan(sweep_axis="M", values=(16, 64))
         assert plan.config_at(64).M == 64
@@ -235,12 +240,12 @@ class TestEmission:
     def test_emit_csv_and_plot_files(self, tmp_path):
         records = self._records()
         csv_path = tmp_path / "out.csv"
-        emit_results(records, "csv", csv_path)
+        emit_results(records, "csv", csv_path, "ebn0_db")
         with open(csv_path) as fh:
             assert read_ber_csv(fh) == records
 
         plot_path = tmp_path / "out.json"
-        emit_results(records, "plot", plot_path)
+        emit_results(records, "plot", plot_path, "ebn0_db")
         payload = json.loads(plot_path.read_text())
         assert payload["x_axis"] == "ebn0_db"
         (series,) = payload["series"]
@@ -251,7 +256,7 @@ class TestEmission:
         rec = BerRecord(
             config=SystemConfig(), trials=10, bit_errors=0, wall_ns_per_decode=0.0,
         )
-        payload = plot_description([rec])
+        payload = plot_description([rec], "ebn0_db")
         assert payload["series"][0]["log10_ber"] == [None]
 
     def test_search_knobs_split_plot_series(self):
@@ -261,16 +266,16 @@ class TestEmission:
                       bit_errors=1, wall_ns_per_decode=0.0)
             for omega in (2, 3) for snr in (0.0, 6.0)
         ]
-        series = plot_description(records)["series"]
+        series = plot_description(records, "ebn0_db")["series"]
         assert [s["x"] for s in series] == [[0.0, 6.0], [0.0, 6.0]]
 
     def test_emit_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_results([], "xml", tmp_path / "x")
+            emit_results([], "xml", tmp_path / "x", "ebn0_db")
 
     def test_emit_surfaces_path_errors(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
-            emit_results([], "csv", tmp_path / "no/such/dir/x.csv")
+            emit_results([], "csv", tmp_path / "no/such/dir/x.csv", "ebn0_db")
 
 
 class TestRunTiming:

@@ -49,7 +49,7 @@ class TestApSpace:
     def test_m4_k2_sizes(self):
         space = ApSpace(M=4, K=2)
         assert space.n_combos == 6
-        assert space.a_floor == 2
+        assert space.m_bits - 1 == 2  # floor(log2 C(M, K)): bits without reuse
         assert space.m_bits == 3
         assert space.n_reused == 2
 
@@ -65,7 +65,7 @@ class TestApSpace:
                 ApSpace(M=m, K=k)
             return
         space = ApSpace(M=m, K=k)
-        assert 2 ** space.a_floor <= space.n_combos < 2 ** (space.a_floor + 1)
+        assert 2 ** (space.m_bits - 1) <= space.n_combos < 2 ** space.m_bits
         assert 0 <= space.n_reused <= space.n_combos
 
     def test_rejects_degenerate(self):

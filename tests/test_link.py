@@ -51,6 +51,20 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,field", [(dict(N=1), "L"), (dict(N=1, L=0), "v")])
+    def test_one_subcarrier_rejected(self, kwargs, field):
+        # N = 1 passes the power-of-two rule and fails on L < N or on 1 <= v <= L
+        with pytest.raises(ValueError, match=f"got {field}="):
+            SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(K=0), "^K must be >= 1, got 0$"),
+        (dict(K=64, M=64), "^K must be < M, got K=64, M=64$"),
+    ])
+    def test_k_against_m_is_the_pattern_space_rule(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**kwargs)
+
     def test_hashable_for_caching(self):
         assert len({SystemConfig(), SystemConfig(), SystemConfig(N=128)}) == 2
 
@@ -90,7 +104,7 @@ class TestRunFrame:
         ctx = LinkContext.for_config(cfg)
         for seed in (0, 1, 2, 99):
             trace = run_frame(cfg, np.random.default_rng(seed), ctx)
-            assert np.array_equal(trace.tx_bits, trace.rx_bits)
+            assert np.array_equal(trace.tx_bits, trace.detection.bits)
 
     def test_deterministic_given_seed(self):
         cfg = SystemConfig(N=32, M=32, ebn0_db=4.0)
@@ -98,7 +112,7 @@ class TestRunFrame:
         t1 = run_frame(cfg, np.random.default_rng(5), ctx)
         t2 = run_frame(cfg, np.random.default_rng(5), ctx)
         assert np.array_equal(t1.tx_bits, t2.tx_bits)
-        assert np.array_equal(t1.rx_bits, t2.rx_bits)
+        assert np.array_equal(t1.detection.bits, t2.detection.bits)
         assert np.array_equal(t1.ch.cir, t2.ch.cir)
         assert t1.detection.d_hat == t2.detection.d_hat
 
@@ -110,7 +124,7 @@ class TestRunFrame:
             ctx = LinkContext.for_config(cfg)
             trace = run_frame(cfg, np.random.default_rng(0), ctx)
             assert len(trace.tx_bits) == bits_per_symbol(cfg)
-            assert len(trace.rx_bits) == bits_per_symbol(cfg)
+            assert len(trace.detection.bits) == bits_per_symbol(cfg)
 
     def test_secbim_bit_split(self):
         cfg = SystemConfig(scheme="secbim", N=32, M=16, G=8, ebn0_db=NOISELESS)
@@ -120,7 +134,7 @@ class TestRunFrame:
             m1 = 3
             # leading bits picked the codebook, and the codec saw the rest
             assert trace.msg.g == 1 + int("".join(map(str, trace.tx_bits[:m1])), 2)
-            assert np.array_equal(trace.tx_bits, trace.rx_bits)
+            assert np.array_equal(trace.tx_bits, trace.detection.bits)
 
     def test_channel_paths_agree_without_noise(self):
         freq_cfg = SystemConfig(N=64, M=64, ebn0_db=NOISELESS, channel_path="freq")
@@ -133,7 +147,7 @@ class TestRunFrame:
             assert np.array_equal(tf.tx_bits, tt.tx_bits)  # same stream consumption
             assert tf.detection.d_hat == tt.detection.d_hat
             assert tf.detection.l_hat == tt.detection.l_hat
-            assert np.array_equal(tf.rx_bits, tt.rx_bits)
+            assert np.array_equal(tf.detection.bits, tt.detection.bits)
 
     def test_time_path_noisy_loopback_at_high_snr(self):
         cfg = SystemConfig(N=64, M=64, ebn0_db=40.0, channel_path="time")
@@ -141,7 +155,25 @@ class TestRunFrame:
         rng = np.random.default_rng(3)
         for _ in range(50):
             trace = run_frame(cfg, rng, ctx)
-            assert np.array_equal(trace.tx_bits, trace.rx_bits)
+            assert np.array_equal(trace.tx_bits, trace.detection.bits)
+
+    @pytest.mark.parametrize("change,differ", [
+        (dict(ebn0_db=40.0, detector="ml"), "ebn0_db, detector"),
+        (dict(channel_path="time"), "channel_path"),
+        (dict(mmp_lam=0.2), "mmp_lam"),
+    ])
+    def test_context_for_another_config_rejected(self, change, differ):
+        cfg = SystemConfig(N=32, M=16, ebn0_db=0.0)
+        ctx = LinkContext.for_config(replace(cfg, **change))
+        with pytest.raises(ValueError, match=f"another config: {differ} differ from cfg"):
+            run_frame(cfg, np.random.default_rng(0), ctx)
+
+    def test_context_for_an_equal_config_accepted(self):
+        cfg = SystemConfig(N=32, M=16, ebn0_db=NOISELESS)
+        ctx = LinkContext.for_config(replace(cfg))
+        assert ctx.cfg is not cfg
+        trace = run_frame(cfg, np.random.default_rng(0), ctx)
+        assert np.array_equal(trace.tx_bits, trace.detection.bits)
 
 
 class TestSharedTables:
