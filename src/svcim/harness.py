@@ -133,8 +133,8 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
-def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int, n_trials: int,
-               measure_time: bool) -> tuple[int, int, int]:
+def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int,
+               n_trials: int) -> tuple[int, int, int]:
     """Simulate one shard; returns (trials, bit_errors, decode_ns_total)."""
     ctx = LinkContext.for_config(cfg)
     rng = np.random.default_rng(
@@ -145,18 +145,16 @@ def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int, n_trials: int,
     for _ in range(n_trials):
         trace = run_frame(cfg, rng, ctx)
         errors += int(np.count_nonzero(trace.tx_bits != trace.detection.bits))
-        if measure_time:
-            decode_ns += trace.decode_ns
+        decode_ns += trace.decode_ns
     return n_trials, errors, decode_ns
 
 
-def _shard_results(pool, workers: int, plan: SweepPlan, cfg: SystemConfig, point_idx: int,
-                   measure_time: bool):
+def _shard_results(pool, workers: int, plan: SweepPlan, cfg: SystemConfig, point_idx: int):
     """A point's shard results in shard order: in-process without a pool,
     otherwise from ``pool`` with at most ``workers`` shards submitted and
     unfinished. A shard is submitted only when the consumer asks for the
     next result; those still running when it stops are left to finish."""
-    jobs = ((cfg, point_idx, i, min(plan.shard_trials, plan.max_trials - start), measure_time)
+    jobs = ((cfg, point_idx, i, min(plan.shard_trials, plan.max_trials - start))
             for i, start in enumerate(range(0, plan.max_trials, plan.shard_trials)))
     if pool is None:
         yield from starmap(_run_shard, jobs)
@@ -172,7 +170,9 @@ def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
     """Run every sweep point to its stop criterion and return the records.
 
     One accumulation loop serves every worker count; with more than one
-    worker, one process pool runs the shards of the whole sweep.
+    worker, one process pool runs the shards of the whole sweep. Every
+    decode is timed; ``wall_ns_per_decode`` is the mean of those times, or
+    0.0 with ``measure_time=False``, which makes the CSV reproducible.
     """
     workers = _worker_count(workers)
     records = []
@@ -188,14 +188,15 @@ def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
             trials = bit_errors = decode_ns = 0
             # consumed strictly in shard order, so the stop point does not
             # depend on scheduling
-            for t, e, ns in _shard_results(pool, workers, plan, cfg, point_idx, measure_time):
+            for t, e, ns in _shard_results(pool, workers, plan, cfg, point_idx):
                 trials += t
                 bit_errors += e
-                decode_ns += ns  # stays 0 without measure_time
+                decode_ns += ns
                 if bit_errors >= plan.min_errors:
                     break
+            wall_ns = decode_ns / trials if measure_time else 0.0
             records.append(BerRecord(config=cfg, trials=trials, bit_errors=bit_errors,
-                                     wall_ns_per_decode=decode_ns / trials))
+                                     wall_ns_per_decode=wall_ns))
     return records
 
 

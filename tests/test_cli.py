@@ -1,10 +1,13 @@
 """Command-line surface: flag plumbing, outputs, exit codes."""
 import csv
 import json
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from svcim.cli import _config_from_args, build_parser, main
+from svcim.cli import _config_from_args, _sweep_plan, build_parser, main
 from svcim.harness import read_ber_csv
 from svcim.link import SystemConfig
 
@@ -152,6 +155,19 @@ class TestTimingCommand:
         assert row["mmp_omega"] == "3"
         assert row["channel_path"] == "time"
 
+    def test_axis_over_book_count(self, tmp_path):
+        out = tmp_path / "timing.csv"
+        rc = main([
+            "timing", "--scheme", "secbim", "--N", "32", "--M", "16",
+            "--axis", "G", "--values", "1,2", "--detectors", "mmpdf",
+            "--decodes", "10", "--warmup", "0", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["G"] for row in rows] == ["1", "2"]
+        assert {row["scheme"] for row in rows} == {"secbim"}
+
     def test_unknown_detector_fails(self, tmp_path):
         rc = main([
             "timing", "--N", "32", "--M", "16", "--values", "16",
@@ -188,3 +204,28 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code != 0
+
+
+def _readme_experiment_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("svcim ")]
+
+
+def test_readme_experiments_build_their_sweeps():
+    # no script runs these figure commands, so this keeps them current:
+    # each parses and builds every config it would run, without simulating
+    commands = _readme_experiment_commands()
+    assert {argv[0] for argv in commands} == {"ber", "timing"}
+    outs = []
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if args.command == "ber":
+            _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
+        else:
+            plan = _sweep_plan(args)
+            for value in plan.values:
+                for detector in args.detectors.split(","):
+                    replace(plan.config_at(value), detector=detector)
+        outs.append(args.out)
+    assert len(set(outs)) == len(outs)  # one file per series

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,13 +119,21 @@ class TestRunBerSweep:
         parallel = run_ber_sweep(plan, workers=4, measure_time=False)
         assert serial == parallel
 
+    def test_measure_time_sets_only_the_wall_column(self):
+        plan = small_plan()
+        timed = run_ber_sweep(plan)
+        untimed = run_ber_sweep(plan, measure_time=False)
+        assert all(rec.wall_ns_per_decode > 0 for rec in timed)
+        assert [rec.wall_ns_per_decode for rec in untimed] == [0.0, 0.0]
+        assert untimed == [replace(rec, wall_ns_per_decode=0.0) for rec in timed]
+
     def test_in_flight_shards_bounded_by_workers(self, monkeypatch):
         # a fake shard that reaches min_errors at once and records how many
         # shards ran, and how many at the same time, on a pool with spare
         # threads
         ran, running, peak, lock = [], [0], [0], threading.Lock()
 
-        def fake_shard(cfg, point_idx, shard_idx, n_trials, measure_time):
+        def fake_shard(cfg, point_idx, shard_idx, n_trials):
             with lock:
                 ran.append(shard_idx)
                 running[0] += 1
@@ -138,14 +147,14 @@ class TestRunBerSweep:
         plan = small_plan(values=(0.0,), max_trials=2_000, shard_trials=100)
         cfg = plan.config_at(0.0)
         with ThreadPoolExecutor(8) as pool:
-            for result in harness._shard_results(pool, 2, plan, cfg, 0, False):
+            for result in harness._shard_results(pool, 2, plan, cfg, 0):
                 break  # the point stops at its first shard
         assert result == (100, 25, 0)
         assert len(ran) <= 2
 
         ran.clear()
         with ThreadPoolExecutor(8) as pool:
-            results = list(harness._shard_results(pool, 2, plan, cfg, 0, False))
+            results = list(harness._shard_results(pool, 2, plan, cfg, 0))
         assert len(results) == len(ran) == 20
         assert peak[0] <= 2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svcim import detectors
 from svcim.link import (
     LinkContext,
     SystemConfig,
@@ -174,6 +175,55 @@ class TestRunFrame:
         assert ctx.cfg is not cfg
         trace = run_frame(cfg, np.random.default_rng(0), ctx)
         assert np.array_equal(trace.tx_bits, trace.detection.bits)
+
+
+class TestSearchesPerDecode:
+    """Search work per decode, counted on link frames: linear in G, flat in M.
+
+    The deterministic counterpart of the wall-clock ratio in
+    ``test_harness.py::TestRunTiming::test_secbim_time_scales_with_books``.
+    """
+
+    FRAMES = 20
+
+    def searches(self, monkeypatch, cfg):
+        """Each decode's (sensing, estimate) pairs, one per MMP-DF search."""
+        calls = []
+        real = detectors.mmp_df
+
+        def counted(y_hat, psi, params):
+            est = real(y_hat, psi, params)
+            calls.append((psi, est))
+            return est
+
+        monkeypatch.setattr(detectors, "mmp_df", counted)
+        ctx = LinkContext.for_config(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        per_decode = []
+        for _ in range(self.FRAMES):
+            start = len(calls)
+            run_frame(cfg, rng, ctx)
+            per_decode.append(calls[start:])
+        return ctx, per_decode
+
+    @pytest.mark.parametrize("ebn0", [0.0, NOISELESS])
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_one_search_per_book(self, monkeypatch, g, ebn0):
+        cfg = SystemConfig(scheme="secbim", G=g, N=64, M=64, ebn0_db=ebn0, seed=3)
+        ctx, per_decode = self.searches(monkeypatch, cfg)
+        books = ctx.books.books
+        for decode in per_decode:
+            assert len(decode) == g
+            # book by book, in book order
+            assert all(psi.entries is book.entries for (psi, _), book in zip(decode, books))
+            assert all(1 <= est.ls_solves <= cfg.mmp_upsilon for _, est in decode)
+
+    @pytest.mark.parametrize("m", [16, 64, 128])
+    def test_one_search_whatever_m(self, monkeypatch, m):
+        cfg = SystemConfig(N=64, M=m, ebn0_db=4.0, seed=3)
+        _, per_decode = self.searches(monkeypatch, cfg)
+        assert [len(decode) for decode in per_decode] == [1] * self.FRAMES
+        assert all(1 <= decode[0][1].ls_solves <= cfg.mmp_upsilon for decode in per_decode)
 
 
 class TestSharedTables:
