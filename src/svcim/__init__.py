@@ -1,7 +1,7 @@
 """Link-level simulator for sparse-vector-coded OFDM with codebook index modulation."""
 
 from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
-from .codebook import Codebook, CodebookSet, column_coherence, generate_set
+from .codebook import column_coherence, generate_set
 from .detectors import (
     DetectionResult,
     MmpDfParams,
@@ -37,8 +37,6 @@ __all__ = [
     "ApSpace",
     "BerRecord",
     "ChannelRealization",
-    "Codebook",
-    "CodebookSet",
     "DetectionResult",
     "FrameTrace",
     "LinkContext",

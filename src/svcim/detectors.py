@@ -12,18 +12,19 @@ Both detectors handle any number of codebooks G; the single-codebook scheme
 is the case G = 1.
 
 Index convention: supports and sparse-estimate indices are 1-based, like
-``SparseMessage.indices``; matrix columns are 0-based internally.
+``SparseMessage.indices``; matrix columns are 0-based internally. The books
+are one (G, N, M) array, and the 1-based codebook index g of
+``DetectionResult.g_hat`` names ``books[g - 1]``.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .codebook import Codebook, CodebookSet
+from .codebook import require_pow2
 from .index_codec import (
     ApSpace,
     SymbolSets,
@@ -105,8 +106,16 @@ class DetectionResult:
     estimate: SparseEstimate | None = field(default=None, repr=False)
 
 
-def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, n: int) -> None:
-    """Reject a y_freq or h_freq that is not a length-n vector or holds a NaN or inf."""
+def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray,
+                    n: int | None = None) -> None:
+    """Reject ``books`` unless it is a (G, N, M) array with G a power of two, and a
+    y_freq or h_freq that is not a length-n vector (n defaults to the books' N)
+    or holds a NaN or inf."""
+    if np.ndim(books) != 3:
+        raise ValueError(f"books must be a (G, N, M) array, got shape {np.shape(books)}")
+    require_pow2(len(books), "G")
+    if n is None:
+        n = books.shape[1]
     for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
         if np.shape(arr) != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {np.shape(arr)}")
@@ -117,13 +126,14 @@ def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, n: int) -> None:
             raise ValueError(f"{name} holds a NaN or inf")
 
 
-def _result(books: CodebookSet, space: ApSpace, g_hat: int, d_hat: int, extended: bool,
+def _result(books: np.ndarray, space: ApSpace, g_hat: int, d_hat: int, extended: bool,
             metric: float, estimate: SparseEstimate | None = None) -> DetectionResult:
     """A (book position, rank, symbol-set flag) decision and its bits.
 
     The first log2(G) bits carry ``g_hat - 1``, the rest the pattern word.
     """
-    bits = int_to_bits(g_hat - 1, books.G.bit_length() - 1) + decode_to_bits(d_hat, extended, space)
+    m1 = len(books).bit_length() - 1
+    bits = int_to_bits(g_hat - 1, m1) + decode_to_bits(d_hat, extended, space)
     return DetectionResult(
         d_hat=d_hat,
         l_hat=2 if extended else 1,
@@ -148,14 +158,14 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.angle(h)) * y
 
 
-def sensing_matrix(h_freq: np.ndarray, book: Codebook, k: int) -> Sensing:
+def sensing_matrix(h_freq: np.ndarray, book: np.ndarray, k: int) -> Sensing:
     """diag(|h|) C / sqrt(k), the matrix the co-phased block is sparse in, factored."""
     h = np.asarray(h_freq)
-    if len(h) != book.n:
-        raise ValueError(f"channel length {len(h)} != codebook rows {book.n}")
+    if len(h) != len(book):
+        raise ValueError(f"channel length {len(h)} != codebook rows {len(book)}")
     if k < 1:
         raise ValueError(f"sparsity k must be >= 1, got {k}")
-    return Sensing(book.entries, np.abs(h) / math.sqrt(k))
+    return Sensing(book, np.abs(h) / math.sqrt(k))
 
 
 def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
@@ -346,25 +356,25 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 def secbim_joint_metrics(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
-    books: CodebookSet,
+    books: np.ndarray,
     sets: SymbolSets,
     params: MmpDfParams,
 ) -> tuple[np.ndarray, list[SparseEstimate]]:
     """The 2G decision metrics behind the joint decode, one row per book.
 
-    Each book gets its own sparse recovery; row g holds the squared
-    distances from that recovery's K least-squares amplitudes to the
-    original and to the extended symbol set: the distance between the
-    length-M estimate and each set placed on its support, as both are zero
-    off the support. ``params.k`` must equal the length of the sets.
+    ``books`` is the (G, N, M) set. Each book gets its own sparse recovery;
+    row g - 1 holds the squared distances from book g's K least-squares
+    amplitudes to the original and to the extended symbol set: the distance
+    between the length-M estimate and each set placed on its support, as
+    both are zero off the support. ``params.k`` must equal the length of the sets.
     """
     if params.k != len(sets.original):
         raise ValueError(f"params.k = {params.k} but sets hold {len(sets.original)} symbols")
-    _require_inputs(y_freq, h_freq, books.books[0].n)
+    _require_inputs(y_freq, h_freq, books)
     y_hat = cophase(y_freq, h_freq)
     estimates: list[SparseEstimate] = []
-    coeffs = np.empty((books.G, params.k), dtype=np.complex128)
-    for gi, book in enumerate(books.books):
+    coeffs = np.empty((len(books), params.k), dtype=np.complex128)
+    for gi, book in enumerate(books):
         psi = sensing_matrix(h_freq, book, params.k)
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
@@ -376,7 +386,7 @@ def secbim_joint_metrics(
 def secbim_decode(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
-    books: CodebookSet,
+    books: np.ndarray,
     space: ApSpace,
     sets: SymbolSets,
     params: MmpDfParams,
@@ -419,7 +429,7 @@ class MlCandidates:
 
 
 def build_ml_candidates(
-    books: Sequence[Codebook],
+    books: np.ndarray,
     space: ApSpace,
     sets: SymbolSets,
 ) -> MlCandidates:
@@ -431,7 +441,7 @@ def build_ml_candidates(
     scaled by 1/sqrt(K): each product is an exact +-1 times a symbol, so the
     rows equal spreading the length-M sparse vector with a full product.
     """
-    if not books:
+    if len(books) == 0:
         raise ValueError("books must hold at least one codebook")
     n_words = 1 << space.m_bits
     rows = len(books) * n_words
@@ -443,15 +453,13 @@ def build_ml_candidates(
     cols = np.array([rank_to_combo(d, space) for d in range(space.n_combos)]) - 1
     cols = np.concatenate([cols, cols[:space.n_reused]])  # (n_words, K), 0-based
     symbols = np.repeat(sets.rows, [space.n_combos, space.n_reused], axis=0)
-    inv_sqrt_k = 1.0 / math.sqrt(space.K)
-    spread = np.empty((rows, books[0].n), dtype=np.complex128)
-    for g, book in enumerate(books):
-        book_cols = book.entries.T  # row j is column j of the book
-        # summed onto +0 like a BLAS product, so a zero part is never -0
-        acc = np.zeros((n_words, book.n), dtype=np.complex128)
-        for k in range(space.K):
-            acc += book_cols[cols[:, k]] * symbols[:, k, None]
-        np.multiply(acc, inv_sqrt_k, out=spread[g * n_words:(g + 1) * n_words])
+    book_cols = books.transpose(0, 2, 1)  # [g - 1, j] is column j of book g
+    # summed onto +0 like a BLAS product, so a zero part is never -0
+    acc = np.zeros((len(books), n_words, book_cols.shape[2]), dtype=np.complex128)
+    for k in range(space.K):
+        acc += book_cols[:, cols[:, k]] * symbols[:, k, None]
+    acc *= 1.0 / math.sqrt(space.K)
+    spread = acc.reshape(rows, -1)
     return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)
 
 
@@ -468,15 +476,16 @@ def _ml_metrics(y_freq: np.ndarray, h_freq: np.ndarray, cand: MlCandidates) -> n
 def ml_secbim(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
-    books: CodebookSet,
+    books: np.ndarray,
     space: ApSpace,
     cand: MlCandidates,
 ) -> DetectionResult:
     """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1."""
+    _require_inputs(y_freq, h_freq, books, cand.spread.shape[1])
     n_words = 1 << space.m_bits
-    if len(cand.spread) != books.G * n_words:
-        raise ValueError(f"cand holds {len(cand.spread)} rows, G * 2**m_bits is {books.G * n_words}")
-    _require_inputs(y_freq, h_freq, cand.spread.shape[1])
+    if len(cand.spread) != len(books) * n_words:
+        raise ValueError(f"cand holds {len(cand.spread)} rows, G * 2**m_bits is "
+                         f"{len(books) * n_words}")
     metrics = _ml_metrics(y_freq, h_freq, cand)
     i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
     g0, word = divmod(i, n_words)

@@ -83,12 +83,26 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """One Monte Carlo result row; ``m``, ``ber`` and ``ci95`` are derived."""
+    """One Monte Carlo result row; ``m``, ``ber`` and ``ci95`` are derived.
+
+    A row that no run can produce (no trials, bit errors outside
+    [0, trials * m], a negative or NaN time) is a ``ValueError`` naming the
+    field, also when it is read from a file.
+    """
 
     config: SystemConfig
     trials: int
     bit_errors: int
     wall_ns_per_decode: float
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.bit_errors <= self.trials * self.m:
+            raise ValueError(f"bit_errors must lie in [0, trials * m] = "
+                             f"[0, {self.trials * self.m}], got {self.bit_errors}")
+        if not self.wall_ns_per_decode >= 0:  # NaN fails too
+            raise ValueError(f"wall_ns_per_decode must be >= 0, got {self.wall_ns_per_decode}")
 
     @property
     def m(self) -> int:
@@ -301,6 +315,8 @@ def plot_description(records, axis_field: str) -> dict:
     ``SweepPlan.axis_field``; records that differ only in it form one series,
     whose label leaves it out.
     """
+    if axis_field not in field_types(SystemConfig):
+        raise ValueError(f"axis_field must be a SystemConfig field, got {axis_field!r}")
     series: dict = {}
     for rec in records:
         cfg = rec.config

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import detectors
 from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
-from .codebook import CodebookSet, generate_set, require_pow2
+from .codebook import generate_set, require_pow2
 from .detectors import DetectionResult, MlCandidates, MmpDfParams, build_ml_candidates
 from .index_codec import ApSpace, SparseMessage, SymbolSets, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
@@ -73,6 +73,8 @@ class SystemConfig:
         if not 1 <= self.v <= self.L:
             raise ValueError(f"need 1 <= v <= L, got v={self.v}, L={self.L}")
         require_pow2(self.G, "G")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
         if np.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
@@ -126,7 +128,7 @@ def _shared_table(seed: int, G: int, N: int, M: int, K: int | None = None):
     """
     if K is None:
         return generate_set(seed, G, N, M)
-    return build_ml_candidates(_shared_table(seed, G, N, M).books, ApSpace(M=M, K=K),
+    return build_ml_candidates(_shared_table(seed, G, N, M), ApSpace(M=M, K=K),
                                SymbolSets.default(K))
 
 
@@ -143,7 +145,7 @@ class LinkContext:
     cfg: SystemConfig
     space: ApSpace
     sets: SymbolSets
-    books: CodebookSet
+    books: np.ndarray  # read-only (G, N, M); book g is books[g - 1]
     noise: NoiseSpec
     mmp: MmpDfParams
     ml: MlCandidates | None
@@ -177,7 +179,7 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
     msg = encode_bits(bits[m1:], ctx.space, g=1 + bits_to_int(bits[:m1]))
 
     s = build_sparse_vector(msg, ctx.sets, cfg.M)
-    x_freq = spread(s, ctx.books[msg.g])
+    x_freq = spread(s, ctx.books[msg.g - 1])
     ch = draw_channel(cfg.v, cfg.N, rng)
 
     if cfg.channel_path == "time":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, require_pow2
+from .codebook import require_pow2
 from .index_codec import SparseMessage, SymbolSets
 
 
@@ -39,19 +39,19 @@ def build_sparse_vector(msg: SparseMessage, sets: SymbolSets, m: int) -> SparseV
     return SparseVector(values=values, support=msg.indices)
 
 
-def spread(s: SparseVector, book: Codebook) -> np.ndarray:
+def spread(s: SparseVector, book: np.ndarray) -> np.ndarray:
     """Spread the sparse vector over all N subcarriers: (1/sqrt(K)) C s.
 
     Only the K active columns of C are multiplied, so the book is never
     cast to complex as a whole.
     """
-    if book.m != len(s.values):
-        raise ValueError(f"codebook width {book.m} != sparse vector length {len(s.values)}")
+    if book.shape[1] != len(s.values):
+        raise ValueError(f"codebook width {book.shape[1]} != sparse vector length {len(s.values)}")
     k = len(s.support)
     if k < 1:
         raise ValueError("sparse vector has empty support")
     idx = [i - 1 for i in s.support]
-    return book.entries.take(idx, axis=1).dot(s.values.take(idx)) / math.sqrt(k)
+    return book.take(idx, axis=1).dot(s.values.take(idx)) / math.sqrt(k)
 
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:

@@ -196,5 +196,5 @@ def reference_ml_candidates(books, space: ApSpace, sets) -> MlCandidates:
         msg = encode_bits(int_to_bits(word, space.m_bits), space)
         vdd[word] = build_sparse_vector(msg, sets, space.M).values
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
-    spread = np.vstack([(vdd @ b.entries.T) * inv_sqrt_k for b in books])
+    spread = np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])
     return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)

@@ -313,7 +313,7 @@ def test_c10_property_suite():
     books = generate_set(5, 1, 32, 16)
     space16 = ApSpace(M=16, K=2)
     msg = encode_bits(int_to_bits(9, space16.m_bits), space16)
-    x = spread(build_sparse_vector(msg, SymbolSets.default(2), 16), books[1])
+    x = spread(build_sparse_vector(msg, SymbolSets.default(2), 16), books[0])
     ch = draw_channel(10, 32, rng)
     y = apply_freq(x, ch, NoiseSpec(ebn0_db=5.0, eb=2.0), rng)
     base_det = secbim_decode(y, ch.cfr, books, space16, SymbolSets.default(2), MmpDfParams())

@@ -1,16 +1,14 @@
-"""Codebook generation: determinism, entry statistics, set invariants, coherence."""
+"""Book generation: determinism, entry statistics, the set array, coherence."""
 import numpy as np
 import pytest
 
 from svcim.codebook import (
-    Codebook,
-    CodebookSet,
     column_coherence,
     generate_codebook,
     generate_set,
     require_pow2,
 )
-from svcim.link import SystemConfig
+from svcim.link import LinkContext, SystemConfig
 from svcim.transceiver import ofdm_demodulate, ofdm_modulate
 
 
@@ -20,8 +18,7 @@ class TestPowerOfTwo:
     CALLERS = {
         "SystemConfig.N": ("N", lambda n: SystemConfig(N=n)),
         "SystemConfig.G": ("G", lambda n: SystemConfig(scheme="secbim", G=n)),
-        "CodebookSet": ("G", lambda n: CodebookSet(tuple(Codebook(np.ones((2, 2)))
-                                                          for _ in range(n)))),
+        "generate_set": ("G", lambda n: generate_set(seed=0, G=n, n=2, m=2)),
         "ofdm_modulate": ("N", lambda n: ofdm_modulate(np.zeros(n, complex), 0)),
         "ofdm_demodulate": ("N", lambda n: ofdm_demodulate(np.zeros(n, complex), 0)),
     }
@@ -42,23 +39,22 @@ class TestGeneration:
     def test_single_book_deterministic(self):
         a = generate_set(seed=1234, G=1, n=4, m=4)
         b = generate_set(seed=1234, G=1, n=4, m=4)
-        assert np.array_equal(a[1].entries, b[1].entries)
-        assert set(np.unique(a[1].entries)) <= {-1.0, 1.0}
+        assert np.array_equal(a, b)
+        assert set(np.unique(a)) <= {-1.0, 1.0}
 
     def test_entries_balanced(self):
         # binomial std of the mean is 1/sqrt(N*M) = 1/128; 0.05 is > 5 sigma
         book = generate_codebook(seed=9, book_id=1, n=128, m=128)
-        assert abs(book.entries.mean()) < 0.05
+        assert abs(book.mean()) < 0.05
 
     def test_books_distinct(self):
         cbs = generate_set(seed=5, G=4, n=16, m=16)
-        assert not np.array_equal(cbs[1].entries, cbs[2].entries)
+        assert not np.array_equal(cbs[0], cbs[1])
 
     def test_book_independent_of_set_size(self):
         small = generate_set(seed=11, G=2, n=8, m=8)
         large = generate_set(seed=11, G=8, n=8, m=8)
-        for g in (1, 2):
-            assert np.array_equal(small[g].entries, large[g].entries)
+        assert np.array_equal(small, large[:2])
 
     def test_g_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -69,38 +65,40 @@ class TestGeneration:
     def test_entries_frozen(self):
         book = generate_codebook(seed=0, book_id=1, n=4, m=4)
         with pytest.raises(ValueError):
-            book.entries[0, 0] = -book.entries[0, 0]
+            book[0, 0] = -book[0, 0]
 
-    def test_rejects_non_sign_entries(self):
+    def test_set_is_one_frozen_array(self):
+        books = generate_set(seed=0, G=2, n=4, m=4)
+        assert books.shape == (2, 4, 4) and books.dtype == np.float64
         with pytest.raises(ValueError):
-            Codebook(entries=np.zeros((2, 2)))
+            books[1, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            books[0][0, 0] = 1.0
 
-    def test_set_index_bounds(self):
-        cbs = generate_set(seed=0, G=2, n=4, m=4)
-        with pytest.raises(ValueError):
-            cbs[0]
-        with pytest.raises(ValueError):
-            cbs[3]
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_book_g_is_row_g_minus_one(self, g):
+        books = generate_set(seed=3, G=4, n=8, m=4)
+        assert np.array_equal(books[g - 1], generate_codebook(3, g, 8, 4))
 
-    def test_set_invariants(self):
-        b1 = generate_codebook(0, 1, 4, 4)
-        b2 = generate_codebook(0, 2, 8, 4)  # different shape
-        with pytest.raises(ValueError):
-            CodebookSet(books=(b1, b2))
+    def test_iterates_over_its_books(self):
+        ctx = LinkContext.for_config(SystemConfig(scheme="secbim", G=2, N=32, M=16))
+        books = list(ctx.books)
+        assert len(books) == 2
+        assert all(book.shape == (32, 16) for book in books)
 
 
 class TestCoherence:
     def test_orthogonal_columns(self):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
-        assert column_coherence(Codebook(entries=hadamard)) == 0.0
+        assert column_coherence(hadamard) == 0.0
 
     def test_duplicate_columns(self):
         dup = np.ones((4, 3))
-        assert column_coherence(Codebook(entries=dup)) == 1.0
+        assert column_coherence(dup) == 1.0
 
     def test_single_column(self):
         one = np.ones((4, 1))
-        assert column_coherence(Codebook(entries=one)) == 0.0
+        assert column_coherence(one) == 0.0
 
     def test_taller_books_less_coherent(self):
         # direct computation, 20 seeds: more rows decorrelate the columns

@@ -2,6 +2,7 @@
 independent OMP oracle, decision rules, ML baselines and scale invariance.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import svcim.detectors
 from svcim.channel import ChannelRealization, NoiseSpec, apply_freq, draw_channel
-from svcim.codebook import (
-    CodebookSet,
-    generate_codebook,
-    generate_set,
-)
+from svcim.codebook import generate_codebook, generate_set
 from svcim.detectors import (
     MmpDfParams,
     Sensing,
@@ -90,7 +87,7 @@ class TestSensingMatrix:
     def test_identity_channel(self):
         book = generate_codebook(2, 1, 8, 4)
         psi = sensing_matrix(np.ones(8), book, k=2)
-        assert np.allclose(dense(psi), book.entries / math.sqrt(2))
+        assert np.allclose(dense(psi), book / math.sqrt(2))
 
     def test_rows_scale_with_gain(self):
         book = generate_codebook(3, 1, 4, 4)
@@ -125,7 +122,7 @@ class TestSensingMatrix:
         book = generate_codebook(k, 1, 64, 32)
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi = sensing_matrix(h, book, k)
-        expected = (np.abs(h) / math.sqrt(k))[:, None] * book.entries
+        expected = (np.abs(h) / math.sqrt(k))[:, None] * book
         assert dense(psi).tobytes() == expected.tobytes()
 
 
@@ -151,7 +148,7 @@ class TestMmpDf:
             params = MmpDfParams(k=1, omega=omega)
             for _ in range(20):
                 h = np.abs(rng.standard_normal(32) + 1j * rng.standard_normal(32))
-                psi = h[:, None] * book.entries
+                psi = h[:, None] * book
                 y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
                 est = mmp_df(y, Sensing(psi, np.ones(32)), params)
                 expected = int(np.argmax(np.abs(psi.conj().T @ y))) + 1
@@ -210,13 +207,13 @@ class TestMmpDf:
             mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4)), MmpDfParams(k=2))
 
     def test_complex_psi_rejected(self):
-        psi = generate_codebook(3, 1, 16, 8).entries * (1 + 1j)
+        psi = generate_codebook(3, 1, 16, 8) * (1 + 1j)
         with pytest.raises(ValueError, match="psi"):
             mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16)), MmpDfParams(k=2))
 
     @pytest.mark.parametrize("field", ["entries", "gains"])
     def test_complex_factor_rejected(self, field):
-        parts = {"entries": generate_codebook(3, 1, 16, 8).entries, "gains": np.ones(16)}
+        parts = {"entries": generate_codebook(3, 1, 16, 8), "gains": np.ones(16)}
         parts[field] = parts[field] * (1 + 1j)
         with pytest.raises(ValueError, match=f"psi {field} must be real"):
             mmp_df(np.ones(16, complex), Sensing(**parts), MmpDfParams(k=2))
@@ -224,7 +221,7 @@ class TestMmpDf:
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
     def test_misshapen_gains_rejected(self, gains):
-        psi = Sensing(generate_codebook(3, 1, 16, 8).entries, gains)
+        psi = Sensing(generate_codebook(3, 1, 16, 8), gains)
         with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
             mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
 
@@ -238,7 +235,7 @@ class TestMmpDf:
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         gains = np.ones(16)
         gains[5] = value
-        psi = Sensing(generate_codebook(3, 1, 16, 8).entries, gains)
+        psi = Sensing(generate_codebook(3, 1, 16, 8), gains)
         with pytest.raises(ValueError, match="NaN or inf"):
             mmp_df(y, psi, MmpDfParams(k=2))
 
@@ -247,7 +244,7 @@ class TestMmpDf:
     def test_non_finite_input_rejected(self, where, value):
         rng = np.random.default_rng(9)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = generate_codebook(3, 1, 16, 8).entries.copy()
+        psi = generate_codebook(3, 1, 16, 8).copy()
         if where == "y_hat":
             y[5] = value
         else:
@@ -260,7 +257,7 @@ class TestMmpDf:
         # relative threshold of 0.95 stops at the first candidate while the
         # same number read as an absolute residual keeps searching
         rng = np.random.default_rng(14)
-        psi = Sensing(generate_codebook(3, 1, 32, 16).entries / math.sqrt(2), np.ones(32))
+        psi = Sensing(generate_codebook(3, 1, 32, 16) / math.sqrt(2), np.ones(32))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y *= 10.0 / np.linalg.norm(y)
         relative = mmp_df(y, psi, MmpDfParams(k=2, omega=2, lam=0.95, upsilon=4))
@@ -274,7 +271,7 @@ class TestMmpDf:
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(15)
-        psi = Sensing(generate_codebook(5, 1, 32, 16).entries, rng.uniform(0.2, 2.0, 32))
+        psi = Sensing(generate_codebook(5, 1, 32, 16), rng.uniform(0.2, 2.0, 32))
         exact = dense(psi)[:, [3, 11]] @ np.array([1 + 1j, -1 + 1j])
         noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for y, omega, upsilon, stop, solves in [
@@ -286,7 +283,7 @@ class TestMmpDf:
             assert (est.stop, est.ls_solves) == (stop, solves)
 
     def test_all_zero_input_is_deterministic(self):
-        psi = Sensing(generate_codebook(13, 1, 16, 8).entries / math.sqrt(2), np.ones(16))
+        psi = Sensing(generate_codebook(13, 1, 16, 8) / math.sqrt(2), np.ones(16))
         est = mmp_df(np.zeros(16, complex), psi, MmpDfParams(k=2))
         assert est.support == (1, 2)  # stable tie-break toward low columns
         assert np.allclose(est.coeffs, 0.0)
@@ -381,7 +378,7 @@ class TestGramSearchMatchesReference:
         ref, ref_log = self._decode(monkeypatch, reference_mmp_df, y, h, ctx)
         assert (det.d_hat, det.l_hat, det.g_hat) == (ref.d_hat, ref.l_hat, ref.g_hat)
         assert np.array_equal(det.bits, ref.bits)
-        assert len(log) == len(ref_log) == ctx.books.G
+        assert len(log) == len(ref_log) == len(ctx.books)
         # residuals from the residual vector: equal to rounding even when tiny
         r_tol = 1e-12 * np.linalg.norm(y)
         for (reason, est), (ref_reason, ref_est) in zip(log, ref_log):
@@ -402,7 +399,7 @@ class TestGramSearchMatchesReference:
                     _, msg, y, ch = transmit_frame(ctx, rng)
                     h = ch.cfr
                     if i % 4 == 3:  # near-degenerate channel, same message
-                        x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
+                        x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g - 1])
                         h = self._degrade(h, rng)
                         y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng)
                     yield y, h, ctx
@@ -476,7 +473,7 @@ class TestDeepFadeDecisionsMatchLstsq:
                         h = ch.cfr * np.abs(ch.cfr) ** 2
                     else:
                         h = TestGramSearchMatchesReference._degrade(ch.cfr, rng)
-                    x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g])
+                    x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g - 1])
                     yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng), h, ctx
 
     def test_decisions_agree(self, monkeypatch):
@@ -500,7 +497,7 @@ class TestSymbolSetDecision:
     def _decode(self, coeffs, n_books=1):
         space = ApSpace(M=16, K=2)
         books = generate_set(5, n_books, 32, 16)
-        psi = sensing_matrix(np.ones(32), books[1], k=2)
+        psi = sensing_matrix(np.ones(32), books[0], k=2)
         y = dense(psi)[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
         det = secbim_decode(y, np.ones(32, complex), books, space, SymbolSets.default(2),
                             MmpDfParams(k=2))
@@ -530,7 +527,7 @@ class TestEsvcDecode:
         space = ApSpace(M=4, K=2)
         sets = SymbolSets.default(2)
         books = generate_set(17, 1, 32, 4)
-        book = books[1]
+        book = books[0]
         params = MmpDfParams(k=2)
         h = np.ones(32, dtype=complex)
         for value in range(8):
@@ -551,7 +548,7 @@ class TestEsvcDecode:
             book, msg, ch, y = _random_message_chain(
                 rng, 64, 64, 10, params, sets, space, seed=trial % 13
             )
-            det = secbim_decode(y, ch.cfr, CodebookSet((book,)), space, sets, params)
+            det = secbim_decode(y, ch.cfr, book[None], space, sets, params)
             assert det.d_hat == msg.d
             assert (det.l_hat == 2) == msg.extended
 
@@ -561,7 +558,7 @@ class TestEsvcDecode:
         sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(23, 1, 64, 64)
-        book = books[1]
+        book = books[0]
         noise = NoiseSpec(ebn0_db=-50.0, eb=80 / space.m_bits)
         errors = total = 0
         for _ in range(400):
@@ -591,7 +588,7 @@ class TestSecbimDecode:
         for _ in range(200):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(1, 3))])
+            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(0, 2))])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
             metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
@@ -622,11 +619,11 @@ class TestSecbimDecode:
         for _ in range(100):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(1, 5))])
+            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(0, 4))])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
             metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
-            per_book = np.empty((books.G, 2))
+            per_book = np.empty((len(books), 2))
             for gi, est in enumerate(estimates):
                 per_book[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
             assert metrics.shape == per_book.shape
@@ -642,7 +639,7 @@ class TestSecbimDecode:
             g = int(rng.integers(1, 5))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 32), books[g])
+            x = spread(build_sparse_vector(msg, sets, 32), books[g - 1])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
             det = secbim_decode(y, ch.cfr, books, space, sets, params)
@@ -661,7 +658,7 @@ class TestSecbimDecode:
             g = int(rng.integers(1, 5))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[g])
+            x = spread(build_sparse_vector(msg, sets, 16), books[g - 1])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
             metrics, _ = secbim_joint_metrics(y, ch.cfr, books, sets, params)
@@ -682,7 +679,7 @@ class TestSecbimDecode:
             g = int(rng.integers(1, 3))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 64), books[g])
+            x = spread(build_sparse_vector(msg, sets, 64), books[g - 1])
             ch = draw_channel(10, 64, rng)
             y = apply_freq(x, ch, noise, rng)
             wrong += secbim_decode(y, ch.cfr, books, space, sets, params).g_hat != g
@@ -722,8 +719,8 @@ class TestMlDetectors:
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
         books = generate_set(43, 1, 32, 16)
-        book = books[1]
-        cand = build_ml_candidates(books.books, space, sets)
+        book = books[0]
+        cand = build_ml_candidates(books, space, sets)
         for value in range(2 ** space.m_bits):
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
@@ -740,7 +737,7 @@ class TestMlDetectors:
         space = ApSpace(M=8, K=2)
         sets = SymbolSets.default(2)
         book = generate_codebook(47, 1, 16, 8)
-        cand = build_ml_candidates([book], space, sets)
+        cand = build_ml_candidates(book[None], space, sets)
         from svcim.detectors import _ml_metrics
 
         for _ in range(20):
@@ -758,8 +755,8 @@ class TestMlDetectors:
         sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(53, 1, 32, 16)
-        book = books[1]
-        cand = build_ml_candidates(books.books, space, sets)
+        book = books[0]
+        cand = build_ml_candidates(books, space, sets)
         noise = NoiseSpec(ebn0_db=30.0, eb=48 / space.m_bits)
         agree = 0
         n_trials = 10_000
@@ -779,11 +776,11 @@ class TestMlDetectors:
         space = ApSpace(M=8, K=2)
         sets = SymbolSets.default(2)
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books.books, space, sets)
+        cand = build_ml_candidates(books, space, sets)
         for g in (1, 2):
             for value in range(2 ** space.m_bits):
                 msg = encode_bits(int_to_bits(value, space.m_bits), space)
-                x = spread(build_sparse_vector(msg, sets, 8), books[g])
+                x = spread(build_sparse_vector(msg, sets, 8), books[g - 1])
                 ch = draw_channel(10, 32, rng)
                 y = apply_freq(x, ch, _noiseless(), rng)
                 det = ml_secbim(y, ch.cfr, books, space, cand)
@@ -792,9 +789,9 @@ class TestMlDetectors:
 
     def test_table_for_another_config_rejected(self):
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books.books, ApSpace(M=8, K=2), SymbolSets.default(2))
+        cand = build_ml_candidates(books, ApSpace(M=8, K=2), SymbolSets.default(2))
         y = np.ones(32, complex)
-        for other_books, space in ((CodebookSet(books.books[:1]), ApSpace(M=8, K=2)),
+        for other_books, space in ((books[:1], ApSpace(M=8, K=2)),
                                    (books, ApSpace(M=8, K=3))):
             with pytest.raises(ValueError, match="cand"):
                 ml_secbim(y, y, other_books, space, cand)
@@ -805,15 +802,15 @@ class TestMlDetectors:
         books = generate_set(73, g, n, m)
         space = ApSpace(M=m, K=k)
         sets = SymbolSets.default(k)
-        cand = build_ml_candidates(books.books, space, sets)
-        ref = reference_ml_candidates(books.books, space, sets)
+        cand = build_ml_candidates(books, space, sets)
+        ref = reference_ml_candidates(books, space, sets)
         for got, want in ((cand.spread, ref.spread), (cand.spread_abs2, ref.spread_abs2)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_table_is_read_only(self):
         books = generate_set(73, 2, 32, 16)
-        cand = build_ml_candidates(books.books, ApSpace(M=16, K=2), SymbolSets.default(2))
+        cand = build_ml_candidates(books, ApSpace(M=16, K=2), SymbolSets.default(2))
         for arr in (cand.spread, cand.spread_abs2):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0
@@ -827,7 +824,7 @@ class TestMlDetectors:
         sets = SymbolSets.default(2)
         book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
-            build_ml_candidates([book], space, sets)
+            build_ml_candidates(book[None], space, sets)
 
 
 class TestNonFiniteInput:
@@ -858,6 +855,20 @@ class TestMismatchedLengths:
             decode_frame(ctx, np.ones(y_shape, dtype=complex), np.ones(h_shape, dtype=complex))
 
 
+class TestMalformedBooks:
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("bad,message", [
+        (lambda books: books[0], r"^books must be a \(G, N, M\) array, got shape \(32, 16\)$"),
+        (lambda books: np.concatenate([books, books[:1]]), "^G must be a power of two, got 3$"),
+    ], ids=["2-D", "three-books"])
+    def test_rejected_by_name(self, detector, bad, message):
+        ctx = LinkContext.for_config(SystemConfig(scheme="secbim", G=2, N=32, M=16,
+                                                  detector=detector))
+        y = np.ones(32, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            decode_frame(replace(ctx, books=bad(ctx.books)), y, y)
+
+
 class TestScaleInvariance:
     @given(st.floats(min_value=0.05, max_value=50.0))
     @settings(max_examples=25, deadline=None)
@@ -870,7 +881,7 @@ class TestScaleInvariance:
         noise = NoiseSpec(ebn0_db=5.0, eb=48 / space.m_bits)
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
-        x = spread(build_sparse_vector(msg, sets, 16), books[1])
+        x = spread(build_sparse_vector(msg, sets, 16), books[0])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
         base = secbim_decode(y, ch.cfr, books, space, sets, params)
@@ -884,10 +895,10 @@ class TestScaleInvariance:
         space = ApSpace(M=16, K=2)
         sets = SymbolSets.default(2)
         books = generate_set(71, 2, 32, 16)
-        cand = build_ml_candidates(books.books, space, sets)
+        cand = build_ml_candidates(books, space, sets)
         noise = NoiseSpec(ebn0_db=5.0, eb=48 / (1 + space.m_bits))
         msg = encode_bits(int_to_bits(9, space.m_bits), space)
-        x = spread(build_sparse_vector(msg, sets, 16), books[2])
+        x = spread(build_sparse_vector(msg, sets, 16), books[1])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
         base = ml_secbim(y, ch.cfr, books, space, cand)

@@ -278,6 +278,39 @@ class TestEmission:
         series = plot_description(records, "ebn0_db")["series"]
         assert [s["x"] for s in series] == [[0.0, 6.0], [0.0, 6.0]]
 
+    CFG = SystemConfig(N=32, M=16)  # 7 bits per frame
+
+    @pytest.mark.parametrize("change,name", [
+        (dict(trials=0), "trials"),
+        (dict(bit_errors=-3), "bit_errors"),
+        (dict(bit_errors=10 * 7 + 1), "bit_errors"),
+        (dict(wall_ns_per_decode=-1.0), "wall_ns_per_decode"),
+        (dict(wall_ns_per_decode=float("nan")), "wall_ns_per_decode"),
+    ])
+    def test_impossible_record_rejected(self, change, name):
+        fields = dict(config=self.CFG, trials=10, bit_errors=70, wall_ns_per_decode=0.0)
+        assert bits_per_symbol(self.CFG) == 7
+        assert BerRecord(**fields).ber == 1.0  # every bit wrong is possible
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            BerRecord(**{**fields, **change})
+
+    @pytest.mark.parametrize("column,text", [("trials", "0"), ("bit_errors", "-3"),
+                                             ("bit_errors", "1000000")])
+    def test_impossible_row_rejected_on_read(self, column, text):
+        buf = io.StringIO()
+        write_ber_csv(self._records()[:1], buf)
+        header, row = buf.getvalue().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = text
+        with pytest.raises(ValueError, match=f"^{column} must"):
+            read_ber_csv(io.StringIO(f"{header}\n{','.join(cells)}\n"))
+
+    def test_plot_axis_must_be_a_config_field(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="axis_field.*'ebn0'"):
+            emit_results(self._records(), "plot", path, "ebn0")
+        assert not path.exists()
+
     def test_emit_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "xml", tmp_path / "x", "ebn0_db")

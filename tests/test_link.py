@@ -45,6 +45,7 @@ class TestSystemConfig:
             dict(mmp_lam=0.0),
             dict(mmp_upsilon=0),
             dict(mmp_lam=float("nan")),
+            dict(seed=-1),  # numpy's seed streams take no negative entropy
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -211,11 +212,12 @@ class TestSearchesPerDecode:
     def test_one_search_per_book(self, monkeypatch, g, ebn0):
         cfg = SystemConfig(scheme="secbim", G=g, N=64, M=64, ebn0_db=ebn0, seed=3)
         ctx, per_decode = self.searches(monkeypatch, cfg)
-        books = ctx.books.books
         for decode in per_decode:
             assert len(decode) == g
-            # book by book, in book order
-            assert all(psi.entries is book.entries for (psi, _), book in zip(decode, books))
+            # book by book, in book order, each a view of the set
+            assert all(np.shares_memory(psi.entries, ctx.books)
+                       and np.array_equal(psi.entries, book)
+                       for (psi, _), book in zip(decode, ctx.books))
             assert all(1 <= est.ls_solves <= cfg.mmp_upsilon for _, est in decode)
 
     @pytest.mark.parametrize("m", [16, 64, 128])
@@ -258,8 +260,7 @@ class TestSharedTables:
 
     def test_shared_arrays_are_read_only(self):
         ctx = LinkContext.for_config(self.BASE)
-        shared = [book.entries for book in ctx.books.books]
-        shared += [ctx.ml.spread, ctx.ml.spread_abs2, ctx.sets.rows]
+        shared = [ctx.books, ctx.ml.spread, ctx.ml.spread_abs2, ctx.sets.rows]
         assert not any(arr.flags.writeable for arr in shared)
 
 
