@@ -15,11 +15,11 @@ from .harness import BerRecord, SweepPlan, TimingRecord, emit_results, run_ber_s
 from .index_codec import (
     ApSpace,
     SparseMessage,
-    SymbolSets,
     combo_to_rank,
     decode_to_bits,
     encode_bits,
     rank_to_combo,
+    symbol_rows,
 )
 from .link import (
     FrameTrace,
@@ -47,7 +47,6 @@ __all__ = [
     "SparseMessage",
     "SparseVector",
     "SweepPlan",
-    "SymbolSets",
     "SystemConfig",
     "TimingRecord",
     "apply_freq",
@@ -72,4 +71,5 @@ __all__ = [
     "secbim_decode",
     "spectral_efficiency",
     "spread",
+    "symbol_rows",
 ]

@@ -27,11 +27,11 @@ import numpy as np
 from .codebook import require_pow2
 from .index_codec import (
     ApSpace,
-    SymbolSets,
     combo_to_rank,
     decode_to_bits,
     int_to_bits,
     rank_to_combo,
+    symbol_rows,
 )
 
 # Refuse ML enumeration beyond this many candidate blocks.
@@ -357,7 +357,6 @@ def secbim_joint_metrics(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
     books: np.ndarray,
-    sets: SymbolSets,
     params: MmpDfParams,
 ) -> tuple[np.ndarray, list[SparseEstimate]]:
     """The 2G decision metrics behind the joint decode, one row per book.
@@ -366,10 +365,8 @@ def secbim_joint_metrics(
     row g - 1 holds the squared distances from book g's K least-squares
     amplitudes to the original and to the extended symbol set: the distance
     between the length-M estimate and each set placed on its support, as
-    both are zero off the support. ``params.k`` must equal the length of the sets.
+    both are zero off the support.
     """
-    if params.k != len(sets.original):
-        raise ValueError(f"params.k = {params.k} but sets hold {len(sets.original)} symbols")
     _require_inputs(y_freq, h_freq, books)
     y_hat = cophase(y_freq, h_freq)
     estimates: list[SparseEstimate] = []
@@ -379,7 +376,7 @@ def secbim_joint_metrics(
         est = mmp_df(y_hat, psi, params)
         estimates.append(est)
         coeffs[gi] = est.coeffs
-    metrics = np.sum(np.abs(coeffs[:, None, :] - sets.rows) ** 2, axis=2)
+    metrics = np.sum(np.abs(coeffs[:, None, :] - symbol_rows(params.k)) ** 2, axis=2)
     return metrics, estimates
 
 
@@ -388,19 +385,17 @@ def secbim_decode(
     h_freq: np.ndarray,
     books: np.ndarray,
     space: ApSpace,
-    sets: SymbolSets,
     params: MmpDfParams,
 ) -> DetectionResult:
     """Joint codebook and symbol-set decode, for any G >= 1.
 
     Takes the minimum of the 2G joint metrics; ties resolve to the
     smallest (g, l). The first log2(G) output bits carry the codebook
-    index, the rest the pattern. ``params.k``, ``space.K`` and the length
-    of the sets must agree.
+    index, the rest the pattern. ``params.k`` and ``space.K`` must agree.
     """
     if params.k != space.K:
         raise ValueError(f"params.k = {params.k} but space.K = {space.K}")
-    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, sets, params)
+    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, params)
     flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
     est = estimates[g0]
@@ -428,11 +423,7 @@ class MlCandidates:
         self.spread_abs2.setflags(write=False)
 
 
-def build_ml_candidates(
-    books: np.ndarray,
-    space: ApSpace,
-    sets: SymbolSets,
-) -> MlCandidates:
+def build_ml_candidates(books: np.ndarray, space: ApSpace) -> MlCandidates:
     """Spread every candidate word with every book, once per configuration.
 
     Word w < C(M, K) is rank w on the original symbol set and word
@@ -452,7 +443,7 @@ def build_ml_candidates(
         )
     cols = np.array([rank_to_combo(d, space) for d in range(space.n_combos)]) - 1
     cols = np.concatenate([cols, cols[:space.n_reused]])  # (n_words, K), 0-based
-    symbols = np.repeat(sets.rows, [space.n_combos, space.n_reused], axis=0)
+    symbols = np.repeat(symbol_rows(space.K), [space.n_combos, space.n_reused], axis=0)
     book_cols = books.transpose(0, 2, 1)  # [g - 1, j] is column j of book g
     # summed onto +0 like a BLAS product, so a zero part is never -0
     acc = np.zeros((len(books), n_words, book_cols.shape[2]), dtype=np.complex128)

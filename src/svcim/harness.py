@@ -272,6 +272,9 @@ CSV_COLUMNS = (
     "m", "trials", "bit_errors", "ber", "ci95", "wall_ns_per_decode",
 )
 
+# Written from BerRecord's properties; on read they are checked, not parsed.
+_DERIVED_COLUMNS = ("m", "ber", "ci95")
+
 TIMING_CSV_COLUMNS = tuple(col for col in CSV_COLUMNS if col in field_types(SystemConfig)) + (
     "decodes", "mean_ns", "spread_ns",
 )
@@ -291,16 +294,25 @@ def write_ber_csv(records, fh) -> None:
 
 
 def read_ber_csv(fh) -> list[BerRecord]:
-    """Inverse of :func:`write_ber_csv`: reconstructs records exactly."""
+    """Inverse of :func:`write_ber_csv`: reconstructs records exactly.
+
+    The derived columns (``m``, ``ber``, ``ci95``) must hold the text written
+    for the parsed record; a row where one differs is a ``ValueError`` naming it.
+    """
     record_fields = [name for name in field_types(BerRecord) if name != "config"]
-    return [
-        BerRecord(
+    records = []
+    for row in csv.DictReader(fh):
+        rec = BerRecord(
             config=SystemConfig(**parse_fields(
                 SystemConfig, {name: row[name] for name in field_types(SystemConfig)})),
             **parse_fields(BerRecord, {name: row[name] for name in record_fields}),
         )
-        for row in csv.DictReader(fh)
-    ]
+        for col, text in zip(_DERIVED_COLUMNS, _row(rec, _DERIVED_COLUMNS)):
+            if row[col] != text:
+                raise ValueError(f"{col}: the row holds {row[col]!r}, its config and "
+                                 f"counts give {text!r}")
+        records.append(rec)
+    return records
 
 
 def _series_key(cfg: SystemConfig, axis_field: str):

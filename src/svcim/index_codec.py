@@ -9,6 +9,7 @@ legal pattern and one extra bit is carried compared to plain truncation.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -80,32 +81,18 @@ class SparseMessage:
     g: int = 1
 
 
-@dataclass(frozen=True)
-class SymbolSets:
-    """The two constant unit-magnitude symbol vectors placed on active indices."""
+@functools.cache
+def symbol_rows(k: int) -> np.ndarray:
+    """The two constant symbol sets for sparsity ``k``, as one read-only (2, k) array.
 
-    original: tuple[complex, ...]
-    extended_set: tuple[complex, ...]
-    # Read-only (2, K) complex array: row 0 the original set, row 1 the extended.
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.original) != len(self.extended_set):
-            raise ValueError("symbol sets must have equal length")
-        for a, b in zip(self.original, self.extended_set):
-            if abs(abs(a) - 1.0) > 1e-12 or abs(abs(b) - 1.0) > 1e-12:
-                raise ValueError("symbols must have unit magnitude")
-            if a == b:
-                raise ValueError("original and extended symbols must differ element-wise")
-        rows = np.array([self.original, self.extended_set], dtype=np.complex128)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def default(cls, k: int) -> "SymbolSets":
-        """Alternating (1, j, 1, j, ...) with the extended set as its negation."""
-        original = tuple(1j ** (i % 2) for i in range(k))
-        return cls(original=original, extended_set=tuple(-s for s in original))
+    Row 0, the original set, alternates (1, j, 1, j, ...); row 1, the
+    extended set, is its negation, so the rows differ in every entry and
+    every entry has unit magnitude. One array per k serves every caller.
+    """
+    original = np.resize(np.array([1, 1j]), k)
+    rows = np.array([original, -original])
+    rows.setflags(write=False)
+    return rows
 
 
 def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:

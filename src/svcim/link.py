@@ -23,12 +23,16 @@ from . import detectors
 from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
 from .codebook import generate_set, require_pow2
 from .detectors import DetectionResult, MlCandidates, MmpDfParams, build_ml_candidates
-from .index_codec import ApSpace, SparseMessage, SymbolSets, bits_to_int, encode_bits
+from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
 SCHEMES = ("esvc", "secbim")
 DETECTORS = ("mmpdf", "ml")
 CHANNEL_PATHS = ("freq", "time")
+
+# What each field type of SystemConfig takes. A float field keeps an int as
+# it is, so the text written for it does not change; no number takes a bool.
+_TAKES = {int: (int, np.integer), float: (int, float), bool: bool, str: str}
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,14 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
+            value, tp = getattr(self, f.name), field_types(SystemConfig)[f.name]
+            if not isinstance(value, _TAKES[tp]) or (isinstance(value, bool) and tp is not bool):
+                raise ValueError(f"{f.name} must be {tp.__name__}, got {value!r}")
+            if isinstance(value, np.integer):
+                object.__setattr__(self, f.name, int(value))
             choices = f.metadata.get("choices")
-            if choices is not None and getattr(self, f.name) not in choices:
-                raise ValueError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         require_pow2(self.N, "N")
         self.space()  # validates K against M
         if not 0 <= self.L < self.N:
@@ -128,8 +137,7 @@ def _shared_table(seed: int, G: int, N: int, M: int, K: int | None = None):
     """
     if K is None:
         return generate_set(seed, G, N, M)
-    return build_ml_candidates(_shared_table(seed, G, N, M), ApSpace(M=M, K=K),
-                               SymbolSets.default(K))
+    return build_ml_candidates(_shared_table(seed, G, N, M), ApSpace(M=M, K=K))
 
 
 @dataclass(eq=False)
@@ -144,7 +152,6 @@ class LinkContext:
 
     cfg: SystemConfig
     space: ApSpace
-    sets: SymbolSets
     books: np.ndarray  # read-only (G, N, M); book g is books[g - 1]
     noise: NoiseSpec
     mmp: MmpDfParams
@@ -154,15 +161,14 @@ class LinkContext:
     def for_config(cls, cfg: SystemConfig) -> "LinkContext":
         books = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M)
         ml = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M, cfg.K) if cfg.detector == "ml" else None
-        return cls(cfg=cfg, space=cfg.space(), sets=SymbolSets.default(cfg.K), books=books,
-                   noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
+        return cls(cfg=cfg, space=cfg.space(), books=books, noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
     """Dispatch to the configured detector with perfect channel knowledge."""
     if ctx.cfg.detector == "ml":
         return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.ml)
-    return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.sets, ctx.mmp)
+    return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.mmp)
 
 
 def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
@@ -178,7 +184,7 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
     # the leading log2(G) bits pick the codebook
     msg = encode_bits(bits[m1:], ctx.space, g=1 + bits_to_int(bits[:m1]))
 
-    s = build_sparse_vector(msg, ctx.sets, cfg.M)
+    s = build_sparse_vector(msg, cfg.M)
     x_freq = spread(s, ctx.books[msg.g - 1])
     ch = draw_channel(cfg.v, cfg.N, rng)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import require_pow2
-from .index_codec import SparseMessage, SymbolSets
+from .index_codec import SparseMessage, symbol_rows
 
 
 @dataclass(eq=False)
@@ -24,15 +24,15 @@ class SparseVector:
     support: tuple[int, ...]  # 1-based active indices, ascending
 
 
-def build_sparse_vector(msg: SparseMessage, sets: SymbolSets, m: int) -> SparseVector:
-    """Place the constant symbols on the message's active indices."""
-    if len(sets.original) != len(msg.indices):
-        raise ValueError(
-            f"symbol set length {len(sets.original)} != sparsity {len(msg.indices)}"
-        )
+def build_sparse_vector(msg: SparseMessage, m: int) -> SparseVector:
+    """Place the constant symbols on the message's active indices.
+
+    The sparsity K is the number of indices; ``msg.extended`` picks the
+    symbol set (see :func:`symbol_rows`).
+    """
     if any(i < 1 or i > m for i in msg.indices):
         raise ValueError(f"indices {msg.indices} outside [1, {m}]")
-    symbols = sets.extended_set if msg.extended else sets.original
+    symbols = symbol_rows(len(msg.indices))[int(msg.extended)]
     values = np.zeros(m, dtype=np.complex128)
     for k, idx in enumerate(msg.indices):
         values[idx - 1] = symbols[k]
@@ -45,6 +45,8 @@ def spread(s: SparseVector, book: np.ndarray) -> np.ndarray:
     Only the K active columns of C are multiplied, so the book is never
     cast to complex as a whole.
     """
+    if book.ndim != 2:
+        raise ValueError(f"book must be one 2-D codebook, got shape {book.shape}")
     if book.shape[1] != len(s.values):
         raise ValueError(f"codebook width {book.shape[1]} != sparse vector length {len(s.values)}")
     k = len(s.support)

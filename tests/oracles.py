@@ -188,13 +188,13 @@ def reference_rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reference_ml_candidates(books, space: ApSpace, sets) -> MlCandidates:
+def reference_ml_candidates(books, space: ApSpace) -> MlCandidates:
     """The ML table built word by word: encode, place the symbols, spread with a full product."""
     n_words = 1 << space.m_bits
     vdd = np.zeros((n_words, space.M), dtype=np.complex128)
     for word in range(n_words):
         msg = encode_bits(int_to_bits(word, space.m_bits), space)
-        vdd[word] = build_sparse_vector(msg, sets, space.M).values
+        vdd[word] = build_sparse_vector(msg, space.M).values
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
     spread = np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])
     return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)

@@ -20,7 +20,6 @@ from svcim.detectors import MmpDfParams, cophase, mmp_df, sensing_matrix
 from svcim.harness import SweepPlan, run_ber_sweep, run_timing, write_ber_csv
 from svcim.index_codec import (
     ApSpace,
-    SymbolSets,
     combo_to_rank,
     decode_to_bits,
     encode_bits,
@@ -276,13 +275,12 @@ def test_c10_property_suite():
 
     # energy conventions within 3%
     space = ApSpace(M=16, K=2)
-    sets = SymbolSets.default(2)
     total = 0.0
     for i in range(10_000):
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
         book = generate_codebook(int(rng.integers(0, 2**31)), 1, 32, 16)
-        total += float(np.mean(np.abs(spread(build_sparse_vector(msg, sets, 16), book)) ** 2))
+        total += float(np.mean(np.abs(spread(build_sparse_vector(msg, 16), book)) ** 2))
     assert abs(total / 10_000 - 1.0) < 0.03
     tap_energy = np.mean(
         [np.sum(np.abs(draw_channel(10, 16, rng).cir) ** 2) for _ in range(10_000)]
@@ -299,7 +297,7 @@ def test_c10_property_suite():
         book = generate_codebook(trial, 1, 64, 32)
         value = int(rng.integers(0, 2 ** space32.m_bits))
         msg = encode_bits(int_to_bits(value, space32.m_bits), space32)
-        x = spread(build_sparse_vector(msg, SymbolSets.default(2), 32), book)
+        x = spread(build_sparse_vector(msg, 32), book)
         ch = draw_channel(10, 64, rng)
         y = apply_freq(x, ch, noise, rng)
         y_hat = cophase(y, ch.cfr)
@@ -313,14 +311,12 @@ def test_c10_property_suite():
     books = generate_set(5, 1, 32, 16)
     space16 = ApSpace(M=16, K=2)
     msg = encode_bits(int_to_bits(9, space16.m_bits), space16)
-    x = spread(build_sparse_vector(msg, SymbolSets.default(2), 16), books[0])
+    x = spread(build_sparse_vector(msg, 16), books[0])
     ch = draw_channel(10, 32, rng)
     y = apply_freq(x, ch, NoiseSpec(ebn0_db=5.0, eb=2.0), rng)
-    base_det = secbim_decode(y, ch.cfr, books, space16, SymbolSets.default(2), MmpDfParams())
+    base_det = secbim_decode(y, ch.cfr, books, space16, MmpDfParams())
     for scale in (0.1, 0.5, 3.0, 25.0):
-        scaled = secbim_decode(
-            scale * y, scale * ch.cfr, books, space16, SymbolSets.default(2), MmpDfParams()
-        )
+        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space16, MmpDfParams())
         assert (scaled.d_hat, scaled.l_hat) == (base_det.d_hat, base_det.l_hat)
 
     # CSV determinism across worker counts

@@ -25,7 +25,7 @@ from svcim.detectors import (
     secbim_joint_metrics,
     sensing_matrix,
 )
-from svcim.index_codec import ApSpace, SymbolSets, encode_bits, int_to_bits
+from svcim.index_codec import ApSpace, encode_bits, int_to_bits, symbol_rows
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
@@ -42,12 +42,12 @@ def _noiseless():
     return NoiseSpec(ebn0_db=float("inf"), eb=1.0)
 
 
-def _random_message_chain(rng, n, m, v, params, sets, space, seed=0, noise=None):
+def _random_message_chain(rng, n, m, v, params, space, seed=0, noise=None):
     """One random frame up to the co-phased receiver input."""
     book = generate_codebook(seed, 1, n, m)
     value = int(rng.integers(0, 2 ** space.m_bits))
     msg = encode_bits(int_to_bits(value, space.m_bits), space)
-    x = spread(build_sparse_vector(msg, sets, m), book)
+    x = spread(build_sparse_vector(msg, m), book)
     ch = draw_channel(v, n, rng)
     y = apply_freq(x, ch, noise or _noiseless(), rng)
     return book, msg, ch, y
@@ -100,12 +100,11 @@ class TestSensingMatrix:
         # algebraic oracle: cophase(spread through channel) == psi @ s exactly
         rng = np.random.default_rng(4)
         space = ApSpace(M=32, K=2)
-        sets = SymbolSets.default(2)
         for trial in range(50):
             book, msg, ch, y = _random_message_chain(
-                rng, 64, 32, 10, None, sets, space, seed=trial
+                rng, 64, 32, 10, None, space, seed=trial
             )
-            s = build_sparse_vector(msg, sets, 32)
+            s = build_sparse_vector(msg, 32)
             lhs = cophase(y, ch.cfr)
             rhs = dense(sensing_matrix(ch.cfr, book, k=2)) @ s.values
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -129,13 +128,12 @@ class TestSensingMatrix:
 class TestMmpDf:
     def test_noiseless_exhaustive_recovery(self):
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         book = generate_codebook(7, 1, 32, 16)
         psi = sensing_matrix(np.ones(32), book, k=2)
         params = MmpDfParams(k=2)
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            s = build_sparse_vector(msg, sets, 16)
+            s = build_sparse_vector(msg, 16)
             est = mmp_df(dense(psi) @ s.values, psi, params)
             assert est.support == msg.indices
             assert np.allclose(est.coeffs, s.values[np.array(msg.indices) - 1])
@@ -158,11 +156,10 @@ class TestMmpDf:
         rng = np.random.default_rng(6)
         params = MmpDfParams(k=2, omega=1, lam=1e-9, upsilon=1)
         space = ApSpace(M=24, K=2)
-        sets = SymbolSets.default(2)
         noise = NoiseSpec(ebn0_db=8.0, eb=2.0)
         for trial in range(100):
             book, msg, ch, y = _random_message_chain(
-                rng, 32, 24, 8, params, sets, space, seed=trial, noise=noise
+                rng, 32, 24, 8, params, space, seed=trial, noise=noise
             )
             y_hat = cophase(y, ch.cfr)
             psi = sensing_matrix(ch.cfr, book, k=2)
@@ -370,7 +367,7 @@ class TestGramSearchMatchesReference:
             return est
 
         monkeypatch.setattr(svcim.detectors, "mmp_df", logged)
-        det = secbim_decode(y, h, ctx.books, ctx.space, ctx.sets, ctx.mmp)
+        det = secbim_decode(y, h, ctx.books, ctx.space, ctx.mmp)
         return det, log
 
     def _assert_agree(self, monkeypatch, y, h, ctx):
@@ -399,7 +396,7 @@ class TestGramSearchMatchesReference:
                     _, msg, y, ch = transmit_frame(ctx, rng)
                     h = ch.cfr
                     if i % 4 == 3:  # near-degenerate channel, same message
-                        x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g - 1])
+                        x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
                         h = self._degrade(h, rng)
                         y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng)
                     yield y, h, ctx
@@ -473,7 +470,7 @@ class TestDeepFadeDecisionsMatchLstsq:
                         h = ch.cfr * np.abs(ch.cfr) ** 2
                     else:
                         h = TestGramSearchMatchesReference._degrade(ch.cfr, rng)
-                    x = spread(build_sparse_vector(msg, ctx.sets, cfg.M), ctx.books[msg.g - 1])
+                    x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
                     yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng), h, ctx
 
     def test_decisions_agree(self, monkeypatch):
@@ -499,8 +496,7 @@ class TestSymbolSetDecision:
         books = generate_set(5, n_books, 32, 16)
         psi = sensing_matrix(np.ones(32), books[0], k=2)
         y = dense(psi)[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
-        det = secbim_decode(y, np.ones(32, complex), books, space, SymbolSets.default(2),
-                            MmpDfParams(k=2))
+        det = secbim_decode(y, np.ones(32, complex), books, space, MmpDfParams(k=2))
         assert det.estimate.support == (1, 2)
         return det
 
@@ -525,7 +521,6 @@ class TestEsvcDecode:
 
     def test_reference_messages_flat_channel(self):
         space = ApSpace(M=4, K=2)
-        sets = SymbolSets.default(2)
         books = generate_set(17, 1, 32, 4)
         book = books[0]
         params = MmpDfParams(k=2)
@@ -533,8 +528,8 @@ class TestEsvcDecode:
         for value in range(8):
             bits = int_to_bits(value, 3)
             msg = encode_bits(bits, space)
-            y = spread(build_sparse_vector(msg, sets, 4), book)  # h == 1
-            det = secbim_decode(y, h, books, space, sets, params)
+            y = spread(build_sparse_vector(msg, 4), book)  # h == 1
+            det = secbim_decode(y, h, books, space, params)
             assert tuple(det.bits) == bits
             assert det.d_hat == msg.d
             assert det.g_hat == 1
@@ -542,20 +537,18 @@ class TestEsvcDecode:
     def test_noiseless_random_channels(self):
         rng = np.random.default_rng(9)
         space = ApSpace(M=64, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         for trial in range(1000):
             book, msg, ch, y = _random_message_chain(
-                rng, 64, 64, 10, params, sets, space, seed=trial % 13
+                rng, 64, 64, 10, params, space, seed=trial % 13
             )
-            det = secbim_decode(y, ch.cfr, book[None], space, sets, params)
+            det = secbim_decode(y, ch.cfr, book[None], space, params)
             assert det.d_hat == msg.d
             assert (det.l_hat == 2) == msg.extended
 
     def test_pure_noise_ber_near_half(self):
         rng = np.random.default_rng(10)
         space = ApSpace(M=64, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(23, 1, 64, 64)
         book = books[0]
@@ -565,10 +558,10 @@ class TestEsvcDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
-            x = spread(build_sparse_vector(msg, sets, 64), book)
+            x = spread(build_sparse_vector(msg, 64), book)
             ch = draw_channel(10, 64, rng)
             y = apply_freq(x, ch, noise, rng)
-            det = secbim_decode(y, ch.cfr, books, space, sets, params)
+            det = secbim_decode(y, ch.cfr, books, space, params)
             errors += sum(a != b for a, b in zip(bits, det.bits))
             total += space.m_bits
         assert abs(errors / total - 0.5) < 0.05
@@ -581,22 +574,21 @@ class TestSecbimDecode:
         # length-M estimate and the placed symbol sets are both zero
         rng = np.random.default_rng(30 + k)
         space = ApSpace(M=16, K=k)
-        sets = SymbolSets.default(k)
         params = MmpDfParams(k=k)
         books = generate_set(47, 2, 32, 16)
         noise = NoiseSpec(ebn0_db=4.0, eb=48 / (1 + space.m_bits))
         for _ in range(200):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(0, 2))])
+            x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 2))])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
-            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
+            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
             for gi, est in enumerate(estimates):
                 sup0 = [i - 1 for i in est.support]
                 vec = np.zeros(16, complex)
                 vec[sup0] = est.coeffs
-                for li, symbols in enumerate((sets.original, sets.extended_set)):
+                for li, symbols in enumerate(symbol_rows(k)):
                     ref = np.zeros(16, complex)
                     ref[sup0] = symbols
                     full = np.sum(np.abs(vec - ref) ** 2)
@@ -611,18 +603,17 @@ class TestSecbimDecode:
         # expression per book
         rng = np.random.default_rng(50 + k)
         space = ApSpace(M=16, K=k)
-        sets = SymbolSets.default(k)
         params = MmpDfParams(k=k)
         books = generate_set(59, 4, 32, 16)
-        symbols = np.array([sets.original, sets.extended_set])
+        symbols = symbol_rows(k)
         noise = NoiseSpec(ebn0_db=4.0, eb=48 / (2 + space.m_bits))
         for _ in range(100):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[int(rng.integers(0, 4))])
+            x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 4))])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
-            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, sets, params)
+            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
             per_book = np.empty((len(books), 2))
             for gi, est in enumerate(estimates):
                 per_book[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
@@ -632,17 +623,16 @@ class TestSecbimDecode:
     def test_noiseless_recovery_g4(self):
         rng = np.random.default_rng(12)
         space = ApSpace(M=32, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(37, 4, 32, 32)
         for _ in range(1000):
             g = int(rng.integers(1, 5))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 32), books[g - 1])
+            x = spread(build_sparse_vector(msg, 32), books[g - 1])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
-            det = secbim_decode(y, ch.cfr, books, space, sets, params)
+            det = secbim_decode(y, ch.cfr, books, space, params)
             assert det.g_hat == g
             assert det.d_hat == msg.d
             expected_bits = int_to_bits(g - 1, 2) + int_to_bits(value, space.m_bits)
@@ -651,24 +641,22 @@ class TestSecbimDecode:
     def test_noiseless_argmin_never_beaten_by_true_book(self):
         rng = np.random.default_rng(29)
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(43, 4, 32, 16)
         for _ in range(200):
             g = int(rng.integers(1, 5))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), books[g - 1])
+            x = spread(build_sparse_vector(msg, 16), books[g - 1])
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
-            metrics, _ = secbim_joint_metrics(y, ch.cfr, books, sets, params)
-            det = secbim_decode(y, ch.cfr, books, space, sets, params)
+            metrics, _ = secbim_joint_metrics(y, ch.cfr, books, params)
+            det = secbim_decode(y, ch.cfr, books, space, params)
             assert metrics[det.g_hat - 1].min() <= metrics[g - 1].min()
 
     def test_codebook_error_rate_high_snr(self):
         rng = np.random.default_rng(13)
         space = ApSpace(M=64, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(41, 2, 64, 64)
         m_total = 1 + space.m_bits
@@ -679,16 +667,16 @@ class TestSecbimDecode:
             g = int(rng.integers(1, 3))
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 64), books[g - 1])
+            x = spread(build_sparse_vector(msg, 64), books[g - 1])
             ch = draw_channel(10, 64, rng)
             y = apply_freq(x, ch, noise, rng)
-            wrong += secbim_decode(y, ch.cfr, books, space, sets, params).g_hat != g
+            wrong += secbim_decode(y, ch.cfr, books, space, params).g_hat != g
         assert wrong / n_trials < 1e-3
 
 
 class TestSparsityAgreement:
-    """``params.k``, ``space.K`` and the symbol sets each hold K; the decoder
-    names the two that disagree instead of failing inside numpy."""
+    """``params.k`` and ``space.K`` each hold K; the decoder names both when
+    they disagree instead of failing inside numpy."""
 
     @staticmethod
     def _frame():
@@ -700,31 +688,20 @@ class TestSparsityAgreement:
     def test_decode_params_k_against_space(self):
         ctx, y, h = self._frame()
         with pytest.raises(ValueError, match=r"^params\.k = 3 but space\.K = 2$"):
-            secbim_decode(y, h, ctx.books, ctx.space, ctx.sets, MmpDfParams(k=3))
-
-    def test_decode_sets_against_params_k(self):
-        ctx, y, h = self._frame()
-        with pytest.raises(ValueError, match=r"^params\.k = 2 but sets hold 3 symbols$"):
-            secbim_decode(y, h, ctx.books, ctx.space, SymbolSets.default(3), ctx.mmp)
-
-    def test_metrics_params_k_against_sets(self):
-        ctx, y, h = self._frame()
-        with pytest.raises(ValueError, match=r"^params\.k = 3 but sets hold 2 symbols$"):
-            secbim_joint_metrics(y, h, ctx.books, ctx.sets, MmpDfParams(k=3))
+            secbim_decode(y, h, ctx.books, ctx.space, MmpDfParams(k=3))
 
 
 class TestMlDetectors:
     def test_noiseless_always_exact(self):
         rng = np.random.default_rng(14)
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         books = generate_set(43, 1, 32, 16)
         book = books[0]
-        cand = build_ml_candidates(books, space, sets)
+        cand = build_ml_candidates(books, space)
         for value in range(2 ** space.m_bits):
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
-            x = spread(build_sparse_vector(msg, sets, 16), book)
+            x = spread(build_sparse_vector(msg, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, _noiseless(), rng)
             det = ml_secbim(y, ch.cfr, books, space, cand)
@@ -735,9 +712,8 @@ class TestMlDetectors:
     def test_metric_matches_naive_formula(self):
         rng = np.random.default_rng(15)
         space = ApSpace(M=8, K=2)
-        sets = SymbolSets.default(2)
         book = generate_codebook(47, 1, 16, 8)
-        cand = build_ml_candidates(book[None], space, sets)
+        cand = build_ml_candidates(book[None], space)
         from svcim.detectors import _ml_metrics
 
         for _ in range(20):
@@ -752,35 +728,33 @@ class TestMlDetectors:
     def test_agreement_with_greedy_high_snr(self):
         rng = np.random.default_rng(16)
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(53, 1, 32, 16)
         book = books[0]
-        cand = build_ml_candidates(books, space, sets)
+        cand = build_ml_candidates(books, space)
         noise = NoiseSpec(ebn0_db=30.0, eb=48 / space.m_bits)
         agree = 0
         n_trials = 10_000
         for _ in range(n_trials):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            x = spread(build_sparse_vector(msg, sets, 16), book)
+            x = spread(build_sparse_vector(msg, 16), book)
             ch = draw_channel(10, 32, rng)
             y = apply_freq(x, ch, noise, rng)
             ml = ml_secbim(y, ch.cfr, books, space, cand)
-            greedy = secbim_decode(y, ch.cfr, books, space, sets, params)
+            greedy = secbim_decode(y, ch.cfr, books, space, params)
             agree += np.array_equal(ml.bits, greedy.bits)
         assert agree / n_trials >= 0.99
 
     def test_secbim_noiseless_exhaustive(self):
         rng = np.random.default_rng(18)
         space = ApSpace(M=8, K=2)
-        sets = SymbolSets.default(2)
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books, space, sets)
+        cand = build_ml_candidates(books, space)
         for g in (1, 2):
             for value in range(2 ** space.m_bits):
                 msg = encode_bits(int_to_bits(value, space.m_bits), space)
-                x = spread(build_sparse_vector(msg, sets, 8), books[g - 1])
+                x = spread(build_sparse_vector(msg, 8), books[g - 1])
                 ch = draw_channel(10, 32, rng)
                 y = apply_freq(x, ch, _noiseless(), rng)
                 det = ml_secbim(y, ch.cfr, books, space, cand)
@@ -789,7 +763,7 @@ class TestMlDetectors:
 
     def test_table_for_another_config_rejected(self):
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books, ApSpace(M=8, K=2), SymbolSets.default(2))
+        cand = build_ml_candidates(books, ApSpace(M=8, K=2))
         y = np.ones(32, complex)
         for other_books, space in ((books[:1], ApSpace(M=8, K=2)),
                                    (books, ApSpace(M=8, K=3))):
@@ -801,30 +775,28 @@ class TestMlDetectors:
     def test_table_equals_the_word_by_word_build(self, g, n, m, k):
         books = generate_set(73, g, n, m)
         space = ApSpace(M=m, K=k)
-        sets = SymbolSets.default(k)
-        cand = build_ml_candidates(books, space, sets)
-        ref = reference_ml_candidates(books, space, sets)
+        cand = build_ml_candidates(books, space)
+        ref = reference_ml_candidates(books, space)
         for got, want in ((cand.spread, ref.spread), (cand.spread_abs2, ref.spread_abs2)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_table_is_read_only(self):
         books = generate_set(73, 2, 32, 16)
-        cand = build_ml_candidates(books, ApSpace(M=16, K=2), SymbolSets.default(2))
+        cand = build_ml_candidates(books, ApSpace(M=16, K=2))
         for arr in (cand.spread, cand.spread_abs2):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0
 
     def test_no_books_rejected(self):
         with pytest.raises(ValueError, match="books"):
-            build_ml_candidates([], ApSpace(M=8, K=2), SymbolSets.default(2))
+            build_ml_candidates([], ApSpace(M=8, K=2))
 
     def test_candidate_cap_refusal(self):
         space = ApSpace(M=2048, K=2)  # 2^21 words: over the default cap
-        sets = SymbolSets.default(2)
         book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
-            build_ml_candidates(book[None], space, sets)
+            build_ml_candidates(book[None], space)
 
 
 class TestNonFiniteInput:
@@ -875,17 +847,16 @@ class TestScaleInvariance:
     def test_greedy_decisions_unchanged(self, scale):
         rng = np.random.default_rng(19)
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         params = MmpDfParams(k=2)
         books = generate_set(67, 1, 32, 16)
         noise = NoiseSpec(ebn0_db=5.0, eb=48 / space.m_bits)
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
-        x = spread(build_sparse_vector(msg, sets, 16), books[0])
+        x = spread(build_sparse_vector(msg, 16), books[0])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
-        base = secbim_decode(y, ch.cfr, books, space, sets, params)
-        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space, sets, params)
+        base = secbim_decode(y, ch.cfr, books, space, params)
+        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space, params)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)
 
     @given(st.floats(min_value=0.05, max_value=50.0))
@@ -893,12 +864,11 @@ class TestScaleInvariance:
     def test_ml_decisions_unchanged(self, scale):
         rng = np.random.default_rng(20)
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         books = generate_set(71, 2, 32, 16)
-        cand = build_ml_candidates(books, space, sets)
+        cand = build_ml_candidates(books, space)
         noise = NoiseSpec(ebn0_db=5.0, eb=48 / (1 + space.m_bits))
         msg = encode_bits(int_to_bits(9, space.m_bits), space)
-        x = spread(build_sparse_vector(msg, sets, 16), books[1])
+        x = spread(build_sparse_vector(msg, 16), books[1])
         ch = draw_channel(10, 32, rng)
         y = apply_freq(x, ch, noise, rng)
         base = ml_secbim(y, ch.cfr, books, space, cand)

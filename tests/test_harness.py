@@ -305,6 +305,24 @@ class TestEmission:
         with pytest.raises(ValueError, match=f"^{column} must"):
             read_ber_csv(io.StringIO(f"{header}\n{','.join(cells)}\n"))
 
+    @pytest.mark.parametrize("edits,column", [
+        (dict(m="99", ber="0.5"), "m"),
+        (dict(ber="0.5"), "ber"),
+        (dict(ber="0.10"), "ber"),  # the same number, not the written text
+        (dict(ci95="0.0"), "ci95"),
+    ])
+    def test_derived_column_checked_on_read(self, edits, column):
+        rec = BerRecord(config=self.CFG, trials=10, bit_errors=7, wall_ns_per_decode=0.0)
+        buf = io.StringIO()
+        write_ber_csv([rec], buf)
+        header, row = buf.getvalue().splitlines()
+        assert read_ber_csv(io.StringIO(f"{header}\n{row}\n")) == [rec]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["m"], cells["ber"]) == ("7", "0.1")
+        cells.update(edits)
+        with pytest.raises(ValueError, match=f"^{column}: the row holds"):
+            read_ber_csv(io.StringIO(f"{header}\n{','.join(cells.values())}\n"))
+
     def test_plot_axis_must_be_a_config_field(self, tmp_path):
         path = tmp_path / "out.json"
         with pytest.raises(ValueError, match="axis_field.*'ebn0'"):

@@ -8,19 +8,20 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcim.index_codec import (
     ApSpace,
-    SymbolSets,
     bits_to_int,
     combo_to_rank,
     decode_to_bits,
     encode_bits,
     int_to_bits,
     rank_to_combo,
+    symbol_rows,
 )
 
 from oracles import reference_rank_to_combo
@@ -239,21 +240,24 @@ class TestBitWords:
 
 class TestSymbolSets:
     def test_default_k2(self):
-        sets = SymbolSets.default(2)
-        assert sets.original == (1, 1j)
-        assert sets.extended_set == (-1, -1j)
-
-    def test_unit_magnitude_enforced(self):
-        with pytest.raises(ValueError):
-            SymbolSets(original=(2.0,), extended_set=(-2.0,))
-
-    def test_sets_must_differ(self):
-        with pytest.raises(ValueError):
-            SymbolSets(original=(1, 1j), extended_set=(1, -1j))
+        rows = symbol_rows(2)
+        assert rows.tolist() == [[1, 1j], [-1, -1j]]
 
     def test_rows_stack_the_sets_read_only(self):
-        sets = SymbolSets.default(3)
-        assert sets.rows.tolist() == [list(sets.original), list(sets.extended_set)]
-        assert not sets.rows.flags.writeable
-        # a derived field: equality and hashing still follow the two sets
-        assert sets == SymbolSets.default(3) and hash(sets) == hash(SymbolSets.default(3))
+        rows = symbol_rows(3)
+        assert rows.shape == (2, 3) and rows.dtype == np.complex128
+        assert rows.tolist() == [[1, 1j, 1], [-1, -1j, -1]]
+        assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_one_owner_per_k(self, k):
+        rows = symbol_rows(k)
+        assert rows.shape == (2, k) and rows.dtype == np.complex128
+        assert rows[0].tolist() == [1j ** (i % 2) for i in range(k)]
+        assert np.array_equal(rows[1], -rows[0])
+        assert np.all(np.abs(rows) == 1.0)
+        assert np.all(rows[0] != rows[1])
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2
+        assert symbol_rows(k) is rows  # built once per k

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcim import detectors
+from svcim.index_codec import symbol_rows
 from svcim.link import (
     LinkContext,
     SystemConfig,
@@ -46,12 +47,37 @@ class TestSystemConfig:
             dict(mmp_upsilon=0),
             dict(mmp_lam=float("nan")),
             dict(seed=-1),  # numpy's seed streams take no negative entropy
+            # each field takes its own type only
+            dict(mmp_omega=2.5),
+            dict(v=3.0),
+            dict(seed=1.5),
+            dict(N=64.0),
+            dict(K=2.0),
+            dict(G=2.0),
+            dict(L=16.0),  # once written as "16.0", which no reader takes
+            dict(M=True),
+            dict(ebn0_db="10"),
+            dict(ebn0_db=True),
+            dict(mmp_relative_stop="no"),
+            dict(mmp_relative_stop=1),
+            dict(scheme=1),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         # the message names the first field given
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SystemConfig(**kwargs)
+
+    def test_numpy_integers_taken_as_ints(self):
+        cfg = SystemConfig(scheme="secbim", N=np.int64(32), M=np.int32(16), G=np.int64(2))
+        assert cfg == SystemConfig(scheme="secbim", N=32, M=16, G=2)
+        assert all(type(getattr(cfg, name)) is int for name in ("N", "M", "G"))
+        assert bits_per_symbol(cfg) == 8
+
+    def test_float_fields_keep_an_int(self):
+        # no coercion: the text written for the field stays "4"
+        text = config_to_text(SystemConfig(ebn0_db=4, mmp_lam=1))
+        assert "\nebn0_db=4\n" in text and "\nmmp_lam=1\n" in text
 
     @pytest.mark.parametrize("kwargs,field", [(dict(N=1), "L"), (dict(N=1, L=0), "v")])
     def test_one_subcarrier_rejected(self, kwargs, field):
@@ -260,7 +286,7 @@ class TestSharedTables:
 
     def test_shared_arrays_are_read_only(self):
         ctx = LinkContext.for_config(self.BASE)
-        shared = [ctx.books, ctx.ml.spread, ctx.ml.spread_abs2, ctx.sets.rows]
+        shared = [ctx.books, ctx.ml.spread, ctx.ml.spread_abs2, symbol_rows(ctx.cfg.K)]
         assert not any(arr.flags.writeable for arr in shared)
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from svcim.codebook import generate_codebook
-from svcim.index_codec import ApSpace, SparseMessage, SymbolSets, encode_bits, int_to_bits
+from svcim.codebook import generate_codebook, generate_set
+from svcim.index_codec import ApSpace, SparseMessage, encode_bits, int_to_bits
 from svcim.transceiver import (
     SparseVector,
     build_sparse_vector,
@@ -17,36 +17,38 @@ from svcim.transceiver import (
 
 class TestBuildSparseVector:
     def test_reference_rows(self):
-        sets = SymbolSets.default(2)
-        s = build_sparse_vector(SparseMessage((1, 2), False, 0), sets, 4)
+        s = build_sparse_vector(SparseMessage((1, 2), False, 0), 4)
         assert np.array_equal(s.values, np.array([1, 1j, 0, 0]))
-        s = build_sparse_vector(SparseMessage((1, 3), True, 1), sets, 4)
+        s = build_sparse_vector(SparseMessage((1, 3), True, 1), 4)
         assert np.array_equal(s.values, np.array([-1, 0, -1j, 0]))
-        s = build_sparse_vector(SparseMessage((3, 4), False, 5), sets, 4)
+        s = build_sparse_vector(SparseMessage((3, 4), False, 5), 4)
         assert np.array_equal(s.values, np.array([0, 0, 1, 1j]))
 
     def test_sparsity_and_magnitudes(self):
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            s = build_sparse_vector(msg, sets, 16)
+            s = build_sparse_vector(msg, 16)
             nz = np.flatnonzero(s.values)
             assert len(nz) == 2
             assert tuple(nz + 1) == msg.indices
             assert np.allclose(np.abs(s.values[nz]), 1.0)
 
     def test_index_out_of_range(self):
-        sets = SymbolSets.default(2)
         with pytest.raises(ValueError):
-            build_sparse_vector(SparseMessage((1, 5), False, 0), sets, 4)
-
-    def test_symbol_set_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_sparse_vector(SparseMessage((1, 2), False, 0), SymbolSets.default(3), 4)
+            build_sparse_vector(SparseMessage((1, 5), False, 0), 4)
 
 
 class TestSpread:
+    def test_rejects_a_whole_set_by_name(self):
+        books = generate_set(3, 2, 32, 32)
+        s = build_sparse_vector(SparseMessage((1, 2), False, 0), 32)
+        # the whole (G, N, M) set in place of one book names the book
+        with pytest.raises(ValueError, match=r"^book must be one 2-D codebook, "
+                                             r"got shape \(2, 32, 32\)$"):
+            spread(s, books)
+        assert spread(s, books[1]).shape == (32,)
+
     def test_unit_vector_selects_column(self):
         book = generate_codebook(seed=3, book_id=1, n=8, m=4)
         e1 = SparseVector(values=np.eye(4, dtype=complex)[0], support=(1,))
@@ -69,22 +71,20 @@ class TestSpread:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_gather_equals_dense_product(self, k):
         # spreading only the K active columns gives the dense product's
-        # bytes, signed zeros included, on the default symbol sets
+        # bytes, signed zeros included, on both symbol sets
         space = ApSpace(M=128, K=k)
-        sets = SymbolSets.default(k)
         rng = np.random.default_rng(k)
         for i in range(4000):
             if i % 200 == 0:
                 book = generate_codebook(int(rng.integers(0, 2**31)), 1, 128, 128)
             value = int(rng.integers(0, 2 ** space.m_bits))
-            s = build_sparse_vector(encode_bits(int_to_bits(value, space.m_bits), space), sets, 128)
+            s = build_sparse_vector(encode_bits(int_to_bits(value, space.m_bits), space), 128)
             dense = (book @ s.values) / math.sqrt(k)
             assert spread(s, book).tobytes() == dense.tobytes()
 
     def test_energy_over_random_books(self):
         # Monte Carlo oracle: E||spread||^2 = N for unit symbols and +-1 entries
-        sets = SymbolSets.default(2)
-        s = build_sparse_vector(SparseMessage((3, 17), False, 0), sets, 64)
+        s = build_sparse_vector(SparseMessage((3, 17), False, 0), 64)
         energies = [
             np.sum(np.abs(spread(s, generate_codebook(seed, 1, 64, 64))) ** 2)
             for seed in range(1000)
@@ -105,14 +105,13 @@ class TestSpread:
     def test_per_subcarrier_energy_convention(self):
         # average |x(b)|^2 over 10^4 random message/book pairs is 1 +- 2%
         space = ApSpace(M=16, K=2)
-        sets = SymbolSets.default(2)
         rng = np.random.default_rng(123)
         total = 0.0
         n_trials = 10_000
         for i in range(n_trials):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
-            s = build_sparse_vector(msg, sets, 16)
+            s = build_sparse_vector(msg, 16)
             book = generate_codebook(int(rng.integers(0, 2**31)), 1, 32, 16)
             total += np.mean(np.abs(spread(s, book)) ** 2)
         assert abs(total / n_trials - 1.0) < 0.02
@@ -164,9 +163,8 @@ class TestOfdm:
 
 def test_end_to_end_noiseless_identity():
     space = ApSpace(M=32, K=2)
-    sets = SymbolSets.default(2)
     book = generate_codebook(seed=21, book_id=1, n=64, m=32)
     msg = encode_bits(int_to_bits(17, space.m_bits), space)
-    x = spread(build_sparse_vector(msg, sets, 32), book)
+    x = spread(build_sparse_vector(msg, 32), book)
     back = ofdm_demodulate(ofdm_modulate(x, 16), 16)
     assert np.max(np.abs(back - x)) < 1e-12 * np.max(np.abs(x)) * 64
