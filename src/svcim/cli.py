@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .harness import (
     SWEEP_AXES,
@@ -42,26 +42,29 @@ _FLAGS = {
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", metavar="PATH", default=None,
-        help="load the system config from a key=value file (overrides the config flags)",
+        help="load the base system config from a key=value file; config flags override it",
     )
+    # no defaults: a flag that is not given leaves the base config's value
     types = field_types(SystemConfig)
     for f in fields(SystemConfig):
         flag, help_text = _FLAGS.get(f.name, (f"--{f.name}", None))
         if types[f.name] is bool:  # a switch that flips the default
-            parser.add_argument(flag, dest=f.name, help=help_text,
+            parser.add_argument(flag, dest=f.name, help=help_text, default=argparse.SUPPRESS,
                                 action="store_false" if f.default else "store_true")
         else:
             choices = f.metadata.get("choices")
-            parser.add_argument(flag, dest=f.name, type=types[f.name], default=f.default,
+            parser.add_argument(flag, dest=f.name, type=types[f.name], default=argparse.SUPPRESS,
                                 choices=choices, help=help_text,
                                 metavar=None if choices else flag[2:].upper())
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
-    if args.config is not None:
-        with open(args.config) as fh:
-            return config_from_text(fh.read())
-    return SystemConfig(**{name: getattr(args, name) for name in field_types(SystemConfig)})
+    """The ``--config`` file, or the defaults, with the config flags given applied."""
+    given = {name: value for name, value in vars(args).items() if name in field_types(SystemConfig)}
+    if args.config is None:
+        return SystemConfig(**given)
+    with open(args.config) as fh:
+        return replace(config_from_text(fh.read()), **given)
 
 
 def _sweep_plan(args: argparse.Namespace, **limits) -> SweepPlan:
@@ -86,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(timing)
     timing.add_argument("--axis", choices=SWEEP_AXES, default="M")
     timing.add_argument("--values", required=True, help="comma-separated config values")
-    timing.add_argument("--detectors", default="mmpdf,ml", help="comma list of detectors to time")
     timing.add_argument("--decodes", type=int, default=1000)
     timing.add_argument("--warmup", type=int, default=50)
     timing.add_argument("--out", default="timing.csv")
@@ -109,9 +111,8 @@ def _cmd_ber(args: argparse.Namespace) -> int:
 
 def _cmd_timing(args: argparse.Namespace) -> int:
     plan = _sweep_plan(args)
-    configs = [plan.config_at(v) for v in plan.values]
-    detectors = tuple(part for part in args.detectors.split(",") if part.strip())
-    records = run_timing(configs, detectors, decodes=args.decodes, warmup=args.warmup)
+    records = run_timing(map(plan.config_at, plan.values), decodes=args.decodes,
+                         warmup=args.warmup)
     for rec in records:
         eff = spectral_efficiency(rec.config)
         print(

@@ -35,6 +35,7 @@ from .link import (
     decode_frame,
     field_types,
     parse_fields,
+    require_type,
     run_frame,
     transmit_frame,
 )
@@ -61,15 +62,17 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        # values (numbers or text) as the axis field's type; every config is
-        # validated before any simulation
+        # values as SystemConfig stores them; every config is validated
+        # before any simulation
         object.__setattr__(self, "values", tuple(
             getattr(self.config_at(value), self.axis_field) for value in self.values))
         if not self.values:
             raise ValueError("sweep needs at least one value")
         for name in ("min_errors", "max_trials", "shard_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = require_type(getattr(self, name), int, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def axis_field(self) -> str:
@@ -77,8 +80,11 @@ class SweepPlan:
         return "ebn0_db" if self.sweep_axis == "ebn0" else self.sweep_axis
 
     def config_at(self, value) -> SystemConfig:
-        cast = field_types(SystemConfig)[self.axis_field]
-        return replace(self.base, **{self.axis_field: cast(value)})
+        """The base config with the axis field set to ``value``: text is read
+        by the field's type, a number goes to SystemConfig as it is."""
+        if isinstance(value, str):
+            value = parse_fields(SystemConfig, {self.axis_field: value})[self.axis_field]
+        return replace(self.base, **{self.axis_field: value})
 
 
 @dataclass(frozen=True)
@@ -214,18 +220,20 @@ def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
     return records
 
 
-def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int = 50,
+def run_timing(configs, decodes: int = 1000, warmup: int = 50,
                batches: int = 10) -> list[TimingRecord]:
-    """Measure per-decode wall clock for each (config, detector) pair.
+    """Measure per-decode wall clock for each config, its detector included.
 
     Frames (message, channel, noise draws) are generated outside the timed
-    region; only the detector call is timed: ``warmup`` decodes per pair
+    region; only the detector call is timed: ``warmup`` decodes per config
     first, then ``decodes`` split into ``batches`` equal batches (it must be
     a multiple of ``batches``) whose median batch mean is reported. Batches
-    are interleaved round-robin across all measured pairs so that a
-    transient slowdown of the host hits every pair alike and cancels out of
-    time ratios.
+    are interleaved round-robin across the configs in the order given, so
+    that a transient slowdown of the host hits every config alike and
+    cancels out of time ratios.
     """
+    for name, value in (("batches", batches), ("decodes", decodes), ("warmup", warmup)):
+        require_type(value, int, name)
     if batches < 1:
         raise ValueError(f"batches must be at least 1, got {batches}")
     if decodes < batches:
@@ -234,20 +242,18 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
         raise ValueError(f"decodes must be a multiple of batches ({batches}), got {decodes}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
-    if not detectors:
-        raise ValueError("detectors must name at least one detector")
-    pairs = []  # (ctx, rng, batch means) per (config, detector)
-    for base_cfg in configs:
-        for detector in detectors:
-            cfg = replace(base_cfg, detector=detector)
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG)))
-            pairs.append((LinkContext.for_config(cfg), rng, []))
+    runs = []  # (ctx, rng, batch means) per config
+    for cfg in configs:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG)))
+        runs.append((LinkContext.for_config(cfg), rng, []))
+    if not runs:
+        raise ValueError("configs must hold at least one config")
     per_batch = decodes // batches
-    for batch in range(batches + 1):  # batch 0 warms every pair up
+    for batch in range(batches + 1):  # batch 0 warms every config up
         n = warmup if batch == 0 else per_batch
         if n == 0:
             continue
-        for ctx, rng, means in pairs:
+        for ctx, rng, means in runs:
             inputs = [transmit_frame(ctx, rng)[2:] for _ in range(n)]
             t0 = time.perf_counter_ns()
             for y_freq, ch in inputs:
@@ -258,7 +264,7 @@ def run_timing(configs, detectors=("mmpdf",), decodes: int = 1000, warmup: int =
     return [
         TimingRecord(config=ctx.cfg, decodes=per_batch * batches,
                      mean_ns=float(np.median(means)), spread_ns=float(np.std(means)))
-        for ctx, _, means in pairs
+        for ctx, _, means in runs
     ]
 
 

@@ -30,9 +30,19 @@ SCHEMES = ("esvc", "secbim")
 DETECTORS = ("mmpdf", "ml")
 CHANNEL_PATHS = ("freq", "time")
 
-# What each field type of SystemConfig takes. A float field keeps an int as
-# it is, so the text written for it does not change; no number takes a bool.
-_TAKES = {int: (int, np.integer), float: (int, float), bool: bool, str: str}
+# What each field type takes. A float field keeps an int as it is, so the
+# text written for it does not change; no number takes a bool.
+_TAKES = {int: (int, np.integer), float: (int, float, np.integer, np.floating), bool: bool,
+          str: str}
+
+
+def require_type(value, tp: type, name: str):
+    """``value`` as a field ``name`` of type ``tp`` stores it: a numpy scalar
+    becomes the Python number it holds. A value the type does not take is a
+    ``ValueError`` naming the field."""
+    if not isinstance(value, _TAKES[tp]) or (isinstance(value, bool) and tp is not bool):
+        raise ValueError(f"{name} must be {tp.__name__}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -67,11 +77,8 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value, tp = getattr(self, f.name), field_types(SystemConfig)[f.name]
-            if not isinstance(value, _TAKES[tp]) or (isinstance(value, bool) and tp is not bool):
-                raise ValueError(f"{f.name} must be {tp.__name__}, got {value!r}")
-            if isinstance(value, np.integer):
-                object.__setattr__(self, f.name, int(value))
+            value = require_type(getattr(self, f.name), field_types(SystemConfig)[f.name], f.name)
+            object.__setattr__(self, f.name, value)
             choices = f.metadata.get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")

@@ -208,8 +208,9 @@ def test_c08_decoder_complexity_trends():
     """Greedy decode time is flat in M; ML grows with the candidate count;
     joint decoding scales linearly in G."""
     t0 = time.time()
-    cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED) for m in (64, 128, 256)]
-    records = run_timing(cfgs, detectors=("mmpdf", "ml"), decodes=1000, warmup=100, batches=10)
+    cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED, detector=detector)
+            for m in (64, 128, 256) for detector in ("mmpdf", "ml")]
+    records = run_timing(cfgs, decodes=1000, warmup=100, batches=10)
     greedy = {r.config.M: r.mean_ns for r in records if r.config.detector == "mmpdf"}
     ml = {r.config.M: r.mean_ns for r in records if r.config.detector == "ml"}
 
@@ -224,7 +225,7 @@ def test_c08_decoder_complexity_trends():
     book_cfgs = [SystemConfig(scheme="esvc", G=1, **base)] + [
         SystemConfig(scheme="secbim", G=g, **base) for g in (2, 4)
     ]
-    book_recs = run_timing(book_cfgs, ("mmpdf",), decodes=1500, warmup=60, batches=15)
+    book_recs = run_timing(book_cfgs, decodes=1500, warmup=60, batches=15)
     t_single = book_recs[0].mean_ns
     for rec in book_recs[1:]:
         g = rec.config.G

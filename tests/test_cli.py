@@ -2,7 +2,6 @@
 import csv
 import json
 import shlex
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -106,6 +105,23 @@ class TestBerCommand:
             (rec,) = read_ber_csv(fh)
         assert (rec.config.N, rec.config.M, rec.config.seed) == (32, 16, 4)
 
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg_path = tmp_path / "link.cfg"
+        cfg_path.write_text("N=32\nM=16\nseed=4\n")
+        args = build_parser().parse_args([
+            "ber", "--config", str(cfg_path), "--N", "128", "--ebn0", "3", "--absolute-stop",
+            "--values", "inf",
+        ])
+        assert _config_from_args(args) == SystemConfig(
+            N=128, M=16, seed=4, ebn0_db=3.0, mmp_relative_stop=False)
+
+    def test_axis_value_named_on_a_misread(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["ber", "--N", "64", "--axis", "M", "--values", "32.5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: M: cannot read '32.5' as int\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main([
             "ber", "--config", str(tmp_path / "absent.cfg"), "--values", "0",
@@ -133,7 +149,7 @@ class TestTimingCommand:
         out = tmp_path / "timing.csv"
         rc = main([
             "timing", "--N", "32", "--M", "16", "--ebn0", "20",
-            "--axis", "M", "--values", "16,32", "--detectors", "mmpdf",
+            "--axis", "M", "--values", "16,32",
             "--decodes", "40", "--warmup", "5",
             "--out", str(out),
         ])
@@ -146,7 +162,7 @@ class TestTimingCommand:
         out = tmp_path / "timing.csv"
         rc = main([
             "timing", "--N", "32", "--M", "16", "--omega", "3", "--channel-path", "time",
-            "--axis", "ebn0", "--values", "20", "--detectors", "mmpdf",
+            "--axis", "ebn0", "--values", "20",
             "--decodes", "10", "--warmup", "2", "--out", str(out),
         ])
         assert rc == 0
@@ -159,7 +175,7 @@ class TestTimingCommand:
         out = tmp_path / "timing.csv"
         rc = main([
             "timing", "--scheme", "secbim", "--N", "32", "--M", "16",
-            "--axis", "G", "--values", "1,2", "--detectors", "mmpdf",
+            "--axis", "G", "--values", "1,2",
             "--decodes", "10", "--warmup", "0", "--out", str(out),
         ])
         assert rc == 0
@@ -168,25 +184,37 @@ class TestTimingCommand:
         assert [row["G"] for row in rows] == ["1", "2"]
         assert {row["scheme"] for row in rows} == {"secbim"}
 
-    def test_unknown_detector_fails(self, tmp_path):
+    def test_times_the_detector_given(self, tmp_path):
+        out = tmp_path / "timing.csv"
         rc = main([
-            "timing", "--N", "32", "--M", "16", "--values", "16",
-            "--detectors", "genie", "--decodes", "10",
-            "--out", str(tmp_path / "t.csv"),
+            "timing", "--N", "32", "--axis", "M", "--values", "8,16", "--detector", "ml",
+            "--decodes", "10", "--warmup", "0", "--out", str(out),
         ])
-        assert rc != 0
+        assert rc == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["detector"], row["M"]) for row in rows] == [("ml", "8"), ("ml", "16")]
+
+    def test_unknown_detector_fails(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "timing", "--N", "32", "--M", "16", "--values", "16",
+                "--detector", "genie", "--decodes", "10",
+                "--out", str(tmp_path / "t.csv"),
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("flags,name", [
-        (["--detectors", ""], "detectors"),
         (["--decodes", "0"], "decodes"),
         (["--decodes", "-10"], "decodes"),
         (["--warmup", "-1"], "warmup"),
         (["--decodes", "19"], "decodes"),  # 10 batches
-    ], ids=["no-detectors", "decodes=0", "decodes=-10", "warmup=-1", "decodes%batches"])
+    ], ids=["decodes=0", "decodes=-10", "warmup=-1", "decodes%batches"])
     def test_edge_arguments_fail(self, tmp_path, capsys, flags, name):
         out = tmp_path / "t.csv"
         rc = main([
-            "timing", "--N", "32", "--M", "16", "--values", "16", "--detectors", "mmpdf",
+            "timing", "--N", "32", "--M", "16", "--values", "16",
             "--decodes", "20", "--warmup", "0", *flags, "--out", str(out),
         ])
         assert rc == 2
@@ -223,9 +251,6 @@ def test_readme_experiments_build_their_sweeps():
         if args.command == "ber":
             _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
         else:
-            plan = _sweep_plan(args)
-            for value in plan.values:
-                for detector in args.detectors.split(","):
-                    replace(plan.config_at(value), detector=detector)
+            _sweep_plan(args)  # the configs the timing run times, in order
         outs.append(args.out)
     assert len(set(outs)) == len(outs)  # one file per series

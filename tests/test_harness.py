@@ -26,7 +26,7 @@ from svcim.harness import (
     write_ber_csv,
     write_timing_csv,
 )
-from svcim.link import SystemConfig, bits_per_symbol
+from svcim.link import SystemConfig, bits_per_symbol, config_to_text
 
 NOISELESS = float("inf")
 
@@ -63,10 +63,46 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             small_plan(**{name: 0})
 
+    @pytest.mark.parametrize("name,value", [
+        ("max_trials", 10.5), ("shard_trials", 8.0), ("min_errors", 2.5), ("max_trials", True),
+    ])
+    def test_limit_type_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be int, got {value}$"):
+            small_plan(values=(0.0,), **{name: value})
+
+    def test_numpy_limits_stored_as_ints(self):
+        plan = small_plan(max_trials=np.int64(200), shard_trials=np.int32(100))
+        assert (plan.max_trials, plan.shard_trials) == (200, 100)
+        assert type(plan.max_trials) is int and type(plan.shard_trials) is int
+
     def test_axis_substitution(self):
         plan = small_plan(sweep_axis="M", values=(16, 64))
         assert plan.config_at(64).M == 64
         assert plan.config_at(64).N == 32
+
+    @pytest.mark.parametrize("axis,value,message", [
+        ("M", 32.7, "M must be int, got 32.7"),
+        ("ebn0", True, "ebn0_db must be float, got True"),
+        ("M", "32.5", "M: cannot read '32.5' as int"),
+        ("ebn0", "4 dB", "ebn0_db: cannot read '4 dB' as float"),
+    ])
+    def test_axis_value_type_named(self, axis, value, message):
+        plan = small_plan(base=SystemConfig(N=64, M=32), sweep_axis=axis,
+                          values=(32 if axis == "M" else 0.0,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan.config_at(value)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_plan(base=SystemConfig(N=64, M=32), sweep_axis=axis, values=(value,))
+
+    def test_axis_values_as_the_config_stores_them(self):
+        # text is read by the field's type, numbers (numpy scalars included)
+        # are stored as the Python numbers SystemConfig keeps
+        plan = small_plan(values=(4, "6", np.float64(2.5), *np.arange(0, 4, 2)))
+        assert plan.values == (4, 6.0, 2.5, 0, 2)
+        assert [type(v) for v in plan.values] == [int, float, float, int, int]
+        assert "\nebn0_db=4\n" in config_to_text(plan.config_at(4))  # written as given
+        m_plan = small_plan(sweep_axis="M", values=(np.int64(8), "16"))
+        assert m_plan.values == (8, 16) and {type(v) for v in m_plan.values} == {int}
 
 
 class TestRunBerSweep:
@@ -340,9 +376,9 @@ class TestEmission:
 
 class TestRunTiming:
     def test_basic_measurement(self):
-        cfgs = [SystemConfig(N=32, M=16, ebn0_db=20.0, seed=2)]
-        records = run_timing(cfgs, detectors=("mmpdf", "ml"), decodes=100, warmup=10, batches=5)
-        assert len(records) == 2
+        cfgs = [SystemConfig(N=32, M=16, ebn0_db=20.0, seed=2, detector=d) for d in ("mmpdf", "ml")]
+        records = run_timing(cfgs, decodes=100, warmup=10, batches=5)
+        assert [rec.config for rec in records] == cfgs
         for rec in records:
             assert rec.mean_ns > 0
             assert rec.decodes == 100
@@ -352,9 +388,7 @@ class TestRunTiming:
         base = dict(M=32, N=32, K=2, L=16, v=10, ebn0_db=20.0, seed=4)
         single = SystemConfig(scheme="esvc", G=1, **base)
         joint = SystemConfig(scheme="secbim", G=4, **base)
-        t_single, t_joint = run_timing(
-            [single, joint], detectors=("mmpdf",), decodes=1500, warmup=30, batches=15
-        )
+        t_single, t_joint = run_timing([single, joint], decodes=1500, warmup=30, batches=15)
         ratio = t_joint.mean_ns / t_single.mean_ns
         assert 0.7 * 4 <= ratio <= 1.3 * 4
 
@@ -364,29 +398,31 @@ class TestRunTiming:
         (dict(decodes=-10), "decodes"),
         (dict(decodes=4), "decodes"),
         (dict(warmup=-1), "warmup"),
-        (dict(detectors=()), "detectors"),
         (dict(decodes=19, batches=10), "decodes"),
-    ], ids=["batches=0", "decodes=0", "decodes=-10", "decodes<batches", "warmup=-1", "no-detectors",
-            "decodes%batches"])
+        (dict(decodes=20.0), "decodes"),
+        (dict(warmup=1.5), "warmup"),
+        (dict(batches=True), "batches"),
+        (dict(configs=[]), "configs"),
+    ], ids=["batches=0", "decodes=0", "decodes=-10", "decodes<batches", "warmup=-1",
+            "decodes%batches", "decodes=20.0", "warmup=1.5", "batches=True", "no-configs"])
     def test_edge_inputs_rejected(self, overrides, name):
-        kwargs = dict(detectors=("mmpdf",), decodes=20, warmup=0, batches=5)
+        kwargs = dict(configs=[SystemConfig(N=32, M=16)], decodes=20, warmup=0, batches=5)
         with pytest.raises(ValueError, match=f"^{name} "):
-            run_timing([SystemConfig(N=32, M=16)], **{**kwargs, **overrides})
+            run_timing(**{**kwargs, **overrides})
+
 
     def test_ml_time_scales_with_books(self):
         # candidate table grows by G, so should the enumeration time
         base = dict(M=64, N=32, K=2, L=16, v=10, ebn0_db=20.0, seed=6)
-        single = SystemConfig(scheme="esvc", G=1, **base)
-        joint = SystemConfig(scheme="secbim", G=4, **base)
-        t_single, t_joint = run_timing(
-            [single, joint], detectors=("ml",), decodes=1200, warmup=40, batches=15
-        )
+        single = SystemConfig(scheme="esvc", G=1, detector="ml", **base)
+        joint = SystemConfig(scheme="secbim", G=4, detector="ml", **base)
+        t_single, t_joint = run_timing([single, joint], decodes=1200, warmup=40, batches=15)
         ratio = t_joint.mean_ns / t_single.mean_ns
         assert 2.0 <= ratio <= 7.0
 
     def test_timing_csv(self, tmp_path):
         cfgs = [SystemConfig(N=32, M=16, ebn0_db=20.0)]
-        records = run_timing(cfgs, detectors=("mmpdf",), decodes=50, warmup=5, batches=5)
+        records = run_timing(cfgs, decodes=50, warmup=5, batches=5)
         buf = io.StringIO()
         write_timing_csv(records, buf)
         lines = buf.getvalue().splitlines()

@@ -78,6 +78,10 @@ class TestSystemConfig:
         # no coercion: the text written for the field stays "4"
         text = config_to_text(SystemConfig(ebn0_db=4, mmp_lam=1))
         assert "\nebn0_db=4\n" in text and "\nmmp_lam=1\n" in text
+        # a numpy scalar is stored as the Python number it holds
+        cfg = SystemConfig(ebn0_db=np.int64(4), mmp_lam=np.float32(0.5))
+        assert (cfg.ebn0_db, cfg.mmp_lam) == (4, 0.5)
+        assert (type(cfg.ebn0_db), type(cfg.mmp_lam)) == (int, float)
 
     @pytest.mark.parametrize("kwargs,field", [(dict(N=1), "L"), (dict(N=1, L=0), "v")])
     def test_one_subcarrier_rejected(self, kwargs, field):
