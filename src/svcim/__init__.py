@@ -1,6 +1,6 @@
 """Link-level simulator for sparse-vector-coded OFDM with codebook index modulation."""
 
-from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
+from .channel import ChannelRealization, apply_freq, apply_time, draw_channel
 from .codebook import column_coherence, generate_set
 from .detectors import (
     DetectionResult,
@@ -29,7 +29,7 @@ from .link import (
     run_frame,
     spectral_efficiency,
 )
-from .transceiver import SparseVector, build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
+from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,9 @@ __all__ = [
     "FrameTrace",
     "LinkContext",
     "MmpDfParams",
-    "NoiseSpec",
     "Sensing",
     "SparseEstimate",
     "SparseMessage",
-    "SparseVector",
     "SweepPlan",
     "SystemConfig",
     "TimingRecord",

@@ -7,8 +7,9 @@ frame). With unitary OFDM transforms and v <= L they agree exactly, which
 the test suite checks to 1e-9.
 
 Noise is injected per complex sample with variance n0 = Eb * 10^(-EbN0/10),
-Eb = (N+L)/m, identically in both domains; the CP energy penalty is thereby
-part of the SNR accounting. Taps follow a uniform power-delay profile,
+Eb = (N+L)/m (``SystemConfig.n0``), identically in both domains; the CP
+energy penalty is thereby part of the SNR accounting, and n0 = 0 is
+noiseless. Taps follow a uniform power-delay profile,
 i.i.d. CN(0, 1/v), so the frequency response is CN(0, 1) per subcarrier.
 """
 from __future__ import annotations
@@ -31,28 +32,6 @@ class ChannelRealization:
         return len(self.cir)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-sample complex noise variance derived from Eb/N0 in dB."""
-
-    ebn0_db: float
-    eb: float
-
-    def __post_init__(self) -> None:
-        if self.eb <= 0:
-            raise ValueError(f"Eb must be positive, got {self.eb}")
-
-    @property
-    def n0(self) -> float:
-        # ebn0_db = +inf is the supported noiseless limit (n0 = 0).
-        return self.eb * 10.0 ** (-self.ebn0_db / 10.0)
-
-    @classmethod
-    def for_link(cls, n: int, cp_len: int, m_bits: int, ebn0_db: float) -> "NoiseSpec":
-        """Eb = (N + L)/m: average transmitted energy per information bit."""
-        return cls(ebn0_db=ebn0_db, eb=(n + cp_len) / m_bits)
-
-
 def draw_channel(v: int, n: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw one block-fading realization with v i.i.d. CN(0, 1/v) taps."""
     if not 1 <= v <= n:
@@ -70,19 +49,19 @@ def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_freq(
-    x_freq: np.ndarray, ch: ChannelRealization, noise: NoiseSpec, rng: np.random.Generator
+    x_freq: np.ndarray, ch: ChannelRealization, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-subcarrier model: y(b) = x(b) h(b) + w(b)."""
     x_freq = np.asarray(x_freq)
     if len(x_freq) != len(ch.cfr):
         raise ValueError(f"block length {len(x_freq)} != channel length {len(ch.cfr)}")
-    return x_freq * ch.cfr + _awgn(len(x_freq), noise.n0, rng)
+    return x_freq * ch.cfr + _awgn(len(x_freq), n0, rng)
 
 
 def apply_time(
     x_time: np.ndarray,
     ch: ChannelRealization,
-    noise: NoiseSpec,
+    n0: float,
     rng: np.random.Generator,
     cp_len: int,
 ) -> np.ndarray:
@@ -95,4 +74,4 @@ def apply_time(
     if ch.v > cp_len:
         raise ValueError(f"tap count {ch.v} exceeds CP length {cp_len}")
     faded = np.convolve(x_time, ch.cir)[: len(x_time)]
-    return faded + _awgn(len(x_time), noise.n0, rng)
+    return faded + _awgn(len(x_time), n0, rng)

@@ -34,8 +34,8 @@ _FLAGS = {
     "mmp_omega": ("--omega", "search expansions per node"),
     "mmp_lam": ("--lam", "residual stop threshold"),
     "mmp_upsilon": ("--upsilon", "max full-depth candidates"),
-    "mmp_relative_stop": ("--absolute-stop",
-                          "treat the stop threshold as an absolute residual instead of relative"),
+    "mmp_relative_stop": ("--relative-stop",
+                          "stop threshold relative to the input norm (off: an absolute residual)"),
 }
 
 
@@ -48,14 +48,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     types = field_types(SystemConfig)
     for f in fields(SystemConfig):
         flag, help_text = _FLAGS.get(f.name, (f"--{f.name}", None))
-        if types[f.name] is bool:  # a switch that flips the default
-            parser.add_argument(flag, dest=f.name, help=help_text, default=argparse.SUPPRESS,
-                                action="store_false" if f.default else "store_true")
-        else:
-            choices = f.metadata.get("choices")
-            parser.add_argument(flag, dest=f.name, type=types[f.name], default=argparse.SUPPRESS,
-                                choices=choices, help=help_text,
-                                metavar=None if choices else flag[2:].upper())
+        tp, choices = types[f.name], f.metadata.get("choices")
+        # a bool field is a --flag / --no-flag pair
+        kind = (dict(action=argparse.BooleanOptionalAction) if tp is bool else
+                dict(type=tp, choices=choices, metavar=None if choices else flag[2:].upper()))
+        parser.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, help=help_text, **kind)
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:

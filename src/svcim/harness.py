@@ -141,13 +141,14 @@ def binomial_ci95(ber: float, n_bits: int) -> float:
 
 
 def _worker_count(workers: int | None) -> int:
-    name = "workers"
     if workers is None:
         name, text = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
         try:
             workers = int(text)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    else:
+        name, workers = "workers", require_type(workers, int, "workers")
     if workers < 1:
         raise ValueError(f"{name} must be at least 1, got {workers}")
     return workers
@@ -307,7 +308,11 @@ def read_ber_csv(fh) -> list[BerRecord]:
     """
     record_fields = [name for name in field_types(BerRecord) if name != "config"]
     records = []
-    for row in csv.DictReader(fh):
+    reader = csv.DictReader(fh)
+    for row in reader:
+        absent = [col for col in CSV_COLUMNS if row.get(col) is None]
+        if absent:
+            raise ValueError(f"line {reader.line_num} has no cell for column {', '.join(absent)}")
         rec = BerRecord(
             config=SystemConfig(**parse_fields(
                 SystemConfig, {name: row[name] for name in field_types(SystemConfig)})),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import detectors
-from .channel import ChannelRealization, NoiseSpec, apply_freq, apply_time, draw_channel
+from .channel import ChannelRealization, apply_freq, apply_time, draw_channel
 from .codebook import generate_set, require_pow2
 from .detectors import DetectionResult, MlCandidates, MmpDfParams, build_ml_candidates
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
@@ -93,8 +93,13 @@ class SystemConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
-        if np.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
-            raise ValueError(f"ebn0_db must be a number or +inf (noiseless), got {self.ebn0_db}")
+        try:
+            finite = math.isfinite(self.n0)  # NaN and -inf dB give no n0 either
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"ebn0_db must give a finite noise variance n0 (+inf is noiseless), "
+                             f"got {self.ebn0_db}")
         try:
             self.mmp  # validates the search controls
         except ValueError as exc:
@@ -109,8 +114,12 @@ class SystemConfig:
     def space(self) -> ApSpace:
         return ApSpace(M=self.M, K=self.K)
 
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec.for_link(self.N, self.L, bits_per_symbol(self), self.ebn0_db)
+    @property
+    def n0(self) -> float:
+        """Complex noise variance per sample, Eb * 10^(-Eb/N0 / 10) with
+        Eb = (N + L)/m, the transmitted energy per information bit; 0.0 at
+        ebn0_db = +inf (noiseless)."""
+        return (self.N + self.L) / bits_per_symbol(self) * 10.0 ** (-self.ebn0_db / 10.0)
 
 
 def bits_per_symbol(cfg: SystemConfig) -> int:
@@ -160,7 +169,7 @@ class LinkContext:
     cfg: SystemConfig
     space: ApSpace
     books: np.ndarray  # read-only (G, N, M); book g is books[g - 1]
-    noise: NoiseSpec
+    n0: float
     mmp: MmpDfParams
     ml: MlCandidates | None
 
@@ -168,7 +177,7 @@ class LinkContext:
     def for_config(cls, cfg: SystemConfig) -> "LinkContext":
         books = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M)
         ml = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M, cfg.K) if cfg.detector == "ml" else None
-        return cls(cfg=cfg, space=cfg.space(), books=books, noise=cfg.noise(), mmp=cfg.mmp, ml=ml)
+        return cls(cfg=cfg, space=cfg.space(), books=books, n0=cfg.n0, mmp=cfg.mmp, ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
@@ -197,10 +206,10 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
 
     if cfg.channel_path == "time":
         x_time = ofdm_modulate(x_freq, cfg.L)
-        y_time = apply_time(x_time, ch, ctx.noise, rng, cfg.L)
+        y_time = apply_time(x_time, ch, ctx.n0, rng, cfg.L)
         y_freq = ofdm_demodulate(y_time, cfg.L)
     else:
-        y_freq = apply_freq(x_freq, ch, ctx.noise, rng)
+        y_freq = apply_freq(x_freq, ch, ctx.n0, rng)
     return tx_bits, msg, y_freq, ch
 
 

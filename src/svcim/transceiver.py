@@ -8,7 +8,6 @@ random +-1 codebook entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,16 +15,9 @@ from .codebook import require_pow2
 from .index_codec import SparseMessage, symbol_rows
 
 
-@dataclass(eq=False)
-class SparseVector:
-    """Length-M virtual-domain vector with exactly K unit-magnitude entries."""
-
-    values: np.ndarray
-    support: tuple[int, ...]  # 1-based active indices, ascending
-
-
-def build_sparse_vector(msg: SparseMessage, m: int) -> SparseVector:
-    """Place the constant symbols on the message's active indices.
+def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
+    """The length-m complex vector with the constant symbols on the
+    message's active indices and zeros elsewhere.
 
     The sparsity K is the number of indices; ``msg.extended`` picks the
     symbol set (see :func:`symbol_rows`).
@@ -36,24 +28,24 @@ def build_sparse_vector(msg: SparseMessage, m: int) -> SparseVector:
     values = np.zeros(m, dtype=np.complex128)
     for k, idx in enumerate(msg.indices):
         values[idx - 1] = symbols[k]
-    return SparseVector(values=values, support=msg.indices)
+    return values
 
 
-def spread(s: SparseVector, book: np.ndarray) -> np.ndarray:
-    """Spread the sparse vector over all N subcarriers: (1/sqrt(K)) C s.
+def spread(s: np.ndarray, book: np.ndarray) -> np.ndarray:
+    """Spread the sparse vector over all N subcarriers: (1/sqrt(K)) C s,
+    K being the number of nonzero entries of ``s``.
 
     Only the K active columns of C are multiplied, so the book is never
     cast to complex as a whole.
     """
     if book.ndim != 2:
         raise ValueError(f"book must be one 2-D codebook, got shape {book.shape}")
-    if book.shape[1] != len(s.values):
-        raise ValueError(f"codebook width {book.shape[1]} != sparse vector length {len(s.values)}")
-    k = len(s.support)
-    if k < 1:
+    if book.shape[1] != len(s):
+        raise ValueError(f"codebook width {book.shape[1]} != sparse vector length {len(s)}")
+    idx = np.flatnonzero(s)
+    if len(idx) == 0:
         raise ValueError("sparse vector has empty support")
-    idx = [i - 1 for i in s.support]
-    return book.take(idx, axis=1).dot(s.values.take(idx)) / math.sqrt(k)
+    return book.take(idx, axis=1).dot(s.take(idx)) / math.sqrt(len(idx))
 
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:

@@ -194,7 +194,7 @@ def reference_ml_candidates(books, space: ApSpace) -> MlCandidates:
     vdd = np.zeros((n_words, space.M), dtype=np.complex128)
     for word in range(n_words):
         msg = encode_bits(int_to_bits(word, space.m_bits), space)
-        vdd[word] = build_sparse_vector(msg, space.M).values
+        vdd[word] = build_sparse_vector(msg, space.M)
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
     spread = np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])
     return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)

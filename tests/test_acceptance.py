@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svcim.channel import NoiseSpec, apply_freq, apply_time, draw_channel
+from svcim.channel import apply_freq, apply_time, draw_channel
 from svcim.codebook import generate_codebook, generate_set
 from svcim.detectors import MmpDfParams, cophase, mmp_df, sensing_matrix
 from svcim.harness import SweepPlan, run_ber_sweep, run_timing, write_ber_csv
@@ -105,13 +105,12 @@ def test_c03_channel_path_equivalence():
     """Time-domain chain equals the per-subcarrier model to 1e-9 relative."""
     t0 = time.time()
     rng = np.random.default_rng(SEED)
-    noiseless = NoiseSpec(ebn0_db=NOISELESS, eb=1.0)
     worst = 0.0
     for _ in range(100):
         ch = draw_channel(10, 64, rng)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         via_time = ofdm_demodulate(
-            apply_time(ofdm_modulate(x, 16), ch, noiseless, rng, 16), 16
+            apply_time(ofdm_modulate(x, 16), ch, 0.0, rng, 16), 16
         )
         direct = x * ch.cfr
         worst = max(worst, float(np.max(np.abs(via_time - direct)) / np.max(np.abs(direct))))
@@ -293,14 +292,14 @@ def test_c10_property_suite():
 
     params = MmpDfParams(k=2, omega=1, lam=1e-12, upsilon=1)
     space32 = ApSpace(M=32, K=2)
-    noise = NoiseSpec(ebn0_db=8.0, eb=2.0)
+    n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
     for trial in range(100):
         book = generate_codebook(trial, 1, 64, 32)
         value = int(rng.integers(0, 2 ** space32.m_bits))
         msg = encode_bits(int_to_bits(value, space32.m_bits), space32)
         x = spread(build_sparse_vector(msg, 32), book)
         ch = draw_channel(10, 64, rng)
-        y = apply_freq(x, ch, noise, rng)
+        y = apply_freq(x, ch, n0, rng)
         y_hat = cophase(y, ch.cfr)
         psi = sensing_matrix(ch.cfr, book, 2)
         est = mmp_df(y_hat, psi, params)
@@ -314,7 +313,7 @@ def test_c10_property_suite():
     msg = encode_bits(int_to_bits(9, space16.m_bits), space16)
     x = spread(build_sparse_vector(msg, 16), books[0])
     ch = draw_channel(10, 32, rng)
-    y = apply_freq(x, ch, NoiseSpec(ebn0_db=5.0, eb=2.0), rng)
+    y = apply_freq(x, ch, 2.0 * 10.0 ** (-5.0 / 10.0), rng)
     base_det = secbim_decode(y, ch.cfr, books, space16, MmpDfParams())
     for scale in (0.1, 0.5, 3.0, 25.0):
         scaled = secbim_decode(scale * y, scale * ch.cfr, books, space16, MmpDfParams())

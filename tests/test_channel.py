@@ -7,12 +7,8 @@ must equal the element-wise product with the frequency response.
 import numpy as np
 import pytest
 
-from svcim.channel import NoiseSpec, apply_freq, apply_time, draw_channel
+from svcim.channel import apply_freq, apply_time, draw_channel
 from svcim.transceiver import ofdm_demodulate, ofdm_modulate
-
-
-def _noiseless():
-    return NoiseSpec(ebn0_db=float("inf"), eb=1.0)
 
 
 class TestDrawChannel:
@@ -41,51 +37,37 @@ class TestDrawChannel:
             draw_channel(17, 16, rng)
 
 
-class TestNoiseSpec:
-    def test_n0_formula(self):
-        spec = NoiseSpec.for_link(n=64, cp_len=16, m_bits=11, ebn0_db=10.0)
-        assert spec.eb == 80 / 11
-        assert np.isclose(spec.n0, 80 / 11 * 0.1)
-
-    def test_noiseless_limit(self):
-        assert NoiseSpec(ebn0_db=float("inf"), eb=4.0).n0 == 0.0
-
-    def test_eb_positive(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(ebn0_db=0.0, eb=0.0)
-
-
 class TestApplyFreq:
     def test_identity_channel(self):
         rng = np.random.default_rng(4)
         ch = draw_channel(1, 16, rng)
         ch.cfr[:] = 1.0
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.array_equal(apply_freq(x, ch, _noiseless(), rng), x)
+        assert np.array_equal(apply_freq(x, ch, 0.0, rng), x)
 
     def test_elementwise_gain(self):
         rng = np.random.default_rng(5)
         ch = draw_channel(6, 32, rng)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        y = apply_freq(x, ch, _noiseless(), rng)
+        y = apply_freq(x, ch, 0.0, rng)
         assert np.allclose(y / x, ch.cfr)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(6)
         ch = draw_channel(1, 1024, rng)
-        noise = NoiseSpec(ebn0_db=3.0, eb=2.0)
+        n0 = 2.0 * 10.0 ** (-3.0 / 10.0)
         x = np.zeros(1024, complex)
         samples = np.concatenate(
-            [apply_freq(x, ch, noise, rng) for _ in range(100)]
+            [apply_freq(x, ch, n0, rng) for _ in range(100)]
         )
         measured = np.mean(np.abs(samples) ** 2)
-        assert abs(measured / noise.n0 - 1.0) < 0.03
+        assert abs(measured / n0 - 1.0) < 0.03
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(7)
         ch = draw_channel(2, 16, rng)
         with pytest.raises(ValueError):
-            apply_freq(np.zeros(8, complex), ch, _noiseless(), rng)
+            apply_freq(np.zeros(8, complex), ch, 0.0, rng)
 
 
 class TestApplyTime:
@@ -94,23 +76,23 @@ class TestApplyTime:
         ch = draw_channel(1, 16, rng)
         ch.cir[:] = 1.0
         x = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        assert np.allclose(apply_time(x, ch, _noiseless(), rng, cp_len=4), x)
+        assert np.allclose(apply_time(x, ch, 0.0, rng, cp_len=4), x)
 
     def test_tap_count_must_fit_cp(self):
         rng = np.random.default_rng(9)
         ch = draw_channel(10, 64, rng)
         with pytest.raises(ValueError):
-            apply_time(np.zeros(72, complex), ch, _noiseless(), rng, cp_len=8)
+            apply_time(np.zeros(72, complex), ch, 0.0, rng, cp_len=8)
 
     def test_noise_variance_on_zero_input(self):
         rng = np.random.default_rng(10)
         ch = draw_channel(4, 64, rng)
-        noise = NoiseSpec(ebn0_db=0.0, eb=1.5)
+        n0 = 1.5
         x = np.zeros(1000, complex)
         samples = np.concatenate(
-            [apply_time(x, ch, noise, rng, cp_len=16) for _ in range(100)]
+            [apply_time(x, ch, n0, rng, cp_len=16) for _ in range(100)]
         )
-        assert abs(np.mean(np.abs(samples) ** 2) / noise.n0 - 1.0) < 0.03
+        assert abs(np.mean(np.abs(samples) ** 2) / n0 - 1.0) < 0.03
 
     def test_path_equivalence(self):
         # the central oracle: time-domain chain equals the per-subcarrier model
@@ -121,7 +103,7 @@ class TestApplyTime:
             ch = draw_channel(v, n, rng)
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             via_time = ofdm_demodulate(
-                apply_time(ofdm_modulate(x, cp_len), ch, _noiseless(), rng, cp_len), cp_len
+                apply_time(ofdm_modulate(x, cp_len), ch, 0.0, rng, cp_len), cp_len
             )
             direct = x * ch.cfr
             worst = max(worst, np.max(np.abs(via_time - direct)) / np.max(np.abs(direct)))
@@ -135,6 +117,6 @@ class TestApplyTime:
             ch = draw_channel(v, n, rng)
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             via_time = ofdm_demodulate(
-                apply_time(ofdm_modulate(x, cp_len), ch, _noiseless(), rng, cp_len), cp_len
+                apply_time(ofdm_modulate(x, cp_len), ch, 0.0, rng, cp_len), cp_len
             )
             assert np.max(np.abs(via_time - x * ch.cfr)) < 1e-9 * np.max(np.abs(x * ch.cfr))

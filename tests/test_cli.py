@@ -78,7 +78,7 @@ class TestBerCommand:
         out = tmp_path / "ber.csv"
         rc = main([
             "ber", "--N", "32", "--M", "16", "--omega", "3", "--lam", "0.2",
-            "--upsilon", "4", "--absolute-stop",
+            "--upsilon", "4", "--no-relative-stop",
             "--values", "inf", "--min-errors", "10", "--max-trials", "50",
             "--out", str(out),
         ])
@@ -109,11 +109,27 @@ class TestBerCommand:
         cfg_path = tmp_path / "link.cfg"
         cfg_path.write_text("N=32\nM=16\nseed=4\n")
         args = build_parser().parse_args([
-            "ber", "--config", str(cfg_path), "--N", "128", "--ebn0", "3", "--absolute-stop",
+            "ber", "--config", str(cfg_path), "--N", "128", "--ebn0", "3", "--no-relative-stop",
             "--values", "inf",
         ])
         assert _config_from_args(args) == SystemConfig(
             N=128, M=16, seed=4, ebn0_db=3.0, mmp_relative_stop=False)
+
+    def test_flag_turns_a_file_switch_back_on(self, tmp_path):
+        from svcim.link import config_to_text
+
+        cfg_path = tmp_path / "link.cfg"
+        cfg_path.write_text(config_to_text(SystemConfig(N=32, M=16, mmp_relative_stop=False)))
+        out = tmp_path / "ber.csv"
+        rc = main([
+            "ber", "--config", str(cfg_path), "--relative-stop", "--values", "inf",
+            "--min-errors", "10", "--max-trials", "50", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            (rec,) = read_ber_csv(fh)
+        assert rec.config == SystemConfig(N=32, M=16, ebn0_db=float("inf"))
+        assert rec.config.mmp_relative_stop is True
 
     def test_axis_value_named_on_a_misread(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svcim.detectors
-from svcim.channel import ChannelRealization, NoiseSpec, apply_freq, draw_channel
+from svcim.channel import ChannelRealization, apply_freq, draw_channel
 from svcim.codebook import generate_codebook, generate_set
 from svcim.detectors import (
     MmpDfParams,
@@ -38,18 +38,14 @@ from oracles import (
 )
 
 
-def _noiseless():
-    return NoiseSpec(ebn0_db=float("inf"), eb=1.0)
-
-
-def _random_message_chain(rng, n, m, v, params, space, seed=0, noise=None):
+def _random_message_chain(rng, n, m, v, params, space, seed=0, n0=0.0):
     """One random frame up to the co-phased receiver input."""
     book = generate_codebook(seed, 1, n, m)
     value = int(rng.integers(0, 2 ** space.m_bits))
     msg = encode_bits(int_to_bits(value, space.m_bits), space)
     x = spread(build_sparse_vector(msg, m), book)
     ch = draw_channel(v, n, rng)
-    y = apply_freq(x, ch, noise or _noiseless(), rng)
+    y = apply_freq(x, ch, n0, rng)
     return book, msg, ch, y
 
 
@@ -106,7 +102,7 @@ class TestSensingMatrix:
             )
             s = build_sparse_vector(msg, 32)
             lhs = cophase(y, ch.cfr)
-            rhs = dense(sensing_matrix(ch.cfr, book, k=2)) @ s.values
+            rhs = dense(sensing_matrix(ch.cfr, book, k=2)) @ s
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dimension_mismatch(self):
@@ -134,9 +130,9 @@ class TestMmpDf:
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             s = build_sparse_vector(msg, 16)
-            est = mmp_df(dense(psi) @ s.values, psi, params)
+            est = mmp_df(dense(psi) @ s, psi, params)
             assert est.support == msg.indices
-            assert np.allclose(est.coeffs, s.values[np.array(msg.indices) - 1])
+            assert np.allclose(est.coeffs, s[np.array(msg.indices) - 1])
             assert est.residual_norm < 1e-9
 
     def test_k1_reduces_to_matched_filter(self):
@@ -156,10 +152,10 @@ class TestMmpDf:
         rng = np.random.default_rng(6)
         params = MmpDfParams(k=2, omega=1, lam=1e-9, upsilon=1)
         space = ApSpace(M=24, K=2)
-        noise = NoiseSpec(ebn0_db=8.0, eb=2.0)
+        n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
         for trial in range(100):
             book, msg, ch, y = _random_message_chain(
-                rng, 32, 24, 8, params, space, seed=trial, noise=noise
+                rng, 32, 24, 8, params, space, seed=trial, n0=n0
             )
             y_hat = cophase(y, ch.cfr)
             psi = sensing_matrix(ch.cfr, book, k=2)
@@ -398,7 +394,7 @@ class TestGramSearchMatchesReference:
                     if i % 4 == 3:  # near-degenerate channel, same message
                         x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
                         h = self._degrade(h, rng)
-                        y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng)
+                        y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.n0, rng)
                     yield y, h, ctx
                 yield np.zeros(cfg.N, complex), h, ctx
 
@@ -471,7 +467,7 @@ class TestDeepFadeDecisionsMatchLstsq:
                     else:
                         h = TestGramSearchMatchesReference._degrade(ch.cfr, rng)
                     x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
-                    yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.noise, rng), h, ctx
+                    yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.n0, rng), h, ctx
 
     def test_decisions_agree(self, monkeypatch):
         decode = TestGramSearchMatchesReference._decode
@@ -552,7 +548,7 @@ class TestEsvcDecode:
         params = MmpDfParams(k=2)
         books = generate_set(23, 1, 64, 64)
         book = books[0]
-        noise = NoiseSpec(ebn0_db=-50.0, eb=80 / space.m_bits)
+        n0 = 80 / space.m_bits * 10.0 ** (50.0 / 10.0)
         errors = total = 0
         for _ in range(400):
             value = int(rng.integers(0, 2 ** space.m_bits))
@@ -560,7 +556,7 @@ class TestEsvcDecode:
             msg = encode_bits(bits, space)
             x = spread(build_sparse_vector(msg, 64), book)
             ch = draw_channel(10, 64, rng)
-            y = apply_freq(x, ch, noise, rng)
+            y = apply_freq(x, ch, n0, rng)
             det = secbim_decode(y, ch.cfr, books, space, params)
             errors += sum(a != b for a, b in zip(bits, det.bits))
             total += space.m_bits
@@ -576,13 +572,13 @@ class TestSecbimDecode:
         space = ApSpace(M=16, K=k)
         params = MmpDfParams(k=k)
         books = generate_set(47, 2, 32, 16)
-        noise = NoiseSpec(ebn0_db=4.0, eb=48 / (1 + space.m_bits))
+        n0 = 48 / (1 + space.m_bits) * 10.0 ** (-4.0 / 10.0)
         for _ in range(200):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 2))])
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, noise, rng)
+            y = apply_freq(x, ch, n0, rng)
             metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
             for gi, est in enumerate(estimates):
                 sup0 = [i - 1 for i in est.support]
@@ -606,13 +602,13 @@ class TestSecbimDecode:
         params = MmpDfParams(k=k)
         books = generate_set(59, 4, 32, 16)
         symbols = symbol_rows(k)
-        noise = NoiseSpec(ebn0_db=4.0, eb=48 / (2 + space.m_bits))
+        n0 = 48 / (2 + space.m_bits) * 10.0 ** (-4.0 / 10.0)
         for _ in range(100):
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 4))])
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, noise, rng)
+            y = apply_freq(x, ch, n0, rng)
             metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
             per_book = np.empty((len(books), 2))
             for gi, est in enumerate(estimates):
@@ -631,7 +627,7 @@ class TestSecbimDecode:
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 32), books[g - 1])
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, _noiseless(), rng)
+            y = apply_freq(x, ch, 0.0, rng)
             det = secbim_decode(y, ch.cfr, books, space, params)
             assert det.g_hat == g
             assert det.d_hat == msg.d
@@ -649,7 +645,7 @@ class TestSecbimDecode:
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[g - 1])
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, _noiseless(), rng)
+            y = apply_freq(x, ch, 0.0, rng)
             metrics, _ = secbim_joint_metrics(y, ch.cfr, books, params)
             det = secbim_decode(y, ch.cfr, books, space, params)
             assert metrics[det.g_hat - 1].min() <= metrics[g - 1].min()
@@ -660,7 +656,7 @@ class TestSecbimDecode:
         params = MmpDfParams(k=2)
         books = generate_set(41, 2, 64, 64)
         m_total = 1 + space.m_bits
-        noise = NoiseSpec(ebn0_db=30.0, eb=80 / m_total)
+        n0 = 80 / m_total * 10.0 ** (-30.0 / 10.0)
         wrong = 0
         n_trials = 10_000
         for _ in range(n_trials):
@@ -669,7 +665,7 @@ class TestSecbimDecode:
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 64), books[g - 1])
             ch = draw_channel(10, 64, rng)
-            y = apply_freq(x, ch, noise, rng)
+            y = apply_freq(x, ch, n0, rng)
             wrong += secbim_decode(y, ch.cfr, books, space, params).g_hat != g
         assert wrong / n_trials < 1e-3
 
@@ -703,7 +699,7 @@ class TestMlDetectors:
             msg = encode_bits(bits, space)
             x = spread(build_sparse_vector(msg, 16), book)
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, _noiseless(), rng)
+            y = apply_freq(x, ch, 0.0, rng)
             det = ml_secbim(y, ch.cfr, books, space, cand)
             assert tuple(det.bits) == bits
             # zero metric at the truth, up to cancellation in the expansion
@@ -732,7 +728,7 @@ class TestMlDetectors:
         books = generate_set(53, 1, 32, 16)
         book = books[0]
         cand = build_ml_candidates(books, space)
-        noise = NoiseSpec(ebn0_db=30.0, eb=48 / space.m_bits)
+        n0 = 48 / space.m_bits * 10.0 ** (-30.0 / 10.0)
         agree = 0
         n_trials = 10_000
         for _ in range(n_trials):
@@ -740,7 +736,7 @@ class TestMlDetectors:
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), book)
             ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, noise, rng)
+            y = apply_freq(x, ch, n0, rng)
             ml = ml_secbim(y, ch.cfr, books, space, cand)
             greedy = secbim_decode(y, ch.cfr, books, space, params)
             agree += np.array_equal(ml.bits, greedy.bits)
@@ -756,7 +752,7 @@ class TestMlDetectors:
                 msg = encode_bits(int_to_bits(value, space.m_bits), space)
                 x = spread(build_sparse_vector(msg, 8), books[g - 1])
                 ch = draw_channel(10, 32, rng)
-                y = apply_freq(x, ch, _noiseless(), rng)
+                y = apply_freq(x, ch, 0.0, rng)
                 det = ml_secbim(y, ch.cfr, books, space, cand)
                 assert det.g_hat == g
                 assert tuple(det.bits) == int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
@@ -849,12 +845,12 @@ class TestScaleInvariance:
         space = ApSpace(M=16, K=2)
         params = MmpDfParams(k=2)
         books = generate_set(67, 1, 32, 16)
-        noise = NoiseSpec(ebn0_db=5.0, eb=48 / space.m_bits)
+        n0 = 48 / space.m_bits * 10.0 ** (-5.0 / 10.0)
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
         x = spread(build_sparse_vector(msg, 16), books[0])
         ch = draw_channel(10, 32, rng)
-        y = apply_freq(x, ch, noise, rng)
+        y = apply_freq(x, ch, n0, rng)
         base = secbim_decode(y, ch.cfr, books, space, params)
         scaled = secbim_decode(scale * y, scale * ch.cfr, books, space, params)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)
@@ -866,11 +862,11 @@ class TestScaleInvariance:
         space = ApSpace(M=16, K=2)
         books = generate_set(71, 2, 32, 16)
         cand = build_ml_candidates(books, space)
-        noise = NoiseSpec(ebn0_db=5.0, eb=48 / (1 + space.m_bits))
+        n0 = 48 / (1 + space.m_bits) * 10.0 ** (-5.0 / 10.0)
         msg = encode_bits(int_to_bits(9, space.m_bits), space)
         x = spread(build_sparse_vector(msg, 16), books[1])
         ch = draw_channel(10, 32, rng)
-        y = apply_freq(x, ch, noise, rng)
+        y = apply_freq(x, ch, n0, rng)
         base = ml_secbim(y, ch.cfr, books, space, cand)
         scaled = ml_secbim(scale * y, scale * ch.cfr, books, space, cand)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)

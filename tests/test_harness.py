@@ -218,7 +218,7 @@ class TestRunBerSweep:
         with pytest.raises(ValueError, match=f"^{harness.WORKERS_ENV} .*{value}"):
             run_ber_sweep(small_plan(values=(0.0,), max_trials=100), measure_time=False)
 
-    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("workers", [0, -4, True, 1.0, 2.5])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ValueError, match=f"^workers .*{workers}"):
             run_ber_sweep(small_plan(values=(0.0,), max_trials=100), workers=workers,
@@ -358,6 +358,26 @@ class TestEmission:
         cells.update(edits)
         with pytest.raises(ValueError, match=f"^{column}: the row holds"):
             read_ber_csv(io.StringIO(f"{header}\n{','.join(cells.values())}\n"))
+
+    def _header_and_row(self):
+        buf = io.StringIO()
+        write_ber_csv([BerRecord(config=self.CFG, trials=10, bit_errors=7,
+                                 wall_ns_per_decode=0.0)], buf)
+        return [line.split(",") for line in buf.getvalue().splitlines()]
+
+    def test_missing_column_named_on_read(self):
+        header, row = self._header_and_row()
+        i = header.index("seed")
+        text = "".join(",".join(cells[:i] + cells[i + 1:]) + "\n" for cells in (header, row))
+        with pytest.raises(ValueError, match="^line 2 has no cell for column seed$"):
+            read_ber_csv(io.StringIO(text))
+
+    def test_short_row_named_on_read(self):
+        header, row = self._header_and_row()
+        text = f"{','.join(header)}\n{','.join(row[:-3])}\n"
+        with pytest.raises(ValueError, match="^line 2 has no cell for column "
+                                             "ber, ci95, wall_ns_per_decode$"):
+            read_ber_csv(io.StringIO(text))
 
     def test_plot_axis_must_be_a_config_field(self, tmp_path):
         path = tmp_path / "out.json"

@@ -43,6 +43,7 @@ class TestSystemConfig:
             dict(mmp_omega=0),  # search controls are validated too
             dict(ebn0_db=float("nan")),
             dict(ebn0_db=float("-inf")),  # +inf is the noiseless limit, -inf is nothing
+            dict(ebn0_db=-4000.0),  # n0 = Eb * 10^400 is beyond float range
             dict(mmp_lam=0.0),
             dict(mmp_upsilon=0),
             dict(mmp_lam=float("nan")),
@@ -128,6 +129,15 @@ class TestBitBudget:
         assert np.isclose(
             spectral_efficiency(joint) - spectral_efficiency(base), 2 / (64 + 16)
         )
+
+    def test_n0_formula(self):
+        cfg = SystemConfig(N=64, L=16, M=64, K=2, ebn0_db=10.0)
+        assert bits_per_symbol(cfg) == 11
+        assert cfg.n0 == 80 / 11 * 10.0 ** -1.0  # Eb = (N + L)/m, then the dB factor
+        assert np.isclose(cfg.n0, 80 / 11 * 0.1)
+
+    def test_noiseless_limit(self):
+        assert SystemConfig(N=64, L=16, M=64, K=2, ebn0_db=NOISELESS).n0 == 0.0
 
 
 class TestRunFrame:

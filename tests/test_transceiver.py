@@ -6,33 +6,28 @@ import pytest
 
 from svcim.codebook import generate_codebook, generate_set
 from svcim.index_codec import ApSpace, SparseMessage, encode_bits, int_to_bits
-from svcim.transceiver import (
-    SparseVector,
-    build_sparse_vector,
-    ofdm_demodulate,
-    ofdm_modulate,
-    spread,
-)
+from svcim.transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
 
 class TestBuildSparseVector:
     def test_reference_rows(self):
         s = build_sparse_vector(SparseMessage((1, 2), False, 0), 4)
-        assert np.array_equal(s.values, np.array([1, 1j, 0, 0]))
+        assert np.array_equal(s, np.array([1, 1j, 0, 0]))
+        assert s.dtype == np.complex128 and s.flags.writeable
         s = build_sparse_vector(SparseMessage((1, 3), True, 1), 4)
-        assert np.array_equal(s.values, np.array([-1, 0, -1j, 0]))
+        assert np.array_equal(s, np.array([-1, 0, -1j, 0]))
         s = build_sparse_vector(SparseMessage((3, 4), False, 5), 4)
-        assert np.array_equal(s.values, np.array([0, 0, 1, 1j]))
+        assert np.array_equal(s, np.array([0, 0, 1, 1j]))
 
     def test_sparsity_and_magnitudes(self):
         space = ApSpace(M=16, K=2)
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             s = build_sparse_vector(msg, 16)
-            nz = np.flatnonzero(s.values)
+            nz = np.flatnonzero(s)
             assert len(nz) == 2
             assert tuple(nz + 1) == msg.indices
-            assert np.allclose(np.abs(s.values[nz]), 1.0)
+            assert np.allclose(np.abs(s[nz]), 1.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -51,22 +46,27 @@ class TestSpread:
 
     def test_unit_vector_selects_column(self):
         book = generate_codebook(seed=3, book_id=1, n=8, m=4)
-        e1 = SparseVector(values=np.eye(4, dtype=complex)[0], support=(1,))
+        e1 = np.eye(4, dtype=complex)[0]
         assert np.allclose(spread(e1, book), book[:, 0])
 
     def test_hand_computation_all_ones_book(self):
         book = np.ones((2, 2))
-        s = SparseVector(values=np.array([1, 1j]), support=(1, 2))
+        s = np.array([1, 1j])
         expected = np.array([(1 + 1j), (1 + 1j)]) / math.sqrt(2)
         assert np.allclose(spread(s, book), expected)
 
     def test_dimension_mismatch(self):
         book = generate_codebook(seed=3, book_id=1, n=8, m=4)
-        s = SparseVector(values=np.zeros(5, complex), support=(1, 2))
-        s.values[0] = 1
-        s.values[1] = 1j
+        s = np.zeros(5, complex)
+        s[0] = 1
+        s[1] = 1j
         with pytest.raises(ValueError):
             spread(s, book)
+
+    def test_empty_support_rejected(self):
+        book = generate_codebook(seed=3, book_id=1, n=8, m=4)
+        with pytest.raises(ValueError, match="empty support"):
+            spread(np.zeros(4, complex), book)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_gather_equals_dense_product(self, k):
@@ -79,7 +79,7 @@ class TestSpread:
                 book = generate_codebook(int(rng.integers(0, 2**31)), 1, 128, 128)
             value = int(rng.integers(0, 2 ** space.m_bits))
             s = build_sparse_vector(encode_bits(int_to_bits(value, space.m_bits), space), 128)
-            dense = (book @ s.values) / math.sqrt(k)
+            dense = (book @ s) / math.sqrt(k)
             assert spread(s, book).tobytes() == dense.tobytes()
 
     def test_energy_over_random_books(self):
@@ -96,11 +96,10 @@ class TestSpread:
         rng = np.random.default_rng(0)
         v1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        s1 = SparseVector(values=v1, support=(1, 2))
-        s2 = SparseVector(values=v2, support=(1, 2))
+        v1[2:] = v2[2:] = 0  # one support of two entries
         a, b = 0.7 - 0.2j, -1.1 + 0.5j
-        combo = SparseVector(values=a * v1 + b * v2, support=(1, 2))
-        assert np.allclose(spread(combo, book), a * spread(s1, book) + b * spread(s2, book))
+        combo = a * v1 + b * v2
+        assert np.allclose(spread(combo, book), a * spread(v1, book) + b * spread(v2, book))
 
     def test_per_subcarrier_energy_convention(self):
         # average |x(b)|^2 over 10^4 random message/book pairs is 1 +- 2%
