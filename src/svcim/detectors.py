@@ -5,9 +5,10 @@ gain is the real, nonnegative magnitude response, pairs that gain with the
 codebook as the (factored) sensing matrix, and recovers the activation
 pattern with a depth-first multipath matching pursuit (MMP-DF). Symbol-set
 and codebook decisions are nearest-vector rules on the recovered
-amplitudes. Exhaustive ML detectors over the candidate set serve as the
-optimality baseline; their candidate blocks are precomputed once per
-configuration so timing comparisons measure the decision metric itself.
+amplitudes. Exhaustive ML detection over every (codebook, word) pair serves
+as the optimality baseline; it scores each candidate block from the
+correlations of the received block with the book columns, so it stores the
+active columns of each pattern rank, never the blocks.
 Both detectors handle any number of codebooks G; the single-codebook scheme
 is the case G = 1.
 
@@ -34,7 +35,7 @@ from .index_codec import (
     symbol_rows,
 )
 
-# Refuse ML enumeration beyond this many candidate blocks.
+# Refuse ML enumeration beyond this many candidate blocks, G * 2**m_bits.
 ML_CANDIDATE_CAP = 1 << 20
 
 
@@ -106,16 +107,13 @@ class DetectionResult:
     estimate: SparseEstimate | None = field(default=None, repr=False)
 
 
-def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray,
-                    n: int | None = None) -> None:
+def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray) -> None:
     """Reject ``books`` unless it is a (G, N, M) array with G a power of two, and a
-    y_freq or h_freq that is not a length-n vector (n defaults to the books' N)
-    or holds a NaN or inf."""
+    y_freq or h_freq that is not a length-N vector or holds a NaN or inf."""
     if np.ndim(books) != 3:
         raise ValueError(f"books must be a (G, N, M) array, got shape {np.shape(books)}")
     require_pow2(len(books), "G")
-    if n is None:
-        n = books.shape[1]
+    n = books.shape[1]
     for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
         if np.shape(arr) != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {np.shape(arr)}")
@@ -240,7 +238,7 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : real sensing matrix diag(gains) @ entries, N x M with M >= params.k
+    psi : real sensing matrix diag(gains) @ entries, N x M with N, M >= params.k
     params : search controls
 
     Returns
@@ -249,8 +247,9 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     Raises
     ------
-    ValueError : on complex ``entries`` or ``gains``, mismatched shapes, or
-        a NaN or inf in ``y_hat``, ``entries`` or ``gains``.
+    ValueError : on complex ``entries`` or ``gains``, mismatched shapes, fewer
+        than k rows or columns, or a NaN or inf in ``y_hat``, ``entries`` or
+        ``gains``.
     """
     y = np.ascontiguousarray(y_hat, dtype=np.complex128)
     c = np.asarray(psi.entries)
@@ -266,6 +265,8 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     k = params.k
     if m < k:
         raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
+    if n < k:
+        raise ValueError(f"sensing matrix has {n} rows, need >= {k}")
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
@@ -276,7 +277,6 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
         raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
     w2 = w * w
     stop_level = params.lam * (math.sqrt(np.vdot(y, y).real) if params.relative_stop else 1.0)
-    omega = min(params.omega, m)
     gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
 
     best_resid = math.inf
@@ -295,7 +295,8 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
         for col in path:
             corr[col] = -1.0
         children = []
-        for _ in range(omega):  # the first maximum: ties go to the lowest column
+        # the omega best unused columns; the first maximum: ties go to the lowest column
+        for _ in range(min(params.omega, m - len(path))):
             col = int(corr.argmax())
             children.append(col)
             corr[col] = -math.inf
@@ -405,63 +406,63 @@ def secbim_decode(
     return _result(books, space, g0 + 1, d_hat, extended, float(metrics[g0, int(extended)]), est)
 
 
-@dataclass(eq=False)
-class MlCandidates:
-    """Every legal transmit block, spread and cached for ML enumeration.
+def require_ml_cap(n_books: int, space: ApSpace) -> None:
+    """Refuse an ML decode that would score more than ``ML_CANDIDATE_CAP`` blocks,
+    G * 2**m_bits, with a ``ValueError`` naming G, M and K."""
+    blocks = n_books << space.m_bits
+    if blocks > ML_CANDIDATE_CAP:
+        raise ValueError(f"ML candidate space of {blocks} blocks (G={n_books}, M={space.M}, "
+                         f"K={space.K}) exceeds the cap of {ML_CANDIDATE_CAP}; use the greedy detector")
 
-    Row ``(g - 1) * 2**m_bits + word`` holds book position g spreading
-    ``word``; ``spread_abs2`` caches the entrywise squared magnitudes so
-    each decode reduces to two matrix-vector products. Both arrays are
-    read-only, as every context of a configuration shares one table.
+
+def build_ml_candidates(space: ApSpace) -> np.ndarray:
+    """The index table of ML enumeration: one read-only (C(M, K), K) int array.
+
+    Row d holds the 0-based active columns of rank d, ascending. Word
+    w < C(M, K) is rank w on the original symbol set and word C(M, K) + d is
+    rank d on the extended set (see ``encode_bits``), so the rows serve
+    every word of every book: the table depends on (M, K) only.
     """
-
-    spread: np.ndarray  # (rows, N) complex candidate blocks, 1/sqrt(K) applied
-    spread_abs2: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.spread.setflags(write=False)
-        self.spread_abs2.setflags(write=False)
+    require_ml_cap(1, space)
+    # column-major, so that each k's column is contiguous for the decoders' gathers
+    cols = np.asfortranarray(np.array([rank_to_combo(d, space) for d in range(space.n_combos)]) - 1)
+    cols.setflags(write=False)
+    return cols
 
 
-def build_ml_candidates(books: np.ndarray, space: ApSpace) -> MlCandidates:
-    """Spread every candidate word with every book, once per configuration.
+def _ml_metrics(y: np.ndarray, h: np.ndarray, books: np.ndarray, space: ApSpace,
+                cand: np.ndarray) -> np.ndarray:
+    """||y - h .* v||^2 for every (book, word), as a (G, 2**m_bits) array.
 
-    Word w < C(M, K) is rank w on the original symbol set and word
-    C(M, K) + d is rank d on the extended set (see ``encode_bits``). A row
-    is the sum of the word's K active book columns times their symbols,
-    scaled by 1/sqrt(K): each product is an exact +-1 times a symbol, so the
-    rows equal spreading the length-M sparse vector with a full product.
+    Candidate v = (1/sqrt(K)) sum_k s_k c_{j_k} of book C has correlation
+    Re sum_n conj(y_n) h_n v_n = (1/sqrt(K)) Re sum_k s_k t_{j_k} with
+    t = C^T (conj(y) h): the symbols alternate 1, j, so that is Re t at even
+    k and -Im t at odd k. Its energy sum_n |h_n v_n|^2 is ||h||^2 plus (2/K)
+    times the sum of W[j_k, j_k'] over the same-parity pairs k < k', with
+    W = C^T diag(|h|^2) C; K <= 2 has no such pair. The extended set is the
+    negated original, so its words negate the correlation.
     """
-    if len(books) == 0:
-        raise ValueError("books must hold at least one codebook")
-    n_words = 1 << space.m_bits
-    rows = len(books) * n_words
-    if rows > ML_CANDIDATE_CAP:
-        raise ValueError(
-            f"ML candidate space of {rows} blocks exceeds the cap of {ML_CANDIDATE_CAP}; "
-            "use the greedy detector for this configuration"
-        )
-    cols = np.array([rank_to_combo(d, space) for d in range(space.n_combos)]) - 1
-    cols = np.concatenate([cols, cols[:space.n_reused]])  # (n_words, K), 0-based
-    symbols = np.repeat(symbol_rows(space.K), [space.n_combos, space.n_reused], axis=0)
-    book_cols = books.transpose(0, 2, 1)  # [g - 1, j] is column j of book g
-    # summed onto +0 like a BLAS product, so a zero part is never -0
-    acc = np.zeros((len(books), n_words, book_cols.shape[2]), dtype=np.complex128)
-    for k in range(space.K):
-        acc += book_cols[:, cols[:, k]] * symbols[:, k, None]
-    acc *= 1.0 / math.sqrt(space.K)
-    spread = acc.reshape(rows, -1)
-    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)
-
-
-def _ml_metrics(y_freq: np.ndarray, h_freq: np.ndarray, cand: MlCandidates) -> np.ndarray:
-    """||y - h .* v_i||^2 for every candidate row, expanded to two gemvs."""
-    y = np.asarray(y_freq)
-    h = np.asarray(h_freq)
-    z_conj = np.conj(y) * h
-    corr = cand.spread @ z_conj
-    chan_energy = cand.spread_abs2 @ (np.abs(h) ** 2)
-    return float(np.sum(np.abs(y) ** 2)) - 2.0 * np.real(corr) + chan_energy
+    h2 = np.abs(h) ** 2
+    w = y * np.conj(h)  # conj(z) for z = conj(y) h: its (Re, Im) are (Re z, -Im z)
+    # [g - 1, p, j]: -2/sqrt(K) Re(j**p t_j) for book g
+    parts = w.view(np.float64).reshape(-1, 2).T @ books * (-2.0 / math.sqrt(space.K))
+    pairs = [(a, b) for a in range(space.K) for b in range(a + 2, space.K, 2)]
+    n_combos, n_reused = space.n_combos, space.n_reused
+    metrics = np.empty((len(books), 1 << space.m_bits))
+    for book, part, row in zip(books, parts, metrics):
+        original = row[:n_combos]
+        # the table's columns are in range, so "clip" never acts: it spares take a buffer
+        part[0].take(cand[:, 0], out=original, mode="clip")
+        for k in range(1, space.K):
+            original += part[k % 2].take(cand[:, k], mode="clip")
+        np.negative(original[:n_reused], out=row[n_combos:])
+        if pairs:
+            gram = book.T @ (h2[:, None] * book)
+            energy = sum(gram[cand[:, a], cand[:, b]] for a, b in pairs) * (2.0 / space.K)
+            original += energy
+            row[n_combos:] += energy[:n_reused]
+    metrics += float(np.vdot(y, y).real) + float(h2.sum())
+    return metrics
 
 
 def ml_secbim(
@@ -469,21 +470,22 @@ def ml_secbim(
     h_freq: np.ndarray,
     books: np.ndarray,
     space: ApSpace,
-    cand: MlCandidates,
+    cand: np.ndarray,
 ) -> DetectionResult:
-    """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1."""
-    _require_inputs(y_freq, h_freq, books, cand.spread.shape[1])
-    n_words = 1 << space.m_bits
-    if len(cand.spread) != len(books) * n_words:
-        raise ValueError(f"cand holds {len(cand.spread)} rows, G * 2**m_bits is "
-                         f"{len(books) * n_words}")
-    metrics = _ml_metrics(y_freq, h_freq, cand)
-    i = int(np.argmin(metrics))  # rows are (g, word)-ordered: first min is smallest pair
-    g0, word = divmod(i, n_words)
-    n_combos = space.n_combos
-    extended = word >= n_combos
-    return _result(books, space, g0 + 1, word - n_combos if extended else word, extended,
-                   float(metrics[i]))
+    """Exhaustive detection jointly over codebooks and candidate words, for any G >= 1.
+
+    ``cand`` is the index table ``build_ml_candidates(space)``.
+    """
+    _require_inputs(y_freq, h_freq, books)
+    require_ml_cap(len(books), space)
+    if np.shape(cand) != (space.n_combos, space.K) or books.shape[2] != space.M:
+        raise ValueError(f"cand of shape {np.shape(cand)} and books of shape {books.shape} "
+                         f"do not fit M = {space.M}, K = {space.K}")
+    metrics = _ml_metrics(y_freq, h_freq, books, space, cand)
+    i = int(np.argmin(metrics))  # (g, word)-ordered: the first minimum is the smallest pair
+    g0, word = divmod(i, metrics.shape[1])
+    extended, d_hat = divmod(word, space.n_combos)  # 2**m_bits <= 2 C(M, K)
+    return _result(books, space, g0 + 1, d_hat, bool(extended), float(metrics.flat[i]))
 
 
 # Names under which outside tracing wraps the single-codebook decoders.

@@ -22,7 +22,7 @@ import numpy as np
 from . import detectors
 from .channel import ChannelRealization, apply_freq, apply_time, draw_channel
 from .codebook import generate_set, require_pow2
-from .detectors import DetectionResult, MlCandidates, MmpDfParams, build_ml_candidates
+from .detectors import DetectionResult, MmpDfParams, build_ml_candidates, require_ml_cap
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
@@ -83,16 +83,20 @@ class SystemConfig:
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         require_pow2(self.N, "N")
-        self.space()  # validates K against M
+        space = self.space()  # validates K against M
         if not 0 <= self.L < self.N:
             raise ValueError(f"need 0 <= L < N, got L={self.L}, N={self.N}")
         if not 1 <= self.v <= self.L:
             raise ValueError(f"need 1 <= v <= L, got v={self.v}, L={self.L}")
+        if self.K > self.N:
+            raise ValueError(f"K must be <= N, got K={self.K}, N={self.N}")
         require_pow2(self.G, "G")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
+        if self.detector == "ml":
+            require_ml_cap(self.G, space)
         try:
             finite = math.isfinite(self.n0)  # NaN and -inf dB give no n0 either
         except OverflowError:
@@ -144,26 +148,27 @@ class FrameTrace:
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_table(seed: int, G: int, N: int, M: int, K: int | None = None):
-    """The process's one bounded memo of read-only per-configuration tables.
+def _shared_books(seed: int, G: int, N: int, M: int) -> np.ndarray:
+    """The process's memo of read-only codebook sets, keyed by (seed, G, N, M)."""
+    return generate_set(seed, G, N, M)
 
-    Called with (seed, G, N, M) it holds that codebook set; called with K
-    as well, the exhaustive-ML candidate table those books spread for
-    sparsity K. Sixteen entries at most, each built on first use.
-    """
-    if K is None:
-        return generate_set(seed, G, N, M)
-    return build_ml_candidates(_shared_table(seed, G, N, M), ApSpace(M=M, K=K))
+
+@functools.lru_cache(maxsize=16)
+def _shared_ml_table(M: int, K: int) -> np.ndarray:
+    """The process's memo of read-only ML index tables, keyed by (M, K)."""
+    return build_ml_candidates(ApSpace(M=M, K=K))
 
 
 @dataclass(eq=False)
 class LinkContext:
     """Per-configuration state shared across frames: books, search controls
-    and ML tables.
+    and the ML index table.
 
-    The books and the ML table come from the process-wide memo
-    :func:`_shared_table`, so configs that differ only in Eb/N0, L, v,
-    channel path, search controls or detector share them.
+    The books and the index table come from the process-wide memos
+    :func:`_shared_books` and :func:`_shared_ml_table` (16 entries each),
+    so configs that differ only in Eb/N0, L, v, channel path, search
+    controls or detector share them, and the index table serves every
+    seed, G and N.
     """
 
     cfg: SystemConfig
@@ -171,12 +176,12 @@ class LinkContext:
     books: np.ndarray  # read-only (G, N, M); book g is books[g - 1]
     n0: float
     mmp: MmpDfParams
-    ml: MlCandidates | None
+    ml: np.ndarray | None  # read-only (C(M, K), K) active columns per rank
 
     @classmethod
     def for_config(cls, cfg: SystemConfig) -> "LinkContext":
-        books = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M)
-        ml = _shared_table(cfg.seed, cfg.G, cfg.N, cfg.M, cfg.K) if cfg.detector == "ml" else None
+        books = _shared_books(cfg.seed, cfg.G, cfg.N, cfg.M)
+        ml = _shared_ml_table(cfg.M, cfg.K) if cfg.detector == "ml" else None
         return cls(cfg=cfg, space=cfg.space(), books=books, n0=cfg.n0, mmp=cfg.mmp, ml=ml)
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 
-from svcim.detectors import MlCandidates, MmpDfParams, Sensing, SparseEstimate
+from svcim.detectors import MmpDfParams, Sensing, SparseEstimate
 from svcim.index_codec import ApSpace, encode_bits, int_to_bits
 from svcim.transceiver import build_sparse_vector
 
@@ -188,13 +188,14 @@ def reference_rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reference_ml_candidates(books, space: ApSpace) -> MlCandidates:
-    """The ML table built word by word: encode, place the symbols, spread with a full product."""
+def reference_ml_candidates(books, space: ApSpace) -> np.ndarray:
+    """Every ML candidate block, built word by word: encode, place the symbols,
+    spread with a full product. Row ``(g - 1) * 2**m_bits + word`` is book g
+    spreading ``word``."""
     n_words = 1 << space.m_bits
     vdd = np.zeros((n_words, space.M), dtype=np.complex128)
     for word in range(n_words):
         msg = encode_bits(int_to_bits(word, space.m_bits), space)
         vdd[word] = build_sparse_vector(msg, space.M)
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
-    spread = np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])
-    return MlCandidates(spread=spread, spread_abs2=np.abs(spread) ** 2)
+    return np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])

@@ -1,6 +1,7 @@
 """Detector tests: co-phasing algebra, greedy recovery against an
 independent OMP oracle, decision rules, ML baselines and scale invariance.
 """
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,8 +15,10 @@ import svcim.detectors
 from svcim.channel import ChannelRealization, apply_freq, draw_channel
 from svcim.codebook import generate_codebook, generate_set
 from svcim.detectors import (
+    ML_CANDIDATE_CAP,
     MmpDfParams,
     Sensing,
+    _ml_metrics,
     _solve_normal,
     build_ml_candidates,
     cophase,
@@ -25,7 +28,7 @@ from svcim.detectors import (
     secbim_joint_metrics,
     sensing_matrix,
 )
-from svcim.index_codec import ApSpace, encode_bits, int_to_bits, symbol_rows
+from svcim.index_codec import ApSpace, encode_bits, int_to_bits, rank_to_combo, symbol_rows
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
@@ -198,6 +201,23 @@ class TestMmpDf:
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
             mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4)), MmpDfParams(k=2))
+
+    def test_too_few_rows(self):
+        with pytest.raises(ValueError, match=r"^sensing matrix has 2 rows, need >= 4$"):
+            mmp_df(np.ones(2, complex), Sensing(np.ones((2, 5)), np.ones(2)), MmpDfParams(k=4))
+
+    def test_omega_capped_at_the_unused_columns(self):
+        # omega = M asks every node for more children than it has unused columns;
+        # the search visits each support once, and no path repeats a column
+        rng = np.random.default_rng(10)
+        psi = Sensing(rng.standard_normal((8, 5)), np.ones(8))
+        y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        est = mmp_df(y, psi, MmpDfParams(k=3, omega=5, lam=1e-12, upsilon=100))
+        assert (est.stop, est.ls_solves) == ("exhausted", math.comb(5, 3))
+        assert len(set(est.support)) == 3
+        best = min(itertools.combinations(range(5), 3), key=lambda cols: np.linalg.norm(
+            y - dense(psi)[:, cols] @ np.linalg.lstsq(dense(psi)[:, cols], y, rcond=None)[0]))
+        assert est.support == tuple(c + 1 for c in best)
 
     def test_complex_psi_rejected(self):
         psi = generate_codebook(3, 1, 16, 8) * (1 + 1j)
@@ -693,7 +713,7 @@ class TestMlDetectors:
         space = ApSpace(M=16, K=2)
         books = generate_set(43, 1, 32, 16)
         book = books[0]
-        cand = build_ml_candidates(books, space)
+        cand = build_ml_candidates(space)
         for value in range(2 ** space.m_bits):
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
@@ -705,29 +725,13 @@ class TestMlDetectors:
             # zero metric at the truth, up to cancellation in the expansion
             assert det.metric < 1e-9 * np.sum(np.abs(y) ** 2)
 
-    def test_metric_matches_naive_formula(self):
-        rng = np.random.default_rng(15)
-        space = ApSpace(M=8, K=2)
-        book = generate_codebook(47, 1, 16, 8)
-        cand = build_ml_candidates(book[None], space)
-        from svcim.detectors import _ml_metrics
-
-        for _ in range(20):
-            y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            fast = _ml_metrics(y, h, cand)
-            naive = np.array([
-                np.sum(np.abs(y - h * row) ** 2) for row in cand.spread
-            ])
-            assert np.allclose(fast, naive)
-
     def test_agreement_with_greedy_high_snr(self):
         rng = np.random.default_rng(16)
         space = ApSpace(M=16, K=2)
         params = MmpDfParams(k=2)
         books = generate_set(53, 1, 32, 16)
         book = books[0]
-        cand = build_ml_candidates(books, space)
+        cand = build_ml_candidates(space)
         n0 = 48 / space.m_bits * 10.0 ** (-30.0 / 10.0)
         agree = 0
         n_trials = 10_000
@@ -746,7 +750,7 @@ class TestMlDetectors:
         rng = np.random.default_rng(18)
         space = ApSpace(M=8, K=2)
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books, space)
+        cand = build_ml_candidates(space)
         for g in (1, 2):
             for value in range(2 ** space.m_bits):
                 msg = encode_bits(int_to_bits(value, space.m_bits), space)
@@ -757,42 +761,129 @@ class TestMlDetectors:
                 assert det.g_hat == g
                 assert tuple(det.bits) == int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
 
+    def test_metric_matches_naive_formula(self):
+        # each word's metric scores the block the transmitter sends for it
+        rng = np.random.default_rng(15)
+        space = ApSpace(M=8, K=2)
+        books = generate_set(47, 1, 16, 8)
+        cand = build_ml_candidates(space)
+        sent = [spread(build_sparse_vector(encode_bits(int_to_bits(w, space.m_bits), space), 8),
+                       books[0]) for w in range(2 ** space.m_bits)]
+        for _ in range(20):
+            y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            fast = _ml_metrics(y, h, books, space, cand)[0]
+            naive = np.array([np.sum(np.abs(y - h * x) ** 2) for x in sent])
+            assert np.allclose(fast, naive)
+
     def test_table_for_another_config_rejected(self):
         books = generate_set(61, 2, 32, 8)
-        cand = build_ml_candidates(books, ApSpace(M=8, K=2))
+        cand = build_ml_candidates(ApSpace(M=8, K=2))
         y = np.ones(32, complex)
-        for other_books, space in ((books[:1], ApSpace(M=8, K=2)),
-                                   (books, ApSpace(M=8, K=3))):
-            with pytest.raises(ValueError, match="cand"):
+        for other_books, space in ((books, ApSpace(M=8, K=3)),
+                                   (generate_set(61, 2, 32, 16), ApSpace(M=16, K=2)),
+                                   (generate_set(61, 2, 32, 16), ApSpace(M=8, K=2))):
+            with pytest.raises(ValueError, match="^cand of shape"):
                 ml_secbim(y, y, other_books, space, cand)
 
+    def test_one_table_serves_every_g_and_n(self):
+        cand = build_ml_candidates(ApSpace(M=8, K=2))
+        for g, n in ((1, 16), (2, 32), (4, 64)):
+            books = generate_set(61, g, n, 8)
+            y = np.ones(n, complex)
+            assert ml_secbim(y, y, books, ApSpace(M=8, K=2), cand).bits.size == g.bit_length() - 1 + 5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_table_holds_the_columns_of_every_rank(self, k):
+        space = ApSpace(M=9, K=k)
+        cand = build_ml_candidates(space)
+        assert cand.shape == (space.n_combos, k) and cand.dtype.kind == "i"
+        assert [tuple(row + 1) for row in cand] == [rank_to_combo(d, space)
+                                                    for d in range(space.n_combos)]
+
     @pytest.mark.parametrize("g,n,m,k", [(1, 16, 8, 1), (4, 32, 16, 2), (2, 32, 16, 3),
-                                         (1, 64, 32, 2)])
+                                         (1, 64, 32, 2), (2, 16, 9, 4), (1, 16, 10, 5)])
     def test_table_equals_the_word_by_word_build(self, g, n, m, k):
+        # every (book, word) metric against ||y - h v||^2 over the oracle's blocks
+        rng = np.random.default_rng(15)
         books = generate_set(73, g, n, m)
         space = ApSpace(M=m, K=k)
-        cand = build_ml_candidates(books, space)
-        ref = reference_ml_candidates(books, space)
-        for got, want in ((cand.spread, ref.spread), (cand.spread_abs2, ref.spread_abs2)):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()  # signed zeros included
+        cand = build_ml_candidates(space)
+        rows = reference_ml_candidates(books, space)
+        for _ in range(10):
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            metrics = _ml_metrics(y, h, books, space, cand)
+            naive = np.sum(np.abs(y - h * rows) ** 2, axis=1)
+            assert metrics.shape == (g, 2 ** space.m_bits)
+            np.testing.assert_allclose(metrics.ravel(), naive, rtol=0,
+                                       atol=1e-12 * np.sum(np.abs(y) ** 2 + np.abs(h) ** 2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_decisions_equal_the_word_by_word_build(self, g, k):
+        # both channel paths, noisy and noiseless frames: the decision is the
+        # first minimum of ||y - h v||^2 over the oracle's blocks
+        frames = 0
+        for path in ("freq", "time"):
+            cfg = SystemConfig(scheme="secbim", G=g, N=32, M=16, K=k, detector="ml", seed=k,
+                               channel_path=path)
+            rows = reference_ml_candidates(LinkContext.for_config(cfg).books, cfg.space())
+            n_words = 2 ** cfg.space().m_bits
+            for snr in (0.0, 6.0, 12.0, math.inf):
+                ctx = LinkContext.for_config(replace(cfg, ebn0_db=snr))
+                rng = np.random.default_rng([g, k, int(snr) if snr < math.inf else 99])
+                for _ in range(45):
+                    _, _, y, ch = transmit_frame(ctx, rng)
+                    det = decode_frame(ctx, y, ch.cfr)
+                    g0, word = divmod(int(np.argmin(np.sum(np.abs(y - ch.cfr * rows) ** 2, axis=1))),
+                                      n_words)
+                    extended = word >= ctx.space.n_combos
+                    d = word - ctx.space.n_combos if extended else word
+                    assert (det.g_hat, det.d_hat, det.l_hat) == (g0 + 1, d, 2 if extended else 1)
+                    frames += 1
+        assert frames == 360
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exact_ties_go_to_the_smallest_book_and_word(self, k):
+        space = ApSpace(M=16, K=k)
+        book = generate_set(79, 1, 32, 16)[0]
+        twins = np.stack([book, book])  # every block of book 2 ties with book 1's
+        twins.setflags(write=False)
+        cand = build_ml_candidates(space)
+        rng = np.random.default_rng(21)
+        msg = encode_bits(int_to_bits(5, space.m_bits), space)
+        ch = draw_channel(10, 32, rng)
+        y = apply_freq(spread(build_sparse_vector(msg, 16), book), ch, 0.1, rng)
+        det = ml_secbim(y, ch.cfr, twins, space, cand)
+        assert (det.g_hat, det.d_hat) == (1, ml_secbim(y, ch.cfr, twins[:1], space, cand).d_hat)
+        if k == 2:  # a zero block leaves every K = 2 candidate the same energy
+            zero = ml_secbim(np.zeros(32, complex), ch.cfr, twins, space, cand)
+            assert (zero.g_hat, zero.d_hat, zero.l_hat) == (1, 0, 1)
 
     def test_table_is_read_only(self):
-        books = generate_set(73, 2, 32, 16)
-        cand = build_ml_candidates(books, ApSpace(M=16, K=2))
-        for arr in (cand.spread, cand.spread_abs2):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0
+        cand = build_ml_candidates(ApSpace(M=16, K=2))
+        with pytest.raises(ValueError, match="read-only"):
+            cand[0, 0] = 0
 
     def test_no_books_rejected(self):
-        with pytest.raises(ValueError, match="books"):
-            build_ml_candidates([], ApSpace(M=8, K=2))
+        space = ApSpace(M=8, K=2)
+        y = np.ones(32, complex)
+        with pytest.raises(ValueError, match="^G must be a power of two, got 0$"):
+            ml_secbim(y, y, np.zeros((0, 32, 8)), space, build_ml_candidates(space))
 
     def test_candidate_cap_refusal(self):
         space = ApSpace(M=2048, K=2)  # 2^21 words: over the default cap
-        book = generate_codebook(3, 1, 4, 4)  # dimensions irrelevant, cap trips first
         with pytest.raises(ValueError, match="cap"):
-            build_ml_candidates(book[None], space)
+            build_ml_candidates(space)
+
+    def test_cap_counts_the_blocks_of_every_book(self):
+        # 2^19 words fit under the cap, 4 books of them do not
+        space = ApSpace(M=1024, K=2)
+        assert 2 ** space.m_bits <= ML_CANDIDATE_CAP < 4 * 2 ** space.m_bits
+        y = np.ones(32, complex)
+        with pytest.raises(ValueError, match=r"\(G=4, M=1024, K=2\) exceeds the cap"):
+            ml_secbim(y, y, np.zeros((4, 32, 1024)), space, None)
 
 
 class TestNonFiniteInput:
@@ -861,7 +952,7 @@ class TestScaleInvariance:
         rng = np.random.default_rng(20)
         space = ApSpace(M=16, K=2)
         books = generate_set(71, 2, 32, 16)
-        cand = build_ml_candidates(books, space)
+        cand = build_ml_candidates(space)
         n0 = 48 / (1 + space.m_bits) * 10.0 ** (-5.0 / 10.0)
         msg = encode_bits(int_to_bits(9, space.m_bits), space)
         x = spread(build_sparse_vector(msg, 16), books[1])

@@ -432,8 +432,9 @@ class TestRunTiming:
 
 
     def test_ml_time_scales_with_books(self):
-        # candidate table grows by G, so should the enumeration time
-        base = dict(M=64, N=32, K=2, L=16, v=10, ebn0_db=20.0, seed=6)
+        # the candidates grow by G, so should the enumeration time; at M = 128
+        # their gathers outweigh the decode's fixed cost
+        base = dict(M=128, N=32, K=2, L=16, v=10, ebn0_db=20.0, seed=6)
         single = SystemConfig(scheme="esvc", G=1, detector="ml", **base)
         joint = SystemConfig(scheme="secbim", G=4, detector="ml", **base)
         t_single, t_joint = run_timing([single, joint], decodes=1200, warmup=40, batches=15)

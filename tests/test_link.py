@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcim import detectors
+from svcim import detectors, link
 from svcim.index_codec import symbol_rows
 from svcim.link import (
     LinkContext,
@@ -68,6 +68,21 @@ class TestSystemConfig:
         # the message names the first field given
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SystemConfig(**kwargs)
+
+    def test_k_above_n_rejected_by_name(self):
+        # K columns of N < K rows are linearly dependent: no search could fit them
+        with pytest.raises(ValueError, match=r"^K must be <= N, got K=4, N=2$"):
+            SystemConfig(N=2, M=5, K=4, L=1, v=1)
+        assert SystemConfig(N=4, M=5, K=4, L=1, v=1).K == 4
+
+    def test_ml_over_the_candidate_cap_rejected_by_name(self):
+        # 2^19 words per book: one book fits under the cap, four do not, and
+        # the greedy detector has no cap
+        big = dict(scheme="secbim", N=32, M=1024, K=2)
+        with pytest.raises(ValueError, match=r"\(G=4, M=1024, K=2\) exceeds the cap"):
+            SystemConfig(G=4, detector="ml", **big)
+        SystemConfig(G=1, detector="ml", **big)
+        SystemConfig(G=4, **big)
 
     def test_numpy_integers_taken_as_ints(self):
         cfg = SystemConfig(scheme="secbim", N=np.int64(32), M=np.int32(16), G=np.int64(2))
@@ -191,6 +206,16 @@ class TestRunFrame:
             assert tf.detection.l_hat == tt.detection.l_hat
             assert np.array_equal(tf.detection.bits, tt.detection.bits)
 
+    def test_omega_above_the_unused_columns_decodes(self):
+        # at depth 2 of M = 4 only two columns are unused, fewer than omega = 3
+        cfg = SystemConfig(N=4, M=4, K=3, L=1, v=1, mmp_omega=3, mmp_upsilon=5, ebn0_db=-20.0)
+        ctx = LinkContext.for_config(cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            trace = run_frame(cfg, rng, ctx)
+            assert len(trace.detection.bits) == bits_per_symbol(cfg)
+            assert trace.detection.estimate.ls_solves <= 4  # C(4, 3) distinct supports
+
     def test_time_path_noisy_loopback_at_high_snr(self):
         cfg = SystemConfig(N=64, M=64, ebn0_db=40.0, channel_path="time")
         ctx = LinkContext.for_config(cfg)
@@ -270,7 +295,7 @@ class TestSearchesPerDecode:
 
 class TestSharedTables:
     BASE = SystemConfig(N=32, M=16, K=2, seed=11, detector="ml")
-    # fields outside the tables' keys: (seed, G, N, M) for books, plus K for ML
+    # fields outside the tables' keys: (seed, G, N, M) for books, (M, K) for the ML index table
     SAME_TABLES = [dict(ebn0_db=3.0), dict(L=12), dict(v=4), dict(channel_path="time"),
                    dict(mmp_omega=3, mmp_lam=0.2, mmp_upsilon=4, mmp_relative_stop=False)]
     OTHER_TABLES = [dict(seed=12), dict(scheme="secbim", G=2), dict(N=64), dict(M=32)]
@@ -289,19 +314,31 @@ class TestSharedTables:
         assert a.books is b.books and b.ml is None
 
     @pytest.mark.parametrize("change", OTHER_TABLES, ids=lambda c: ",".join(c))
-    def test_nothing_shared_across_seed_g_n_or_m(self, change):
+    def test_books_not_shared_across_seed_g_n_or_m(self, change):
         a, b = self._pair(change)
-        assert a.books is not b.books and a.ml is not b.ml
+        assert a.books is not b.books
+        # the index table depends on (M, K) alone
+        assert (a.ml is b.ml) == ("M" not in change)
 
     def test_table_not_shared_across_k(self):
         a, b = self._pair(dict(K=3))
         assert a.books is b.books  # books do not depend on K
-        assert a.ml is not b.ml and a.ml.spread.shape != b.ml.spread.shape
+        assert a.ml is not b.ml and a.ml.shape != b.ml.shape
 
     def test_shared_arrays_are_read_only(self):
         ctx = LinkContext.for_config(self.BASE)
-        shared = [ctx.books, ctx.ml.spread, ctx.ml.spread_abs2, symbol_rows(ctx.cfg.K)]
+        shared = [ctx.books, ctx.ml, symbol_rows(ctx.cfg.K)]
         assert not any(arr.flags.writeable for arr in shared)
+
+    def test_index_table_built_once_per_m_and_k(self, monkeypatch):
+        # through the module global, so a wrapper around it sees builds only
+        calls = []
+        monkeypatch.setattr(link, "build_ml_candidates",
+                            lambda space: calls.append(space) or detectors.build_ml_candidates(space))
+        link._shared_ml_table.cache_clear()
+        for change in (dict(), dict(seed=12), dict(N=64), dict(K=3), dict(seed=13, K=3)):
+            LinkContext.for_config(replace(self.BASE, **change))
+        assert [(space.M, space.K) for space in calls] == [(16, 2), (16, 3)]
 
 
 class TestConfigText:
