@@ -15,30 +15,21 @@ i.i.d. CN(0, 1/v), so the frequency response is CN(0, 1) per subcarrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(eq=False)
-class ChannelRealization:
-    """Time-domain taps and the derived N-point frequency response."""
+def draw_channel(v: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one block-fading realization with v i.i.d. CN(0, 1/v) taps.
 
-    cir: np.ndarray  # length-v complex taps
-    cfr: np.ndarray  # length-N unnormalized DFT of the zero-padded taps
-
-    @property
-    def v(self) -> int:
-        return len(self.cir)
-
-
-def draw_channel(v: int, n: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one block-fading realization with v i.i.d. CN(0, 1/v) taps."""
+    Returns ``(taps, h_freq)``: the length-v complex taps and the length-n
+    unnormalized DFT of the zero-padded taps.
+    """
     if not 1 <= v <= n:
         raise ValueError(f"tap count {v} outside [1, {n}]")
     re, im = rng.standard_normal((2, v))
-    cir = (re + 1j * im) * math.sqrt(0.5 / v)
-    return ChannelRealization(cir=cir, cfr=np.fft.fft(cir, n))
+    taps = (re + 1j * im) * math.sqrt(0.5 / v)
+    return taps, np.fft.fft(taps, n)
 
 
 def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
@@ -49,18 +40,18 @@ def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_freq(
-    x_freq: np.ndarray, ch: ChannelRealization, n0: float, rng: np.random.Generator
+    x_freq: np.ndarray, h_freq: np.ndarray, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-subcarrier model: y(b) = x(b) h(b) + w(b)."""
     x_freq = np.asarray(x_freq)
-    if len(x_freq) != len(ch.cfr):
-        raise ValueError(f"block length {len(x_freq)} != channel length {len(ch.cfr)}")
-    return x_freq * ch.cfr + _awgn(len(x_freq), n0, rng)
+    if len(x_freq) != len(h_freq):
+        raise ValueError(f"block length {len(x_freq)} != channel length {len(h_freq)}")
+    return x_freq * h_freq + _awgn(len(x_freq), n0, rng)
 
 
 def apply_time(
     x_time: np.ndarray,
-    ch: ChannelRealization,
+    taps: np.ndarray,
     n0: float,
     rng: np.random.Generator,
     cp_len: int,
@@ -71,7 +62,7 @@ def apply_time(
     prefix and the per-subcarrier model would no longer hold.
     """
     x_time = np.asarray(x_time)
-    if ch.v > cp_len:
-        raise ValueError(f"tap count {ch.v} exceeds CP length {cp_len}")
-    faded = np.convolve(x_time, ch.cir)[: len(x_time)]
+    if len(taps) > cp_len:
+        raise ValueError(f"tap count {len(taps)} exceeds CP length {cp_len}")
+    faded = np.convolve(x_time, taps)[: len(x_time)]
     return faded + _awgn(len(x_time), n0, rng)

@@ -24,28 +24,18 @@ def require_pow2(n: int, name: str) -> None:
         raise ValueError(f"{name} must be a power of two, got {n}")
 
 
-def _draw_books(seed: int, ids, n: int, m: int) -> np.ndarray:
-    """Books ``ids`` from their own streams, as one read-only (len(ids), n, m) array."""
+def generate_set(seed: int, G: int, n: int, m: int) -> np.ndarray:
+    """The G books as one read-only (G, n, m) array; book g is ``books[g - 1]``."""
+    require_pow2(G, "G")
     if n < 1 or m < 1:
         raise ValueError("codebook dimensions must be positive")
-    books = np.empty((len(ids), n, m))
-    for book, g in zip(books, ids):
+    books = np.empty((G, n, m))
+    for g, book in enumerate(books, start=1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOK_STREAM_TAG, g)))
         np.multiply(rng.integers(0, 2, size=(n, m)), 2.0, out=book)
         book -= 1.0
     books.setflags(write=False)
     return books
-
-
-def generate_codebook(seed: int, book_id: int, n: int, m: int) -> np.ndarray:
-    """Book ``book_id`` as a read-only (n, m) array; independent of the set size."""
-    return _draw_books(seed, (book_id,), n, m)[0]
-
-
-def generate_set(seed: int, G: int, n: int, m: int) -> np.ndarray:
-    """The G books as one read-only (G, n, m) array; book g is ``books[g - 1]``."""
-    require_pow2(G, "G")
-    return _draw_books(seed, range(1, G + 1), n, m)
 
 
 def column_coherence(book: np.ndarray) -> float:

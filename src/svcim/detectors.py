@@ -243,7 +243,10 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     Returns
     -------
-    SparseEstimate with ascending 1-based support and the stop reason.
+    SparseEstimate with ascending 1-based support and the stop reason. When
+    every path meets a zero pivot before depth k, so that no candidate is
+    scored, it is support (1, ..., k) with zero coefficients, an infinite
+    residual and stop "exhausted".
 
     Raises
     ------
@@ -343,7 +346,8 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     dfs((), [], [])
 
-    assert best_path is not None  # k <= m guarantees at least one candidate
+    if best_path is None:  # every path met a zero pivot before depth k
+        best_path = tuple(range(k))
     order = sorted(range(k), key=best_path.__getitem__)
     return SparseEstimate(
         support=tuple(best_path[i] + 1 for i in order),

@@ -257,8 +257,8 @@ def run_timing(configs, decodes: int = 1000, warmup: int = 50,
         for ctx, rng, means in runs:
             inputs = [transmit_frame(ctx, rng)[2:] for _ in range(n)]
             t0 = time.perf_counter_ns()
-            for y_freq, ch in inputs:
-                decode_frame(ctx, y_freq, ch.cfr)
+            for y_freq, h_freq in inputs:
+                decode_frame(ctx, y_freq, h_freq)
             elapsed = time.perf_counter_ns() - t0
             if batch > 0:
                 means.append(elapsed / n)

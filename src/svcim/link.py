@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import detectors
-from .channel import ChannelRealization, apply_freq, apply_time, draw_channel
+from .channel import apply_freq, apply_time, draw_channel
 from .codebook import generate_set, require_pow2
 from .detectors import DetectionResult, MmpDfParams, build_ml_candidates, require_ml_cap
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
@@ -34,6 +34,12 @@ CHANNEL_PATHS = ("freq", "time")
 # text written for it does not change; no number takes a bool.
 _TAKES = {int: (int, np.integer), float: (int, float, np.integer, np.floating), bool: bool,
           str: str}
+
+# The largest n0 a config may give, 2**-20 times the largest float (1.7e302):
+# MMP-DF's squared LS amplitudes first overflowed at n0 = 1.4e306 (N = 4, 32
+# and 128), and at N = 4 they are heavy-tailed (above 4,750 n0 in one search
+# in 10**4).
+_N0_MAX = np.finfo(float).max / 2**20
 
 
 def require_type(value, tp: type, name: str):
@@ -98,12 +104,12 @@ class SystemConfig:
         if self.detector == "ml":
             require_ml_cap(self.G, space)
         try:
-            finite = math.isfinite(self.n0)  # NaN and -inf dB give no n0 either
+            n0 = self.n0
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"ebn0_db must give a finite noise variance n0 (+inf is noiseless), "
-                             f"got {self.ebn0_db}")
+            n0 = math.inf
+        if not n0 <= _N0_MAX:  # NaN and -inf dB give no n0 either
+            raise ValueError(f"ebn0_db = {self.ebn0_db} gives noise variance n0 = {n0:.3g}, above "
+                             f"the detectors' limit {_N0_MAX:.3g} (+inf is noiseless)")
         try:
             self.mmp  # validates the search controls
         except ValueError as exc:
@@ -142,7 +148,6 @@ class FrameTrace:
 
     tx_bits: np.ndarray
     msg: SparseMessage
-    ch: ChannelRealization
     detection: DetectionResult
     decode_ns: int = 0  # wall clock spent inside the detector call
 
@@ -196,7 +201,7 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
     """Everything before detection for ``ctx.cfg``: bits, encode, channel, received block.
 
     Per frame the generator is consumed in a fixed order: message bits,
-    then channel taps, then noise. Returns (tx_bits, msg, y_freq, ch).
+    then channel taps, then noise. Returns (tx_bits, msg, y_freq, h_freq).
     """
     cfg = ctx.cfg
     m1 = cfg.G.bit_length() - 1
@@ -207,15 +212,15 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
 
     s = build_sparse_vector(msg, cfg.M)
     x_freq = spread(s, ctx.books[msg.g - 1])
-    ch = draw_channel(cfg.v, cfg.N, rng)
+    taps, h_freq = draw_channel(cfg.v, cfg.N, rng)
 
     if cfg.channel_path == "time":
         x_time = ofdm_modulate(x_freq, cfg.L)
-        y_time = apply_time(x_time, ch, ctx.n0, rng, cfg.L)
+        y_time = apply_time(x_time, taps, ctx.n0, rng, cfg.L)
         y_freq = ofdm_demodulate(y_time, cfg.L)
     else:
-        y_freq = apply_freq(x_freq, ch, ctx.n0, rng)
-    return tx_bits, msg, y_freq, ch
+        y_freq = apply_freq(x_freq, h_freq, ctx.n0, rng)
+    return tx_bits, msg, y_freq, h_freq
 
 
 def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext | None = None) -> FrameTrace:
@@ -229,12 +234,12 @@ def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext | No
     elif ctx.cfg is not cfg and ctx.cfg != cfg:  # the identity test spares a sweep's frames
         differ = [f.name for f in fields(cfg) if getattr(ctx.cfg, f.name) != getattr(cfg, f.name)]
         raise ValueError(f"ctx was built for another config: {', '.join(differ)} differ from cfg")
-    tx_bits, msg, y_freq, ch = transmit_frame(ctx, rng)
+    tx_bits, msg, y_freq, h_freq = transmit_frame(ctx, rng)
 
     t0 = time.perf_counter_ns()
-    det = decode_frame(ctx, y_freq, ch.cfr)
+    det = decode_frame(ctx, y_freq, h_freq)
     decode_ns = time.perf_counter_ns() - t0
-    return FrameTrace(tx_bits=tx_bits, msg=msg, ch=ch, detection=det, decode_ns=decode_ns)
+    return FrameTrace(tx_bits=tx_bits, msg=msg, detection=det, decode_ns=decode_ns)
 
 
 # --- field-driven text codec: config files, CSV rows and CLI flags ---

@@ -150,7 +150,8 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
 
     dfs((), y)
 
-    assert best_support is not None  # k <= m guarantees at least one candidate
+    if best_support is None:  # every path met a rank-deficient fit before depth k
+        best_support = tuple(range(k))
     coeffs = best_coeffs if best_coeffs is not None else np.zeros(k, dtype=np.complex128)
     return SparseEstimate(
         support=tuple(c + 1 for c in best_support),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from svcim.channel import apply_freq, apply_time, draw_channel
-from svcim.codebook import generate_codebook, generate_set
+from svcim.codebook import generate_set
 from svcim.detectors import MmpDfParams, cophase, mmp_df, sensing_matrix
 from svcim.harness import SweepPlan, run_ber_sweep, run_timing, write_ber_csv
 from svcim.index_codec import (
@@ -107,12 +107,12 @@ def test_c03_channel_path_equivalence():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
-        ch = draw_channel(10, 64, rng)
+        taps, h_freq = draw_channel(10, 64, rng)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         via_time = ofdm_demodulate(
-            apply_time(ofdm_modulate(x, 16), ch, 0.0, rng, 16), 16
+            apply_time(ofdm_modulate(x, 16), taps, 0.0, rng, 16), 16
         )
-        direct = x * ch.cfr
+        direct = x * h_freq
         worst = max(worst, float(np.max(np.abs(via_time - direct)) / np.max(np.abs(direct))))
     assert worst < 1e-9
     assert time.time() - t0 < 5.0
@@ -285,11 +285,11 @@ def test_c10_property_suite():
     for i in range(10_000):
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
-        book = generate_codebook(int(rng.integers(0, 2**31)), 1, 32, 16)
+        book = generate_set(int(rng.integers(0, 2**31)), 1, 32, 16)[0]
         total += float(np.mean(np.abs(spread(build_sparse_vector(msg, 16), book)) ** 2))
     assert abs(total / 10_000 - 1.0) < 0.03
     tap_energy = np.mean(
-        [np.sum(np.abs(draw_channel(10, 16, rng).cir) ** 2) for _ in range(10_000)]
+        [np.sum(np.abs(draw_channel(10, 16, rng)[0]) ** 2) for _ in range(10_000)]
     )
     assert abs(tap_energy - 1.0) < 0.03
 
@@ -300,14 +300,14 @@ def test_c10_property_suite():
     space32 = ApSpace(M=32, K=2)
     n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
     for trial in range(100):
-        book = generate_codebook(trial, 1, 64, 32)
+        book = generate_set(trial, 1, 64, 32)[0]
         value = int(rng.integers(0, 2 ** space32.m_bits))
         msg = encode_bits(int_to_bits(value, space32.m_bits), space32)
         x = spread(build_sparse_vector(msg, 32), book)
-        ch = draw_channel(10, 64, rng)
-        y = apply_freq(x, ch, n0, rng)
-        y_hat = cophase(y, ch.cfr)
-        psi = sensing_matrix(ch.cfr, book, 2)
+        _, h_freq = draw_channel(10, 64, rng)
+        y = apply_freq(x, h_freq, n0, rng)
+        y_hat = cophase(y, h_freq)
+        psi = sensing_matrix(h_freq, book, 2)
         est = mmp_df(y_hat, psi, params)
         assert tuple(i - 1 for i in est.support) == reference_omp(y_hat, dense(psi), 2)
 
@@ -318,11 +318,11 @@ def test_c10_property_suite():
     space16 = ApSpace(M=16, K=2)
     msg = encode_bits(int_to_bits(9, space16.m_bits), space16)
     x = spread(build_sparse_vector(msg, 16), books[0])
-    ch = draw_channel(10, 32, rng)
-    y = apply_freq(x, ch, 2.0 * 10.0 ** (-5.0 / 10.0), rng)
-    base_det = secbim_decode(y, ch.cfr, books, space16, MmpDfParams())
+    _, h_freq = draw_channel(10, 32, rng)
+    y = apply_freq(x, h_freq, 2.0 * 10.0 ** (-5.0 / 10.0), rng)
+    base_det = secbim_decode(y, h_freq, books, space16, MmpDfParams())
     for scale in (0.1, 0.5, 3.0, 25.0):
-        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space16, MmpDfParams())
+        scaled = secbim_decode(scale * y, scale * h_freq, books, space16, MmpDfParams())
         assert (scaled.d_hat, scaled.l_hat) == (base_det.d_hat, base_det.l_hat)
 
     # CSV determinism across worker counts

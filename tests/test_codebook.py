@@ -4,7 +4,6 @@ import pytest
 
 from svcim.codebook import (
     column_coherence,
-    generate_codebook,
     generate_set,
     require_pow2,
 )
@@ -44,7 +43,7 @@ class TestGeneration:
 
     def test_entries_balanced(self):
         # binomial std of the mean is 1/sqrt(N*M) = 1/128; 0.05 is > 5 sigma
-        book = generate_codebook(seed=9, book_id=1, n=128, m=128)
+        book = generate_set(seed=9, G=1, n=128, m=128)[0]
         assert abs(book.mean()) < 0.05
 
     def test_books_distinct(self):
@@ -63,7 +62,7 @@ class TestGeneration:
             generate_set(seed=0, G=0, n=4, m=4)
 
     def test_entries_frozen(self):
-        book = generate_codebook(seed=0, book_id=1, n=4, m=4)
+        book = generate_set(seed=0, G=1, n=4, m=4)[0]
         with pytest.raises(ValueError):
             book[0, 0] = -book[0, 0]
 
@@ -78,7 +77,7 @@ class TestGeneration:
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_book_g_is_row_g_minus_one(self, g):
         books = generate_set(seed=3, G=4, n=8, m=4)
-        assert np.array_equal(books[g - 1], generate_codebook(3, g, 8, 4))
+        assert np.array_equal(books[g - 1], generate_set(3, 8, 8, 4)[g - 1])
 
     def test_iterates_over_its_books(self):
         ctx = LinkContext.for_config(SystemConfig(scheme="secbim", G=2, N=32, M=16))
@@ -103,10 +102,10 @@ class TestCoherence:
     def test_taller_books_less_coherent(self):
         # direct computation, 20 seeds: more rows decorrelate the columns
         short = np.mean(
-            [column_coherence(generate_codebook(s, 1, 32, 128)) for s in range(20)]
+            [column_coherence(generate_set(s, 1, 32, 128)[0]) for s in range(20)]
         )
         tall = np.mean(
-            [column_coherence(generate_codebook(s, 1, 512, 128)) for s in range(20)]
+            [column_coherence(generate_set(s, 1, 512, 128)[0]) for s in range(20)]
         )
         assert short > tall
 
@@ -114,6 +113,6 @@ class TestCoherence:
         means = []
         for n in (32, 64, 128, 256, 512):
             means.append(
-                np.mean([column_coherence(generate_codebook(s, 1, n, 128)) for s in range(20)])
+                np.mean([column_coherence(generate_set(s, 1, n, 128)[0]) for s in range(20)])
             )
         assert all(a >= b for a, b in zip(means, means[1:]))

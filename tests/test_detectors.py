@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svcim.detectors
-from svcim.channel import ChannelRealization, apply_freq, draw_channel
-from svcim.codebook import generate_codebook, generate_set
+from svcim.channel import apply_freq, draw_channel
+from svcim.codebook import generate_set
 from svcim.detectors import (
     ML_CANDIDATE_CAP,
     MmpDfParams,
@@ -43,13 +43,13 @@ from oracles import (
 
 def _random_message_chain(rng, n, m, v, params, space, seed=0, n0=0.0):
     """One random frame up to the co-phased receiver input."""
-    book = generate_codebook(seed, 1, n, m)
+    book = generate_set(seed, 1, n, m)[0]
     value = int(rng.integers(0, 2 ** space.m_bits))
     msg = encode_bits(int_to_bits(value, space.m_bits), space)
     x = spread(build_sparse_vector(msg, m), book)
-    ch = draw_channel(v, n, rng)
-    y = apply_freq(x, ch, n0, rng)
-    return book, msg, ch, y
+    _, h_freq = draw_channel(v, n, rng)
+    y = apply_freq(x, h_freq, n0, rng)
+    return book, msg, h_freq, y
 
 
 class TestCophase:
@@ -84,12 +84,12 @@ class TestCophase:
 
 class TestSensingMatrix:
     def test_identity_channel(self):
-        book = generate_codebook(2, 1, 8, 4)
+        book = generate_set(2, 1, 8, 4)[0]
         psi = sensing_matrix(np.ones(8), book, k=2)
         assert np.allclose(dense(psi), book / math.sqrt(2))
 
     def test_rows_scale_with_gain(self):
-        book = generate_codebook(3, 1, 4, 4)
+        book = generate_set(3, 1, 4, 4)[0]
         h = np.array([1.0, 2.0, 0.5, 3.0]) * np.exp(1j * np.array([0.1, -2.0, 1.5, 0.4]))
         psi = dense(sensing_matrix(h, book, k=2))
         for beta in range(4):
@@ -100,16 +100,16 @@ class TestSensingMatrix:
         rng = np.random.default_rng(4)
         space = ApSpace(M=32, K=2)
         for trial in range(50):
-            book, msg, ch, y = _random_message_chain(
+            book, msg, h_freq, y = _random_message_chain(
                 rng, 64, 32, 10, None, space, seed=trial
             )
             s = build_sparse_vector(msg, 32)
-            lhs = cophase(y, ch.cfr)
-            rhs = dense(sensing_matrix(ch.cfr, book, k=2)) @ s
+            lhs = cophase(y, h_freq)
+            rhs = dense(sensing_matrix(h_freq, book, k=2)) @ s
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dimension_mismatch(self):
-        book = generate_codebook(2, 1, 8, 4)
+        book = generate_set(2, 1, 8, 4)[0]
         with pytest.raises(ValueError):
             sensing_matrix(np.ones(4), book, k=2)
 
@@ -117,7 +117,7 @@ class TestSensingMatrix:
     def test_factors_equal_the_dense_product(self, k):
         # the factored form stands for exactly the matrix that used to be built
         rng = np.random.default_rng(40 + k)
-        book = generate_codebook(k, 1, 64, 32)
+        book = generate_set(k, 1, 64, 32)[0]
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi = sensing_matrix(h, book, k)
         expected = (np.abs(h) / math.sqrt(k))[:, None] * book
@@ -127,7 +127,7 @@ class TestSensingMatrix:
 class TestMmpDf:
     def test_noiseless_exhaustive_recovery(self):
         space = ApSpace(M=16, K=2)
-        book = generate_codebook(7, 1, 32, 16)
+        book = generate_set(7, 1, 32, 16)[0]
         psi = sensing_matrix(np.ones(32), book, k=2)
         params = MmpDfParams(k=2)
         for value in range(2 ** space.m_bits):
@@ -140,7 +140,7 @@ class TestMmpDf:
 
     def test_k1_reduces_to_matched_filter(self):
         rng = np.random.default_rng(5)
-        book = generate_codebook(11, 1, 32, 16)
+        book = generate_set(11, 1, 32, 16)[0]
         for omega in (1, 2, 4):
             params = MmpDfParams(k=1, omega=omega)
             for _ in range(20):
@@ -157,11 +157,11 @@ class TestMmpDf:
         space = ApSpace(M=24, K=2)
         n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
         for trial in range(100):
-            book, msg, ch, y = _random_message_chain(
+            book, msg, h_freq, y = _random_message_chain(
                 rng, 32, 24, 8, params, space, seed=trial, n0=n0
             )
-            y_hat = cophase(y, ch.cfr)
-            psi = sensing_matrix(ch.cfr, book, k=2)
+            y_hat = cophase(y, h_freq)
+            psi = sensing_matrix(h_freq, book, k=2)
             est = mmp_df(y_hat, psi, params)
             oracle = reference_omp(y_hat, dense(psi), 2)
             assert tuple(i - 1 for i in est.support) == oracle
@@ -219,14 +219,27 @@ class TestMmpDf:
             y - dense(psi)[:, cols] @ np.linalg.lstsq(dense(psi)[:, cols], y, rcond=None)[0]))
         assert est.support == tuple(c + 1 for c in best)
 
+    @pytest.mark.parametrize("omega", [1, 3])
+    def test_no_candidate_scored_is_exhausted(self, omega):
+        # zero gains: every inner node meets a zero pivot, so no depth-k path is
+        # scored; the estimate is the documented one, as in the reference search
+        rng = np.random.default_rng(11)
+        psi = Sensing(rng.choice([-1.0, 1.0], size=(8, 6)), np.zeros(8))
+        y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        params = MmpDfParams(k=3, omega=omega, upsilon=4)
+        for est in (mmp_df(y, psi, params), reference_mmp_df(y, psi, params)):
+            assert (est.support, est.ls_solves, est.stop) == ((1, 2, 3), 0, "exhausted")
+            assert est.residual_norm == math.inf
+            assert np.array_equal(est.coeffs, np.zeros(3, complex))
+
     def test_complex_psi_rejected(self):
-        psi = generate_codebook(3, 1, 16, 8) * (1 + 1j)
+        psi = generate_set(3, 1, 16, 8)[0] * (1 + 1j)
         with pytest.raises(ValueError, match="psi"):
             mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16)), MmpDfParams(k=2))
 
     @pytest.mark.parametrize("field", ["entries", "gains"])
     def test_complex_factor_rejected(self, field):
-        parts = {"entries": generate_codebook(3, 1, 16, 8), "gains": np.ones(16)}
+        parts = {"entries": generate_set(3, 1, 16, 8)[0], "gains": np.ones(16)}
         parts[field] = parts[field] * (1 + 1j)
         with pytest.raises(ValueError, match=f"psi {field} must be real"):
             mmp_df(np.ones(16, complex), Sensing(**parts), MmpDfParams(k=2))
@@ -234,7 +247,7 @@ class TestMmpDf:
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
     def test_misshapen_gains_rejected(self, gains):
-        psi = Sensing(generate_codebook(3, 1, 16, 8), gains)
+        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains)
         with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
             mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
 
@@ -248,7 +261,7 @@ class TestMmpDf:
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         gains = np.ones(16)
         gains[5] = value
-        psi = Sensing(generate_codebook(3, 1, 16, 8), gains)
+        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains)
         with pytest.raises(ValueError, match="NaN or inf"):
             mmp_df(y, psi, MmpDfParams(k=2))
 
@@ -257,7 +270,7 @@ class TestMmpDf:
     def test_non_finite_input_rejected(self, where, value):
         rng = np.random.default_rng(9)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = generate_codebook(3, 1, 16, 8).copy()
+        psi = generate_set(3, 1, 16, 8)[0].copy()
         if where == "y_hat":
             y[5] = value
         else:
@@ -270,7 +283,7 @@ class TestMmpDf:
         # relative threshold of 0.95 stops at the first candidate while the
         # same number read as an absolute residual keeps searching
         rng = np.random.default_rng(14)
-        psi = Sensing(generate_codebook(3, 1, 32, 16) / math.sqrt(2), np.ones(32))
+        psi = Sensing(generate_set(3, 1, 32, 16)[0] / math.sqrt(2), np.ones(32))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y *= 10.0 / np.linalg.norm(y)
         relative = mmp_df(y, psi, MmpDfParams(k=2, omega=2, lam=0.95, upsilon=4))
@@ -284,7 +297,7 @@ class TestMmpDf:
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(15)
-        psi = Sensing(generate_codebook(5, 1, 32, 16), rng.uniform(0.2, 2.0, 32))
+        psi = Sensing(generate_set(5, 1, 32, 16)[0], rng.uniform(0.2, 2.0, 32))
         exact = dense(psi)[:, [3, 11]] @ np.array([1 + 1j, -1 + 1j])
         noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for y, omega, upsilon, stop, solves in [
@@ -296,7 +309,7 @@ class TestMmpDf:
             assert (est.stop, est.ls_solves) == (stop, solves)
 
     def test_all_zero_input_is_deterministic(self):
-        psi = Sensing(generate_codebook(13, 1, 16, 8) / math.sqrt(2), np.ones(16))
+        psi = Sensing(generate_set(13, 1, 16, 8)[0] / math.sqrt(2), np.ones(16))
         est = mmp_df(np.zeros(16, complex), psi, MmpDfParams(k=2))
         assert est.support == (1, 2)  # stable tie-break toward low columns
         assert np.allclose(est.coeffs, 0.0)
@@ -409,12 +422,11 @@ class TestGramSearchMatchesReference:
                 ctx = LinkContext.for_config(cfg)
                 rng = np.random.default_rng([case, int(min(ebn0, 99))])
                 for i in range(self.FRAMES):
-                    _, msg, y, ch = transmit_frame(ctx, rng)
-                    h = ch.cfr
+                    _, msg, y, h = transmit_frame(ctx, rng)
                     if i % 4 == 3:  # near-degenerate channel, same message
                         x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
                         h = self._degrade(h, rng)
-                        y = apply_freq(x, ChannelRealization(ch.cir, h), ctx.n0, rng)
+                        y = apply_freq(x, h, ctx.n0, rng)
                     yield y, h, ctx
                 yield np.zeros(cfg.N, complex), h, ctx
 
@@ -481,13 +493,13 @@ class TestDeepFadeDecisionsMatchLstsq:
                 ctx = LinkContext.for_config(cfg)
                 rng = np.random.default_rng([7, case, int(min(ebn0, 99))])
                 for i in range(self.FRAMES):
-                    _, msg, _, ch = transmit_frame(ctx, rng)
+                    _, msg, _, h_freq = transmit_frame(ctx, rng)
                     if i % 2:
-                        h = ch.cfr * np.abs(ch.cfr) ** 2
+                        h = h_freq * np.abs(h_freq) ** 2
                     else:
-                        h = TestGramSearchMatchesReference._degrade(ch.cfr, rng)
+                        h = TestGramSearchMatchesReference._degrade(h_freq, rng)
                     x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
-                    yield apply_freq(x, ChannelRealization(ch.cir, h), ctx.n0, rng), h, ctx
+                    yield apply_freq(x, h, ctx.n0, rng), h, ctx
 
     def test_decisions_agree(self, monkeypatch):
         decode = TestGramSearchMatchesReference._decode
@@ -555,10 +567,10 @@ class TestEsvcDecode:
         space = ApSpace(M=64, K=2)
         params = MmpDfParams(k=2)
         for trial in range(1000):
-            book, msg, ch, y = _random_message_chain(
+            book, msg, h_freq, y = _random_message_chain(
                 rng, 64, 64, 10, params, space, seed=trial % 13
             )
-            det = secbim_decode(y, ch.cfr, book[None], space, params)
+            det = secbim_decode(y, h_freq, book[None], space, params)
             assert det.d_hat == msg.d
             assert (det.l_hat == 2) == msg.extended
 
@@ -575,9 +587,9 @@ class TestEsvcDecode:
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
             x = spread(build_sparse_vector(msg, 64), book)
-            ch = draw_channel(10, 64, rng)
-            y = apply_freq(x, ch, n0, rng)
-            det = secbim_decode(y, ch.cfr, books, space, params)
+            _, h_freq = draw_channel(10, 64, rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            det = secbim_decode(y, h_freq, books, space, params)
             errors += sum(a != b for a, b in zip(bits, det.bits))
             total += space.m_bits
         assert abs(errors / total - 0.5) < 0.05
@@ -597,9 +609,9 @@ class TestSecbimDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 2))])
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, n0, rng)
-            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            metrics, estimates = secbim_joint_metrics(y, h_freq, books, params)
             for gi, est in enumerate(estimates):
                 sup0 = [i - 1 for i in est.support]
                 vec = np.zeros(16, complex)
@@ -627,9 +639,9 @@ class TestSecbimDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 4))])
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, n0, rng)
-            metrics, estimates = secbim_joint_metrics(y, ch.cfr, books, params)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            metrics, estimates = secbim_joint_metrics(y, h_freq, books, params)
             per_book = np.empty((len(books), 2))
             for gi, est in enumerate(estimates):
                 per_book[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
@@ -646,9 +658,9 @@ class TestSecbimDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 32), books[g - 1])
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, 0.0, rng)
-            det = secbim_decode(y, ch.cfr, books, space, params)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, 0.0, rng)
+            det = secbim_decode(y, h_freq, books, space, params)
             assert det.g_hat == g
             assert det.d_hat == msg.d
             expected_bits = int_to_bits(g - 1, 2) + int_to_bits(value, space.m_bits)
@@ -664,10 +676,10 @@ class TestSecbimDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), books[g - 1])
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, 0.0, rng)
-            metrics, _ = secbim_joint_metrics(y, ch.cfr, books, params)
-            det = secbim_decode(y, ch.cfr, books, space, params)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, 0.0, rng)
+            metrics, _ = secbim_joint_metrics(y, h_freq, books, params)
+            det = secbim_decode(y, h_freq, books, space, params)
             assert metrics[det.g_hat - 1].min() <= metrics[g - 1].min()
 
     def test_codebook_error_rate_high_snr(self):
@@ -684,9 +696,9 @@ class TestSecbimDecode:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 64), books[g - 1])
-            ch = draw_channel(10, 64, rng)
-            y = apply_freq(x, ch, n0, rng)
-            wrong += secbim_decode(y, ch.cfr, books, space, params).g_hat != g
+            _, h_freq = draw_channel(10, 64, rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            wrong += secbim_decode(y, h_freq, books, space, params).g_hat != g
         assert wrong / n_trials < 1e-3
 
 
@@ -698,8 +710,8 @@ class TestSparsityAgreement:
     def _frame():
         cfg = SystemConfig(scheme="secbim", G=2, N=32, M=16, K=2, ebn0_db=10.0)
         ctx = LinkContext.for_config(cfg)
-        _, _, y, ch = transmit_frame(ctx, np.random.default_rng(0))
-        return ctx, y, ch.cfr
+        _, _, y, h_freq = transmit_frame(ctx, np.random.default_rng(0))
+        return ctx, y, h_freq
 
     def test_decode_params_k_against_space(self):
         ctx, y, h = self._frame()
@@ -718,9 +730,9 @@ class TestMlDetectors:
             bits = int_to_bits(value, space.m_bits)
             msg = encode_bits(bits, space)
             x = spread(build_sparse_vector(msg, 16), book)
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, 0.0, rng)
-            det = ml_secbim(y, ch.cfr, books, space, cand)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, 0.0, rng)
+            det = ml_secbim(y, h_freq, books, space, cand)
             assert tuple(det.bits) == bits
             # zero metric at the truth, up to cancellation in the expansion
             assert det.metric < 1e-9 * np.sum(np.abs(y) ** 2)
@@ -739,10 +751,10 @@ class TestMlDetectors:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             x = spread(build_sparse_vector(msg, 16), book)
-            ch = draw_channel(10, 32, rng)
-            y = apply_freq(x, ch, n0, rng)
-            ml = ml_secbim(y, ch.cfr, books, space, cand)
-            greedy = secbim_decode(y, ch.cfr, books, space, params)
+            _, h_freq = draw_channel(10, 32, rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            ml = ml_secbim(y, h_freq, books, space, cand)
+            greedy = secbim_decode(y, h_freq, books, space, params)
             agree += np.array_equal(ml.bits, greedy.bits)
         assert agree / n_trials >= 0.99
 
@@ -755,9 +767,9 @@ class TestMlDetectors:
             for value in range(2 ** space.m_bits):
                 msg = encode_bits(int_to_bits(value, space.m_bits), space)
                 x = spread(build_sparse_vector(msg, 8), books[g - 1])
-                ch = draw_channel(10, 32, rng)
-                y = apply_freq(x, ch, 0.0, rng)
-                det = ml_secbim(y, ch.cfr, books, space, cand)
+                _, h_freq = draw_channel(10, 32, rng)
+                y = apply_freq(x, h_freq, 0.0, rng)
+                det = ml_secbim(y, h_freq, books, space, cand)
                 assert det.g_hat == g
                 assert tuple(det.bits) == int_to_bits(g - 1, 1) + int_to_bits(value, space.m_bits)
 
@@ -834,9 +846,9 @@ class TestMlDetectors:
                 ctx = LinkContext.for_config(replace(cfg, ebn0_db=snr))
                 rng = np.random.default_rng([g, k, int(snr) if snr < math.inf else 99])
                 for _ in range(45):
-                    _, _, y, ch = transmit_frame(ctx, rng)
-                    det = decode_frame(ctx, y, ch.cfr)
-                    g0, word = divmod(int(np.argmin(np.sum(np.abs(y - ch.cfr * rows) ** 2, axis=1))),
+                    _, _, y, h_freq = transmit_frame(ctx, rng)
+                    det = decode_frame(ctx, y, h_freq)
+                    g0, word = divmod(int(np.argmin(np.sum(np.abs(y - h_freq * rows) ** 2, axis=1))),
                                       n_words)
                     extended = word >= ctx.space.n_combos
                     d = word - ctx.space.n_combos if extended else word
@@ -853,12 +865,12 @@ class TestMlDetectors:
         cand = build_ml_candidates(space)
         rng = np.random.default_rng(21)
         msg = encode_bits(int_to_bits(5, space.m_bits), space)
-        ch = draw_channel(10, 32, rng)
-        y = apply_freq(spread(build_sparse_vector(msg, 16), book), ch, 0.1, rng)
-        det = ml_secbim(y, ch.cfr, twins, space, cand)
-        assert (det.g_hat, det.d_hat) == (1, ml_secbim(y, ch.cfr, twins[:1], space, cand).d_hat)
+        _, h_freq = draw_channel(10, 32, rng)
+        y = apply_freq(spread(build_sparse_vector(msg, 16), book), h_freq, 0.1, rng)
+        det = ml_secbim(y, h_freq, twins, space, cand)
+        assert (det.g_hat, det.d_hat) == (1, ml_secbim(y, h_freq, twins[:1], space, cand).d_hat)
         if k == 2:  # a zero block leaves every K = 2 candidate the same energy
-            zero = ml_secbim(np.zeros(32, complex), ch.cfr, twins, space, cand)
+            zero = ml_secbim(np.zeros(32, complex), h_freq, twins, space, cand)
             assert (zero.g_hat, zero.d_hat, zero.l_hat) == (1, 0, 1)
 
     def test_table_is_read_only(self):
@@ -940,10 +952,10 @@ class TestScaleInvariance:
         value = int(rng.integers(0, 2 ** space.m_bits))
         msg = encode_bits(int_to_bits(value, space.m_bits), space)
         x = spread(build_sparse_vector(msg, 16), books[0])
-        ch = draw_channel(10, 32, rng)
-        y = apply_freq(x, ch, n0, rng)
-        base = secbim_decode(y, ch.cfr, books, space, params)
-        scaled = secbim_decode(scale * y, scale * ch.cfr, books, space, params)
+        _, h_freq = draw_channel(10, 32, rng)
+        y = apply_freq(x, h_freq, n0, rng)
+        base = secbim_decode(y, h_freq, books, space, params)
+        scaled = secbim_decode(scale * y, scale * h_freq, books, space, params)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)
 
     @given(st.floats(min_value=0.05, max_value=50.0))
@@ -956,8 +968,8 @@ class TestScaleInvariance:
         n0 = 48 / (1 + space.m_bits) * 10.0 ** (-5.0 / 10.0)
         msg = encode_bits(int_to_bits(9, space.m_bits), space)
         x = spread(build_sparse_vector(msg, 16), books[1])
-        ch = draw_channel(10, 32, rng)
-        y = apply_freq(x, ch, n0, rng)
-        base = ml_secbim(y, ch.cfr, books, space, cand)
-        scaled = ml_secbim(scale * y, scale * ch.cfr, books, space, cand)
+        _, h_freq = draw_channel(10, 32, rng)
+        y = apply_freq(x, h_freq, n0, rng)
+        base = ml_secbim(y, h_freq, books, space, cand)
+        scaled = ml_secbim(scale * y, scale * h_freq, books, space, cand)
         assert (base.d_hat, base.l_hat, base.g_hat) == (scaled.d_hat, scaled.l_hat, scaled.g_hat)

@@ -1,4 +1,5 @@
 """Config validation, bit-budget arithmetic, shared tables and frame orchestration."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from svcim import detectors, link
 from svcim.index_codec import symbol_rows
 from svcim.link import (
+    DETECTORS,
     LinkContext,
     SystemConfig,
     bits_per_symbol,
@@ -16,6 +18,7 @@ from svcim.link import (
     config_to_text,
     run_frame,
     spectral_efficiency,
+    transmit_frame,
 )
 
 NOISELESS = float("inf")
@@ -74,6 +77,21 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=r"^K must be <= N, got K=4, N=2$"):
             SystemConfig(N=2, M=5, K=4, L=1, v=1)
         assert SystemConfig(N=4, M=5, K=4, L=1, v=1).K == 4
+
+    @pytest.mark.parametrize("n, m, l, v", [(4, 4, 3, 2), (32, 16, 16, 10), (128, 128, 16, 10)])
+    def test_noise_beyond_the_detectors_rejected_by_name(self, n, m, l, v):
+        # at -3,060 dB (n0 >= 1.4e306 here) MMP-DF's squared amplitudes overflowed
+        for db in (-3060.0, -3070.0):
+            with pytest.raises(ValueError, match=rf"^ebn0_db = {db} gives noise variance n0 = "):
+                SystemConfig(N=n, M=m, L=l, v=v, ebn0_db=db)
+        for detector in DETECTORS:
+            cfg = SystemConfig(N=n, M=m, L=l, v=v, ebn0_db=-3000.0, detector=detector)
+            ctx = LinkContext.for_config(cfg)
+            rng = np.random.default_rng(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(50):
+                    assert len(run_frame(cfg, rng, ctx).detection.bits) == bits_per_symbol(cfg)
 
     def test_ml_over_the_candidate_cap_rejected_by_name(self):
         # 2^19 words per book: one book fits under the cap, four do not, and
@@ -170,8 +188,11 @@ class TestRunFrame:
         t2 = run_frame(cfg, np.random.default_rng(5), ctx)
         assert np.array_equal(t1.tx_bits, t2.tx_bits)
         assert np.array_equal(t1.detection.bits, t2.detection.bits)
-        assert np.array_equal(t1.ch.cir, t2.ch.cir)
         assert t1.detection.d_hat == t2.detection.d_hat
+        _, _, y1, h1 = transmit_frame(ctx, np.random.default_rng(5))
+        _, _, y2, h2 = transmit_frame(ctx, np.random.default_rng(5))
+        assert np.array_equal(h1, h2)
+        assert np.array_equal(y1, y2)
 
     def test_bit_budget_conservation(self):
         for cfg in (

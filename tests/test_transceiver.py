@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from svcim.codebook import generate_codebook, generate_set
+from svcim.codebook import generate_set
 from svcim.index_codec import ApSpace, SparseMessage, encode_bits, int_to_bits
 from svcim.transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
@@ -45,7 +45,7 @@ class TestSpread:
         assert spread(s, books[1]).shape == (32,)
 
     def test_unit_vector_selects_column(self):
-        book = generate_codebook(seed=3, book_id=1, n=8, m=4)
+        book = generate_set(seed=3, G=1, n=8, m=4)[0]
         e1 = np.eye(4, dtype=complex)[0]
         assert np.allclose(spread(e1, book), book[:, 0])
 
@@ -56,7 +56,7 @@ class TestSpread:
         assert np.allclose(spread(s, book), expected)
 
     def test_dimension_mismatch(self):
-        book = generate_codebook(seed=3, book_id=1, n=8, m=4)
+        book = generate_set(seed=3, G=1, n=8, m=4)[0]
         s = np.zeros(5, complex)
         s[0] = 1
         s[1] = 1j
@@ -64,7 +64,7 @@ class TestSpread:
             spread(s, book)
 
     def test_empty_support_rejected(self):
-        book = generate_codebook(seed=3, book_id=1, n=8, m=4)
+        book = generate_set(seed=3, G=1, n=8, m=4)[0]
         with pytest.raises(ValueError, match="empty support"):
             spread(np.zeros(4, complex), book)
 
@@ -76,7 +76,7 @@ class TestSpread:
         rng = np.random.default_rng(k)
         for i in range(4000):
             if i % 200 == 0:
-                book = generate_codebook(int(rng.integers(0, 2**31)), 1, 128, 128)
+                book = generate_set(int(rng.integers(0, 2**31)), 1, 128, 128)[0]
             value = int(rng.integers(0, 2 ** space.m_bits))
             s = build_sparse_vector(encode_bits(int_to_bits(value, space.m_bits), space), 128)
             dense = (book @ s) / math.sqrt(k)
@@ -86,13 +86,13 @@ class TestSpread:
         # Monte Carlo oracle: E||spread||^2 = N for unit symbols and +-1 entries
         s = build_sparse_vector(SparseMessage((3, 17), False, 0), 64)
         energies = [
-            np.sum(np.abs(spread(s, generate_codebook(seed, 1, 64, 64))) ** 2)
+            np.sum(np.abs(spread(s, generate_set(seed, 1, 64, 64)[0])) ** 2)
             for seed in range(1000)
         ]
         assert abs(np.mean(energies) - 64.0) < 6.4
 
     def test_linearity(self):
-        book = generate_codebook(seed=8, book_id=1, n=16, m=8)
+        book = generate_set(seed=8, G=1, n=16, m=8)[0]
         rng = np.random.default_rng(0)
         v1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -111,7 +111,7 @@ class TestSpread:
             value = int(rng.integers(0, 2 ** space.m_bits))
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             s = build_sparse_vector(msg, 16)
-            book = generate_codebook(int(rng.integers(0, 2**31)), 1, 32, 16)
+            book = generate_set(int(rng.integers(0, 2**31)), 1, 32, 16)[0]
             total += np.mean(np.abs(spread(s, book)) ** 2)
         assert abs(total / n_trials - 1.0) < 0.02
 
@@ -162,7 +162,7 @@ class TestOfdm:
 
 def test_end_to_end_noiseless_identity():
     space = ApSpace(M=32, K=2)
-    book = generate_codebook(seed=21, book_id=1, n=64, m=32)
+    book = generate_set(seed=21, G=1, n=64, m=32)[0]
     msg = encode_bits(int_to_bits(17, space.m_bits), space)
     x = spread(build_sparse_vector(msg, 32), book)
     back = ofdm_demodulate(ofdm_modulate(x, 16), 16)
