@@ -8,6 +8,7 @@ configuration fails validation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -37,6 +38,10 @@ _FLAGS = {
     "mmp_relative_stop": ("--relative-stop",
                           "stop threshold relative to the input norm (off: an absolute residual)"),
 }
+
+# The thread variables of the BLAS builds numpy ships with; unset, a BLAS call
+# may spread over every core, and decode times spread widely.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -108,6 +113,9 @@ def _cmd_ber(args: argparse.Namespace) -> int:
 
 def _cmd_timing(args: argparse.Namespace) -> int:
     plan = _sweep_plan(args)
+    print("blas threads:", *(f"{name}={os.environ.get(name, 'unset')}" for name in _BLAS_THREADS))
+    if not any(name in os.environ for name in _BLAS_THREADS):
+        print("warning: BLAS threads are not pinned; set OPENBLAS_NUM_THREADS=1", file=sys.stderr)
     records = run_timing(map(plan.config_at, plan.values), decodes=args.decodes,
                          warmup=args.warmup)
     for rec in records:

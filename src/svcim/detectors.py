@@ -1,14 +1,15 @@
 """Receive-side algorithms: greedy sparse recovery and ML references.
 
 The decode pipeline co-phases the received block so the effective channel
-gain is the real, nonnegative magnitude response, pairs that gain with the
-codebook as the (factored) sensing matrix, and recovers the activation
-pattern with a depth-first multipath matching pursuit (MMP-DF). Symbol-set
-and codebook decisions are nearest-vector rules on the recovered
-amplitudes. Exhaustive ML detection over every (codebook, word) pair serves
-as the optimality baseline; it scores each candidate block from the
-correlations of the received block with the book columns, so it stores the
-active columns of each pattern rank, never the blocks.
+gain is the real, nonnegative magnitude response, pairs that gain, built
+once per frame, with each codebook as the (factored) sensing matrix, and
+recovers the activation pattern with a depth-first multipath matching
+pursuit (MMP-DF). Symbol-set and codebook decisions are nearest-vector
+rules on the recovered amplitudes. Exhaustive ML detection over every
+(codebook, word) pair serves as the optimality baseline; it scores each
+candidate block from the correlations of the received block with the book
+columns, so it stores the active columns of each pattern rank, never the
+blocks.
 Both detectors handle any number of codebooks G; the single-codebook scheme
 is the case G = 1.
 
@@ -156,14 +157,19 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.angle(h)) * y
 
 
-def sensing_matrix(h_freq: np.ndarray, book: np.ndarray, k: int) -> Sensing:
-    """diag(|h|) C / sqrt(k), the matrix the co-phased block is sparse in, factored."""
-    h = np.asarray(h_freq)
-    if len(h) != len(book):
-        raise ValueError(f"channel length {len(h)} != codebook rows {len(book)}")
+def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensing]:
+    """diag(|h|) C_g / sqrt(k) for each book C_g of the (G, N, M) set, factored.
+
+    The co-phased block is sparse in each of them, and all G share one
+    channel factor: every returned ``Sensing`` holds the same gains array,
+    |h| / sqrt(k), computed once per call.
+    """
+    if np.ndim(books) != 3 or np.shape(h_freq) != np.shape(books)[1:2]:
+        raise ValueError(f"books {np.shape(books)} is no (G, N, M) set for h_freq {np.shape(h_freq)}")
     if k < 1:
         raise ValueError(f"sparsity k must be >= 1, got {k}")
-    return Sensing(book, np.abs(h) / math.sqrt(k))
+    gains = np.abs(h_freq) / math.sqrt(k)
+    return [Sensing(book, gains) for book in books]
 
 
 def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
@@ -366,22 +372,18 @@ def secbim_joint_metrics(
 ) -> tuple[np.ndarray, list[SparseEstimate]]:
     """The 2G decision metrics behind the joint decode, one row per book.
 
-    ``books`` is the (G, N, M) set. Each book gets its own sparse recovery;
-    row g - 1 holds the squared distances from book g's K least-squares
-    amplitudes to the original and to the extended symbol set: the distance
-    between the length-M estimate and each set placed on its support, as
-    both are zero off the support.
+    ``books`` is the (G, N, M) set. Each book gets its own sparse recovery
+    of the one co-phased block, and all G searches share one channel factor
+    (:func:`sensing_matrix`, called once). Row g - 1 holds the squared
+    distances from book g's K least-squares amplitudes to the original and
+    to the extended symbol set: the distance between the length-M estimate
+    and each set placed on its support, as both are zero off the support.
     """
     _require_inputs(y_freq, h_freq, books)
     y_hat = cophase(y_freq, h_freq)
-    estimates: list[SparseEstimate] = []
-    coeffs = np.empty((len(books), params.k), dtype=np.complex128)
-    for gi, book in enumerate(books):
-        psi = sensing_matrix(h_freq, book, params.k)
-        est = mmp_df(y_hat, psi, params)
-        estimates.append(est)
-        coeffs[gi] = est.coeffs
-    metrics = np.sum(np.abs(coeffs[:, None, :] - symbol_rows(params.k)) ** 2, axis=2)
+    estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, params.k)]
+    coeffs = np.array([est.coeffs for est in estimates])
+    metrics = (np.abs(coeffs[:, None, :] - symbol_rows(params.k)) ** 2).sum(axis=2)
     return metrics, estimates
 
 
@@ -401,7 +403,7 @@ def secbim_decode(
     if params.k != space.K:
         raise ValueError(f"params.k = {params.k} but space.K = {space.K}")
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, params)
-    flat = int(np.argmin(metrics))  # row-major first minimum = smallest (g, l)
+    flat = int(metrics.argmin())  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
     est = estimates[g0]
     d_hat = combo_to_rank(est.support, space)

@@ -223,15 +223,17 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
     return tx_bits, msg, y_freq, h_freq
 
 
-def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext | None = None) -> FrameTrace:
-    """Simulate one frame: random bits through encode, channel and decode.
+def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext) -> FrameTrace:
+    """Simulate one frame of ``cfg``, in the context built for it, from
+    random bits through encode, channel and decode.
 
-    ``ctx`` defaults to a fresh context for ``cfg``; a context built for
-    another config is a ``ValueError`` naming the fields that differ.
+    A ``ctx`` that is not a :class:`LinkContext` is a ``ValueError`` naming
+    ``ctx``, and a context built for another config one naming the fields
+    that differ.
     """
-    if ctx is None:
-        ctx = LinkContext.for_config(cfg)
-    elif ctx.cfg is not cfg and ctx.cfg != cfg:  # the identity test spares a sweep's frames
+    if not isinstance(ctx, LinkContext):
+        raise ValueError(f"ctx must be the LinkContext built for cfg, got {type(ctx).__name__}")
+    if ctx.cfg is not cfg and ctx.cfg != cfg:  # the identity test spares a sweep's frames
         differ = [f.name for f in fields(cfg) if getattr(ctx.cfg, f.name) != getattr(cfg, f.name)]
         raise ValueError(f"ctx was built for another config: {', '.join(differ)} differ from cfg")
     tx_bits, msg, y_freq, h_freq = transmit_frame(ctx, rng)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from svcim.cli import _config_from_args, _sweep_plan, build_parser, main
-from svcim.harness import read_ber_csv
+from svcim.harness import TIMING_CSV_COLUMNS, read_ber_csv
 from svcim.link import SystemConfig
 
 
@@ -173,6 +173,26 @@ class TestTimingCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + two configs
         assert "mean=" in capsys.readouterr().out
+
+    def test_states_blas_threading(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "timing.csv"
+        argv = ["timing", "--N", "32", "--M", "16", "--values", "16", "--decodes", "10",
+                "--warmup", "0", "--out", str(out)]
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in blas:
+            monkeypatch.delenv(name, raising=False)
+        assert main(argv) == 0
+        unpinned = capsys.readouterr()
+        assert ("blas threads: OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=unset "
+                "MKL_NUM_THREADS=unset") in unpinned.out
+        assert "warning: BLAS threads are not pinned" in unpinned.err
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert main(argv) == 0
+        pinned = capsys.readouterr()
+        assert "OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=1 MKL_NUM_THREADS=unset" in pinned.out
+        assert "warning" not in pinned.err
+        # the threading goes to the terminal, not into the timing CSV
+        assert out.read_text().splitlines()[0] == ",".join(TIMING_CSV_COLUMNS)
 
     def test_timing_row_carries_the_whole_config(self, tmp_path):
         out = tmp_path / "timing.csv"

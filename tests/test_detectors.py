@@ -85,13 +85,13 @@ class TestCophase:
 class TestSensingMatrix:
     def test_identity_channel(self):
         book = generate_set(2, 1, 8, 4)[0]
-        psi = sensing_matrix(np.ones(8), book, k=2)
+        (psi,) = sensing_matrix(np.ones(8), book[None], k=2)
         assert np.allclose(dense(psi), book / math.sqrt(2))
 
     def test_rows_scale_with_gain(self):
         book = generate_set(3, 1, 4, 4)[0]
         h = np.array([1.0, 2.0, 0.5, 3.0]) * np.exp(1j * np.array([0.1, -2.0, 1.5, 0.4]))
-        psi = dense(sensing_matrix(h, book, k=2))
+        psi = dense(sensing_matrix(h, book[None], k=2)[0])
         for beta in range(4):
             assert np.allclose(np.abs(psi[beta]), abs(h[beta]) / math.sqrt(2))
 
@@ -105,13 +105,13 @@ class TestSensingMatrix:
             )
             s = build_sparse_vector(msg, 32)
             lhs = cophase(y, h_freq)
-            rhs = dense(sensing_matrix(h_freq, book, k=2)) @ s
+            rhs = dense(sensing_matrix(h_freq, book[None], k=2)[0]) @ s
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dimension_mismatch(self):
         book = generate_set(2, 1, 8, 4)[0]
         with pytest.raises(ValueError):
-            sensing_matrix(np.ones(4), book, k=2)
+            sensing_matrix(np.ones(4), book[None], k=2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_factors_equal_the_dense_product(self, k):
@@ -119,7 +119,7 @@ class TestSensingMatrix:
         rng = np.random.default_rng(40 + k)
         book = generate_set(k, 1, 64, 32)[0]
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        psi = sensing_matrix(h, book, k)
+        (psi,) = sensing_matrix(h, book[None], k)
         expected = (np.abs(h) / math.sqrt(k))[:, None] * book
         assert dense(psi).tobytes() == expected.tobytes()
 
@@ -128,7 +128,7 @@ class TestMmpDf:
     def test_noiseless_exhaustive_recovery(self):
         space = ApSpace(M=16, K=2)
         book = generate_set(7, 1, 32, 16)[0]
-        psi = sensing_matrix(np.ones(32), book, k=2)
+        (psi,) = sensing_matrix(np.ones(32), book[None], k=2)
         params = MmpDfParams(k=2)
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
@@ -161,7 +161,7 @@ class TestMmpDf:
                 rng, 32, 24, 8, params, space, seed=trial, n0=n0
             )
             y_hat = cophase(y, h_freq)
-            psi = sensing_matrix(h_freq, book, k=2)
+            (psi,) = sensing_matrix(h_freq, book[None], k=2)
             est = mmp_df(y_hat, psi, params)
             oracle = reference_omp(y_hat, dense(psi), 2)
             assert tuple(i - 1 for i in est.support) == oracle
@@ -522,7 +522,7 @@ class TestSymbolSetDecision:
     def _decode(self, coeffs, n_books=1):
         space = ApSpace(M=16, K=2)
         books = generate_set(5, n_books, 32, 16)
-        psi = sensing_matrix(np.ones(32), books[0], k=2)
+        (psi,) = sensing_matrix(np.ones(32), books[:1], k=2)
         y = dense(psi)[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
         det = secbim_decode(y, np.ones(32, complex), books, space, MmpDfParams(k=2))
         assert det.estimate.support == (1, 2)

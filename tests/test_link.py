@@ -256,6 +256,12 @@ class TestRunFrame:
         with pytest.raises(ValueError, match=f"another config: {differ} differ from cfg"):
             run_frame(cfg, np.random.default_rng(0), ctx)
 
+    def test_context_is_required(self):
+        cfg = SystemConfig(N=32, M=16, ebn0_db=0.0)
+        for ctx in (None, cfg):
+            with pytest.raises(ValueError, match="^ctx must be the LinkContext built for cfg"):
+                run_frame(cfg, np.random.default_rng(0), ctx)
+
     def test_context_for_an_equal_config_accepted(self):
         cfg = SystemConfig(N=32, M=16, ebn0_db=NOISELESS)
         ctx = LinkContext.for_config(replace(cfg))
@@ -305,6 +311,27 @@ class TestSearchesPerDecode:
                        and np.array_equal(psi.entries, book)
                        for (psi, _), book in zip(decode, ctx.books))
             assert all(1 <= est.ls_solves <= cfg.mmp_upsilon for _, est in decode)
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_one_channel_factor_per_decode(self, monkeypatch, g):
+        # one sensing_matrix call per decode; its G factors share one gains array
+        factors = []
+        real = detectors.sensing_matrix
+
+        def counted(h_freq, books, k):
+            psis = real(h_freq, books, k)
+            factors.append((h_freq, psis))
+            return psis
+
+        monkeypatch.setattr(detectors, "sensing_matrix", counted)
+        cfg = SystemConfig(scheme="secbim", G=g, N=64, M=64, ebn0_db=0.0, seed=3)
+        _, per_decode = self.searches(monkeypatch, cfg)
+        assert len(factors) == self.FRAMES
+        for (h_freq, psis), decode in zip(factors, per_decode):
+            assert [psi for psi, _ in decode] == psis  # the searches read these factors
+            assert all(psi.gains is psis[0].gains for psi in psis)
+            expected = np.abs(h_freq) / np.sqrt(cfg.K)
+            assert psis[0].gains.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [16, 64, 128])
     def test_one_search_whatever_m(self, monkeypatch, m):
