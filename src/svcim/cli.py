@@ -101,10 +101,12 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     plan = _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
     records = run_ber_sweep(plan)
     for rec in records:
+        # no errors: BER <= frame error rate < 3/trials at 95% (the rule of three)
+        upper = f" upper95={3 / rec.trials:.1e}" if rec.bit_errors == 0 else ""
         print(
             f"{args.axis}={getattr(rec.config, plan.axis_field)}"
             f" trials={rec.trials} errors={rec.bit_errors} ber={rec.ber:.3e}"
-            f" ci95={rec.ci95:.1e}"
+            f" ci95={rec.ci95:.1e}{upper}"
         )
     emit_results(records, args.format, args.out, plan.axis_field)
     print(f"wrote {args.out}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,16 +96,14 @@ class DetectionResult:
     """Decoder output: pattern rank, symbol-set flag, codebook index, bits.
 
     ``l_hat`` is the flag actually used for bit recovery (forced to 1 when
-    the rank is outside the reused range); ``metric`` is the winning
-    decision-metric value for that flag.
+    the rank is outside the reused range). The metrics and estimates behind
+    a decision stay with :func:`secbim_joint_metrics` and :func:`_ml_metrics`.
     """
 
     d_hat: int
     l_hat: int  # 1 = original symbol set, 2 = extended
     g_hat: int
     bits: np.ndarray
-    metric: float
-    estimate: SparseEstimate | None = field(default=None, repr=False)
 
 
 def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray) -> None:
@@ -125,8 +123,8 @@ def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray) -
             raise ValueError(f"{name} holds a NaN or inf")
 
 
-def _result(books: np.ndarray, space: ApSpace, g_hat: int, d_hat: int, extended: bool,
-            metric: float, estimate: SparseEstimate | None = None) -> DetectionResult:
+def _result(books: np.ndarray, space: ApSpace, g_hat: int, d_hat: int,
+            extended: bool) -> DetectionResult:
     """A (book position, rank, symbol-set flag) decision and its bits.
 
     The first log2(G) bits carry ``g_hat - 1``, the rest the pattern word.
@@ -138,8 +136,6 @@ def _result(books: np.ndarray, space: ApSpace, g_hat: int, d_hat: int, extended:
         l_hat=2 if extended else 1,
         g_hat=g_hat,
         bits=np.array(bits, dtype=np.uint8),
-        metric=metric,
-        estimate=estimate,
     )
 
 
@@ -405,11 +401,10 @@ def secbim_decode(
     metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, params)
     flat = int(metrics.argmin())  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
-    est = estimates[g0]
-    d_hat = combo_to_rank(est.support, space)
+    d_hat = combo_to_rank(estimates[g0].support, space)
     # a rank that is never reused carries no flag information
     extended = l0 == 1 and d_hat < space.n_reused
-    return _result(books, space, g0 + 1, d_hat, extended, float(metrics[g0, int(extended)]), est)
+    return _result(books, space, g0 + 1, d_hat, extended)
 
 
 def require_ml_cap(n_books: int, space: ApSpace) -> None:
@@ -491,7 +486,7 @@ def ml_secbim(
     i = int(np.argmin(metrics))  # (g, word)-ordered: the first minimum is the smallest pair
     g0, word = divmod(i, metrics.shape[1])
     extended, d_hat = divmod(word, space.n_combos)  # 2**m_bits <= 2 C(M, K)
-    return _result(books, space, g0 + 1, d_hat, bool(extended), float(metrics.flat[i]))
+    return _result(books, space, g0 + 1, d_hat, bool(extended))
 
 
 # Names under which outside tracing wraps the single-codebook decoders.

@@ -60,9 +60,10 @@ class SystemConfig:
     the single-codebook case and requires G = 1, and "secbim" with G = 1
     behaves exactly like it. The ``mmp_*`` fields are the MMP-DF search
     controls (see :class:`MmpDfParams`). Field names are also the keys of
-    config files and the columns of the BER CSV. Derived quantities (bits
-    per symbol, Eb, noise variance, spectral efficiency) are always
-    recomputed from these fields.
+    config files and the columns of the BER CSV. The pattern ``space``, the
+    noise variance ``n0`` and the search controls ``mmp`` are derived once
+    per config; they are not fields, so equality, hashing and the text
+    codec see the fields alone.
     """
 
     scheme: str = field(default="esvc", metadata={"choices": SCHEMES})
@@ -89,7 +90,7 @@ class SystemConfig:
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         require_pow2(self.N, "N")
-        space = self.space()  # validates K against M
+        space = self.space  # validates K against M
         if not 0 <= self.L < self.N:
             raise ValueError(f"need 0 <= L < N, got L={self.L}, N={self.N}")
         if not 1 <= self.v <= self.L:
@@ -115,16 +116,18 @@ class SystemConfig:
         except ValueError as exc:
             raise ValueError(f"mmp_{exc}") from None
 
-    @property
+    @functools.cached_property
     def mmp(self) -> MmpDfParams:
         """The MMP-DF search controls, with sparsity k = K."""
         return MmpDfParams(k=self.K, omega=self.mmp_omega, lam=self.mmp_lam,
                            upsilon=self.mmp_upsilon, relative_stop=self.mmp_relative_stop)
 
+    @functools.cached_property
     def space(self) -> ApSpace:
+        """The K-of-M activation-pattern space."""
         return ApSpace(M=self.M, K=self.K)
 
-    @property
+    @functools.cached_property
     def n0(self) -> float:
         """Complex noise variance per sample, Eb * 10^(-Eb/N0 / 10) with
         Eb = (N + L)/m, the transmitted energy per information bit; 0.0 at
@@ -134,7 +137,7 @@ class SystemConfig:
 
 def bits_per_symbol(cfg: SystemConfig) -> int:
     """Information bits per OFDM symbol: log2(G) + floor(log2 C(M,K)) + 1."""
-    return (cfg.G.bit_length() - 1) + cfg.space().m_bits
+    return (cfg.G.bit_length() - 1) + cfg.space.m_bits
 
 
 def spectral_efficiency(cfg: SystemConfig) -> float:
@@ -159,15 +162,16 @@ def _shared_books(seed: int, G: int, N: int, M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_ml_table(M: int, K: int) -> np.ndarray:
-    """The process's memo of read-only ML index tables, keyed by (M, K)."""
-    return build_ml_candidates(ApSpace(M=M, K=K))
+def _shared_ml_table(space: ApSpace) -> np.ndarray:
+    """The process's memo of read-only ML index tables, keyed by the space's (M, K)."""
+    return build_ml_candidates(space)
 
 
 @dataclass(eq=False)
 class LinkContext:
-    """Per-configuration state shared across frames: books, search controls
-    and the ML index table.
+    """Per-configuration state shared across frames: the config, its pattern
+    space, the books and the ML index table. Noise variance and search
+    controls are read from ``cfg``, which derives each once.
 
     The books and the index table come from the process-wide memos
     :func:`_shared_books` and :func:`_shared_ml_table` (16 entries each),
@@ -177,24 +181,22 @@ class LinkContext:
     """
 
     cfg: SystemConfig
-    space: ApSpace
+    space: ApSpace  # cfg.space itself
     books: np.ndarray  # read-only (G, N, M); book g is books[g - 1]
-    n0: float
-    mmp: MmpDfParams
     ml: np.ndarray | None  # read-only (C(M, K), K) active columns per rank
 
     @classmethod
     def for_config(cls, cfg: SystemConfig) -> "LinkContext":
         books = _shared_books(cfg.seed, cfg.G, cfg.N, cfg.M)
-        ml = _shared_ml_table(cfg.M, cfg.K) if cfg.detector == "ml" else None
-        return cls(cfg=cfg, space=cfg.space(), books=books, n0=cfg.n0, mmp=cfg.mmp, ml=ml)
+        ml = _shared_ml_table(cfg.space) if cfg.detector == "ml" else None
+        return cls(cfg=cfg, space=cfg.space, books=books, ml=ml)
 
 
 def decode_frame(ctx: LinkContext, y_freq: np.ndarray, h_freq: np.ndarray) -> DetectionResult:
     """Dispatch to the configured detector with perfect channel knowledge."""
     if ctx.cfg.detector == "ml":
         return detectors.ml_secbim(y_freq, h_freq, ctx.books, ctx.space, ctx.ml)
-    return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.mmp)
+    return detectors.secbim_decode(y_freq, h_freq, ctx.books, ctx.space, ctx.cfg.mmp)
 
 
 def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
@@ -216,10 +218,10 @@ def transmit_frame(ctx: LinkContext, rng: np.random.Generator):
 
     if cfg.channel_path == "time":
         x_time = ofdm_modulate(x_freq, cfg.L)
-        y_time = apply_time(x_time, taps, ctx.n0, rng, cfg.L)
+        y_time = apply_time(x_time, taps, cfg.n0, rng, cfg.L)
         y_freq = ofdm_demodulate(y_time, cfg.L)
     else:
-        y_freq = apply_freq(x_freq, h_freq, ctx.n0, rng)
+        y_freq = apply_freq(x_freq, h_freq, cfg.n0, rng)
     return tx_bits, msg, y_freq, h_freq
 
 

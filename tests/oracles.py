@@ -200,3 +200,50 @@ def reference_ml_candidates(books, space: ApSpace) -> np.ndarray:
         vdd[word] = build_sparse_vector(msg, space.M)
     inv_sqrt_k = 1.0 / math.sqrt(space.K)
     return np.vstack([(vdd @ b.T) * inv_sqrt_k for b in books])
+
+
+def rayleigh_responses(v: int, n: int, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """``draws`` length-n frequency responses of v i.i.d. CN(0, 1/v) taps, one per row.
+
+    Drawn here rather than by ``svcim.channel``, so that a wrong channel
+    power there shows against :func:`ml_union_bound`.
+    """
+    taps = rng.standard_normal((draws, v)) + 1j * rng.standard_normal((draws, v))
+    return np.fft.fft(taps * math.sqrt(0.5 / v), n, axis=1)
+
+
+def ml_union_bound(rows: np.ndarray, cp_len: int, ebn0_db: float,
+                   h_draws: np.ndarray) -> tuple[float, float]:
+    """Union bound on the bit error rate of ML with known h, and its 95% half-width.
+
+    ``rows`` are candidate blocks as ``reference_ml_candidates`` returns
+    them: row r carries the m-bit word r, m = log2(len(rows)). For one
+    channel h, sent block v_i is taken for v_j with pairwise probability
+    Q(||h (v_i - v_j)|| / sqrt(2 n0)) (Proakis & Salehi, *Digital
+    Communications*, 5th ed.), which costs hamming(i, j) of its m bits. The
+    bound sums these over j != i and averages over the sent block and over
+    the rows of ``h_draws``; the half-width is 1.96 standard errors over the
+    draws. Eb is derived from the blocks, not from svcim: the mean block
+    energy, times (N + cp_len)/N for the cyclic prefix, over m; then
+    n0 = Eb 10^(-Eb/N0 / 10).
+    """
+    n_rows, n = rows.shape
+    m = n_rows.bit_length() - 1
+    if n_rows != 1 << m:
+        raise ValueError(f"{n_rows} rows are no full set of words")
+    eb = float(np.mean(np.sum(np.abs(rows) ** 2, axis=1))) * (n + cp_len) / n / m
+    n0 = eb * 10.0 ** (-ebn0_db / 10.0)
+    i, j = np.triu_indices(n_rows, 1)  # each pair once, counted for both senders
+    ham = sum((i ^ j) >> b & 1 for b in range(m))
+    weight = 2.0 * ham / m / n_rows
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    per_draw = np.empty(len(h_draws))
+    for d, h in enumerate(h_draws):
+        faded = rows * h
+        energy = np.sum(np.abs(faded) ** 2, axis=1)
+        dist2 = energy[i] + energy[j] - 2.0 * (faded.conj() @ faded.T).real[i, j]
+        # Q(x) = erfc(x / sqrt(2)) / 2 at x = sqrt(dist2 / (2 n0))
+        q = 0.5 * erfc(np.sqrt(np.maximum(dist2, 0.0) / (4.0 * n0))).astype(float)
+        per_draw[d] = weight @ q
+    half = 1.96 * per_draw.std(ddof=1) / math.sqrt(len(per_draw)) if len(per_draw) > 1 else 0.0
+    return float(per_draw.mean()), half

@@ -28,6 +28,15 @@ class TestBerCommand:
         captured = capsys.readouterr()
         assert "ber=" in captured.out
 
+    def test_zero_errors_state_an_upper_bound(self, tmp_path, capsys):
+        rc = main(["ber", "--N", "32", "--M", "16", "--values", "inf,0", "--min-errors", "10",
+                   "--max-trials", "60", "--out", str(tmp_path / "ber.csv")])
+        assert rc == 0
+        noiseless, noisy = capsys.readouterr().out.splitlines()[:2]
+        # 3/60: the rule of three tops the exact one-sided bound 1 - 0.05**(1/n) at every n
+        assert noiseless.endswith(" errors=0 ber=0.000e+00 ci95=0.0e+00 upper95=5.0e-02")
+        assert "upper95" not in noisy and " errors=0 " not in noisy
+
     def test_plot_format(self, tmp_path):
         out = tmp_path / "ber.json"
         rc = main([

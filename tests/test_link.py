@@ -1,4 +1,5 @@
 """Config validation, bit-budget arithmetic, shared tables and frame orchestration."""
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -134,6 +135,22 @@ class TestSystemConfig:
     def test_hashable_for_caching(self):
         assert len({SystemConfig(), SystemConfig(), SystemConfig(N=128)}) == 2
 
+    def test_space_n0_and_search_controls_derived_once(self):
+        cfg = SystemConfig(scheme="secbim", G=2, N=32, M=16, ebn0_db=3.0)
+        assert cfg.space is cfg.space and cfg.mmp is cfg.mmp
+        assert (cfg.space.M, cfg.space.K, cfg.mmp.k) == (16, 2, 2)
+        assert LinkContext.for_config(cfg).space is cfg.space
+        # not fields: a config equals and hashes like its fields alone
+        assert cfg == replace(cfg) and hash(cfg) == hash(replace(cfg))
+
+    def test_pickled_after_the_derived_values_were_read(self):
+        # the sweep pool ships configs to its workers this way
+        cfg = SystemConfig(scheme="secbim", G=4, N=32, M=16, ebn0_db=5.0, mmp_omega=3)
+        n0, mmp = cfg.n0, cfg.mmp
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and hash(back) == hash(cfg)
+        assert back.n0 == n0 and back.mmp == mmp and back.space == cfg.space
+
 
 class TestBitBudget:
     def test_small_reference_config(self):
@@ -227,15 +244,25 @@ class TestRunFrame:
             assert tf.detection.l_hat == tt.detection.l_hat
             assert np.array_equal(tf.detection.bits, tt.detection.bits)
 
-    def test_omega_above_the_unused_columns_decodes(self):
+    def test_omega_above_the_unused_columns_decodes(self, monkeypatch):
         # at depth 2 of M = 4 only two columns are unused, fewer than omega = 3
+        solves = []
+        real = detectors.mmp_df
+
+        def logged(y_hat, psi, params):
+            est = real(y_hat, psi, params)
+            solves.append(est.ls_solves)
+            return est
+
+        monkeypatch.setattr(detectors, "mmp_df", logged)
         cfg = SystemConfig(N=4, M=4, K=3, L=1, v=1, mmp_omega=3, mmp_upsilon=5, ebn0_db=-20.0)
         ctx = LinkContext.for_config(cfg)
         rng = np.random.default_rng(0)
         for _ in range(50):
             trace = run_frame(cfg, rng, ctx)
             assert len(trace.detection.bits) == bits_per_symbol(cfg)
-            assert trace.detection.estimate.ls_solves <= 4  # C(4, 3) distinct supports
+        assert len(solves) == 50
+        assert max(solves) <= 4  # C(4, 3) distinct supports
 
     def test_time_path_noisy_loopback_at_high_snr(self):
         cfg = SystemConfig(N=64, M=64, ebn0_db=40.0, channel_path="time")
