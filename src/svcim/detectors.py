@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import require_pow2
+from .codebook import require_field_types, require_pow2, require_type
 from .index_codec import (
     ApSpace,
     combo_to_rank,
@@ -47,10 +47,11 @@ class MmpDfParams:
     ``omega`` children are expanded per node, ``lam`` is the stop threshold
     on the residual (relative to the input norm unless ``relative_stop`` is
     off), and ``upsilon`` caps how many full-depth candidates are examined
-    before the best-so-far is returned.
+    before the best-so-far is returned. The search depth K is the sensing
+    factor's (:attr:`Sensing.k`). Each field takes the values of its type
+    (:func:`~svcim.codebook.require_type`).
     """
 
-    k: int = 2
     omega: int = 2
     lam: float = 0.1
     upsilon: int = 2
@@ -58,8 +59,7 @@ class MmpDfParams:
 
     def __post_init__(self) -> None:
         # each message starts with the field name (SystemConfig prefixes "mmp_")
-        if self.k < 1:
-            raise ValueError(f"k (sparsity) must be >= 1, got {self.k}")
+        require_field_types(self)
         if self.omega < 1:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
         if not self.lam > 0:  # NaN fails too
@@ -81,14 +81,20 @@ class SparseEstimate:
 
 @dataclass(frozen=True, eq=False)
 class Sensing:
-    """The sensing matrix psi = diag(gains) @ entries, kept factored.
+    """The sensing matrix psi = diag(gains) @ entries, kept factored, and the
+    sparsity k it was scaled for.
 
     For a co-phased block ``entries`` is the +-1 codebook and ``gains`` is
-    |h| / sqrt(K); a generic real N x M matrix is the case gains = ones.
+    |h| / sqrt(k); a generic real N x M matrix is the case gains = ones.
+    :func:`mmp_df` recovers k active columns of it.
     """
 
     entries: np.ndarray  # real, N x M
     gains: np.ndarray  # real, length N
+    k: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", require_type(self.k, int, "k"))
 
 
 @dataclass(eq=False)
@@ -156,16 +162,16 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
 def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensing]:
     """diag(|h|) C_g / sqrt(k) for each book C_g of the (G, N, M) set, factored.
 
-    The co-phased block is sparse in each of them, and all G share one
+    The co-phased block is k-sparse in each of them, and all G share one
     channel factor: every returned ``Sensing`` holds the same gains array,
-    |h| / sqrt(k), computed once per call.
+    |h| / sqrt(k), computed once per call, and carries ``k``.
     """
     if np.ndim(books) != 3 or np.shape(h_freq) != np.shape(books)[1:2]:
         raise ValueError(f"books {np.shape(books)} is no (G, N, M) set for h_freq {np.shape(h_freq)}")
-    if k < 1:
+    if require_type(k, int, "k") < 1:
         raise ValueError(f"sparsity k must be >= 1, got {k}")
     gains = np.abs(h_freq) / math.sqrt(k)
-    return [Sensing(book, gains) for book in books]
+    return [Sensing(book, gains, k) for book in books]
 
 
 def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
@@ -240,7 +246,8 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : real sensing matrix diag(gains) @ entries, N x M with N, M >= params.k
+    psi : real sensing matrix diag(gains) @ entries, N x M with N, M >= psi.k,
+        and the search depth psi.k
     params : search controls
 
     Returns
@@ -252,9 +259,9 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     Raises
     ------
-    ValueError : on complex ``entries`` or ``gains``, mismatched shapes, fewer
-        than k rows or columns, or a NaN or inf in ``y_hat``, ``entries`` or
-        ``gains``.
+    ValueError : on a k below 1, complex ``entries`` or ``gains``, mismatched
+        shapes, fewer than k rows or columns, or a NaN or inf in ``y_hat``,
+        ``entries`` or ``gains``.
     """
     y = np.ascontiguousarray(y_hat, dtype=np.complex128)
     c = np.asarray(psi.entries)
@@ -267,11 +274,13 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     n, m = c.shape
     if w.shape != (n,):
         raise ValueError(f"psi gains must have shape ({n},), got {w.shape}")
-    k = params.k
+    k = psi.k
+    if k < 1:
+        raise ValueError(f"psi k (sparsity) must be >= 1, got {k}")
     if m < k:
-        raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
+        raise ValueError(f"psi has {m} columns, need >= k = {k}")
     if n < k:
-        raise ValueError(f"sensing matrix has {n} rows, need >= {k}")
+        raise ValueError(f"psi has {n} rows, need >= k = {k}")
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
@@ -364,22 +373,24 @@ def secbim_joint_metrics(
     y_freq: np.ndarray,
     h_freq: np.ndarray,
     books: np.ndarray,
+    space: ApSpace,
     params: MmpDfParams,
 ) -> tuple[np.ndarray, list[SparseEstimate]]:
     """The 2G decision metrics behind the joint decode, one row per book.
 
-    ``books`` is the (G, N, M) set. Each book gets its own sparse recovery
-    of the one co-phased block, and all G searches share one channel factor
-    (:func:`sensing_matrix`, called once). Row g - 1 holds the squared
-    distances from book g's K least-squares amplitudes to the original and
-    to the extended symbol set: the distance between the length-M estimate
-    and each set placed on its support, as both are zero off the support.
+    ``books`` is the (G, N, M) set and K is ``space.K``. Each book gets its
+    own sparse recovery of the one co-phased block, and all G searches share
+    one channel factor (:func:`sensing_matrix`, called once). Row g - 1
+    holds the squared distances from book g's K least-squares amplitudes to
+    the original and to the extended symbol set: the distance between the
+    length-M estimate and each set placed on its support, as both are zero
+    off the support.
     """
     _require_inputs(y_freq, h_freq, books)
     y_hat = cophase(y_freq, h_freq)
-    estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, params.k)]
+    estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, space.K)]
     coeffs = np.array([est.coeffs for est in estimates])
-    metrics = (np.abs(coeffs[:, None, :] - symbol_rows(params.k)) ** 2).sum(axis=2)
+    metrics = (np.abs(coeffs[:, None, :] - symbol_rows(space.K)) ** 2).sum(axis=2)
     return metrics, estimates
 
 
@@ -394,11 +405,9 @@ def secbim_decode(
 
     Takes the minimum of the 2G joint metrics; ties resolve to the
     smallest (g, l). The first log2(G) output bits carry the codebook
-    index, the rest the pattern. ``params.k`` and ``space.K`` must agree.
+    index, the rest the pattern.
     """
-    if params.k != space.K:
-        raise ValueError(f"params.k = {params.k} but space.K = {space.K}")
-    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, params)
+    metrics, estimates = secbim_joint_metrics(y_freq, h_freq, books, space, params)
     flat = int(metrics.argmin())  # row-major first minimum = smallest (g, l)
     g0, l0 = divmod(flat, 2)
     d_hat = combo_to_rank(estimates[g0].support, space)

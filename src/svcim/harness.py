@@ -28,6 +28,7 @@ from itertools import islice, starmap
 
 import numpy as np
 
+from .codebook import require_field_types, require_type
 from .link import (
     LinkContext,
     SystemConfig,
@@ -35,7 +36,6 @@ from .link import (
     decode_frame,
     field_types,
     parse_fields,
-    require_type,
     run_frame,
     transmit_frame,
 )
@@ -62,6 +62,10 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+        require_type(self.base, SystemConfig, "base")
+        # a string is the text of one value, not a sequence of them
+        if isinstance(self.values, (str, bytes)) or not np.iterable(self.values):
+            raise ValueError(f"values must be a sequence of axis values, got {self.values!r}")
         # values as SystemConfig stores them; every config is validated
         # before any simulation
         object.__setattr__(self, "values", tuple(
@@ -91,9 +95,9 @@ class SweepPlan:
 class BerRecord:
     """One Monte Carlo result row; ``m``, ``ber`` and ``ci95`` are derived.
 
-    A row that no run can produce (no trials, bit errors outside
-    [0, trials * m], a negative or NaN time) is a ``ValueError`` naming the
-    field, also when it is read from a file.
+    A row that no run can produce (a field of the wrong type, no trials, bit
+    errors outside [0, trials * m], a negative or NaN time) is a
+    ``ValueError`` naming the field, also when it is read from a file.
     """
 
     config: SystemConfig
@@ -102,6 +106,7 @@ class BerRecord:
     wall_ns_per_decode: float
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.bit_errors <= self.trials * self.m:
@@ -195,6 +200,7 @@ def run_ber_sweep(plan: SweepPlan, workers: int | None = None,
     decode is timed; ``wall_ns_per_decode`` is the mean of those times, or
     0.0 with ``measure_time=False``, which makes the CSV reproducible.
     """
+    require_type(measure_time, bool, "measure_time")
     workers = _worker_count(workers)
     records = []
     pool_cm = nullcontext()
@@ -243,8 +249,11 @@ def run_timing(configs, decodes: int = 1000, warmup: int = 50,
         raise ValueError(f"decodes must be a multiple of batches ({batches}), got {decodes}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
+    if not np.iterable(configs):
+        raise ValueError(f"configs must be an iterable of SystemConfig, got {configs!r}")
     runs = []  # (ctx, rng, batch means) per config
-    for cfg in configs:
+    for i, cfg in enumerate(configs):
+        require_type(cfg, SystemConfig, f"configs[{i}]")
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TIMING_STREAM_TAG)))
         runs.append((LinkContext.for_config(cfg), rng, []))
     if not runs:

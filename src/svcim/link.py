@@ -14,14 +14,13 @@ from __future__ import annotations
 import functools
 import math
 import time
-import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import detectors
 from .channel import apply_freq, apply_time, draw_channel
-from .codebook import generate_set, require_pow2
+from .codebook import field_types, generate_set, require_field_types, require_pow2
 from .detectors import DetectionResult, MmpDfParams, build_ml_candidates, require_ml_cap
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
@@ -30,25 +29,11 @@ SCHEMES = ("esvc", "secbim")
 DETECTORS = ("mmpdf", "ml")
 CHANNEL_PATHS = ("freq", "time")
 
-# What each field type takes. A float field keeps an int as it is, so the
-# text written for it does not change; no number takes a bool.
-_TAKES = {int: (int, np.integer), float: (int, float, np.integer, np.floating), bool: bool,
-          str: str}
-
 # The largest n0 a config may give, 2**-20 times the largest float (1.7e302):
 # MMP-DF's squared LS amplitudes first overflowed at n0 = 1.4e306 (N = 4, 32
 # and 128), and at N = 4 they are heavy-tailed (above 4,750 n0 in one search
 # in 10**4).
 _N0_MAX = np.finfo(float).max / 2**20
-
-
-def require_type(value, tp: type, name: str):
-    """``value`` as a field ``name`` of type ``tp`` stores it: a numpy scalar
-    becomes the Python number it holds. A value the type does not take is a
-    ``ValueError`` naming the field."""
-    if not isinstance(value, _TAKES[tp]) or (isinstance(value, bool) and tp is not bool):
-        raise ValueError(f"{name} must be {tp.__name__}, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -83,10 +68,9 @@ class SystemConfig:
     mmp_relative_stop: bool = MmpDfParams.relative_stop
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         for f in fields(self):
-            value = require_type(getattr(self, f.name), field_types(SystemConfig)[f.name], f.name)
-            object.__setattr__(self, f.name, value)
-            choices = f.metadata.get("choices")
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         require_pow2(self.N, "N")
@@ -118,9 +102,10 @@ class SystemConfig:
 
     @functools.cached_property
     def mmp(self) -> MmpDfParams:
-        """The MMP-DF search controls, with sparsity k = K."""
-        return MmpDfParams(k=self.K, omega=self.mmp_omega, lam=self.mmp_lam,
-                           upsilon=self.mmp_upsilon, relative_stop=self.mmp_relative_stop)
+        """The MMP-DF search controls; the search depth is ``space.K``, which
+        the sensing factors carry."""
+        return MmpDfParams(omega=self.mmp_omega, lam=self.mmp_lam, upsilon=self.mmp_upsilon,
+                           relative_stop=self.mmp_relative_stop)
 
     @functools.cached_property
     def space(self) -> ApSpace:
@@ -250,13 +235,6 @@ def run_frame(cfg: SystemConfig, rng: np.random.Generator, ctx: LinkContext) -> 
 
 
 _BOOLS = {"True": True, "False": False}
-
-
-@functools.cache
-def field_types(cls) -> dict[str, type]:
-    """Name -> type of each dataclass field of ``cls``, in field order."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def parse_fields(cls, raw: dict[str, str]) -> dict:

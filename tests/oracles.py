@@ -86,7 +86,8 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
     Parameters
     ----------
     y_hat : co-phased received vector, length N
-    psi : real sensing matrix diag(gains) @ entries, N x M with M >= params.k
+    psi : real sensing matrix diag(gains) @ entries, N x M with M >= psi.k,
+        and the search depth psi.k
     params : search controls
     fit : the least-squares fit of every tree node and leaf, ``_ls_fit``
         (normal equations) or ``_lstsq_fit``
@@ -96,11 +97,11 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
     SparseEstimate with ascending 1-based support.
     """
     y = np.asarray(y_hat, dtype=np.complex128)
+    k = psi.k
     psi = dense(psi)
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
     n, m = psi.shape
-    k = params.k
     if m < k:
         raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
     if len(y) != n:

@@ -296,7 +296,7 @@ def test_c10_property_suite():
     # omega=1 greedy equals the reference pursuit
     from oracles import dense, reference_omp
 
-    params = MmpDfParams(k=2, omega=1, lam=1e-12, upsilon=1)
+    params = MmpDfParams(omega=1, lam=1e-12, upsilon=1)
     space32 = ApSpace(M=32, K=2)
     n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
     for trial in range(100):

@@ -3,7 +3,8 @@ independent OMP oracle, decision rules, ML baselines and scale invariance.
 """
 import itertools
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -123,13 +124,48 @@ class TestSensingMatrix:
         expected = (np.abs(h) / math.sqrt(k))[:, None] * book
         assert dense(psi).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_factor_carries_its_sparsity(self, k):
+        books = generate_set(k, 2, 16, 8)
+        psis = sensing_matrix(np.ones(16), books, np.int64(k))
+        assert [(psi.k, type(psi.k)) for psi in psis] == [(k, int)] * 2
+
+    @pytest.mark.parametrize("k", [2.0, True, "2", None])
+    def test_sparsity_taken_by_the_type_rule(self, k):
+        book = generate_set(2, 1, 8, 4)[0]
+        with pytest.raises(ValueError, match=f"^k must be int, got {re.escape(repr(k))}$"):
+            Sensing(book, np.ones(8), k)
+        with pytest.raises(ValueError, match="^k must be int"):
+            sensing_matrix(np.ones(8), book[None], k)
+
+
+class TestMmpDfParams:
+    def test_fields_are_the_config_search_controls(self):
+        # one field per SystemConfig mmp_* field, in the same order; K is the space's
+        assert [f.name for f in fields(MmpDfParams)] == [
+            f.name.removeprefix("mmp_") for f in fields(SystemConfig) if f.name.startswith("mmp_")]
+
+    @pytest.mark.parametrize("name,value,tp", [
+        ("upsilon", float("nan"), "int"), ("upsilon", 2.0, "int"), ("omega", True, "int"),
+        ("omega", 1.5, "int"), ("lam", "0.1", "float"), ("lam", True, "float"),
+        ("relative_stop", "no", "bool"), ("relative_stop", 1, "bool"),
+    ])
+    def test_values_taken_by_the_type_rule(self, name, value, tp):
+        with pytest.raises(ValueError, match=f"^{name} must be {tp}, got {re.escape(repr(value))}$"):
+            MmpDfParams(**{name: value})
+
+    def test_numpy_scalars_stored_as_python_values(self):
+        params = MmpDfParams(omega=np.int64(3), lam=np.float32(0.5), upsilon=np.int32(4))
+        assert params == MmpDfParams(omega=3, lam=0.5, upsilon=4)
+        assert [type(v) for v in (params.omega, params.lam, params.upsilon)] == [int, float, int]
+
 
 class TestMmpDf:
     def test_noiseless_exhaustive_recovery(self):
         space = ApSpace(M=16, K=2)
         book = generate_set(7, 1, 32, 16)[0]
         (psi,) = sensing_matrix(np.ones(32), book[None], k=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         for value in range(2 ** space.m_bits):
             msg = encode_bits(int_to_bits(value, space.m_bits), space)
             s = build_sparse_vector(msg, 16)
@@ -142,18 +178,18 @@ class TestMmpDf:
         rng = np.random.default_rng(5)
         book = generate_set(11, 1, 32, 16)[0]
         for omega in (1, 2, 4):
-            params = MmpDfParams(k=1, omega=omega)
+            params = MmpDfParams(omega=omega)
             for _ in range(20):
                 h = np.abs(rng.standard_normal(32) + 1j * rng.standard_normal(32))
                 psi = h[:, None] * book
                 y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-                est = mmp_df(y, Sensing(psi, np.ones(32)), params)
+                est = mmp_df(y, Sensing(psi, np.ones(32), 1), params)
                 expected = int(np.argmax(np.abs(psi.conj().T @ y))) + 1
                 assert est.support == (expected,)
 
     def test_omega_one_equals_omp_oracle(self):
         rng = np.random.default_rng(6)
-        params = MmpDfParams(k=2, omega=1, lam=1e-9, upsilon=1)
+        params = MmpDfParams(omega=1, lam=1e-9, upsilon=1)
         space = ApSpace(M=24, K=2)
         n0 = 2.0 * 10.0 ** (-8.0 / 10.0)
         for trial in range(100):
@@ -169,10 +205,10 @@ class TestMmpDf:
     def test_full_depth_solve_budget(self):
         rng = np.random.default_rng(7)
         for omega, upsilon in [(1, 1), (2, 2), (2, 8), (3, 4)]:
-            params = MmpDfParams(k=2, omega=omega, upsilon=upsilon)
+            params = MmpDfParams(omega=omega, upsilon=upsilon)
             psi = rng.standard_normal((16, 12))
             y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            est = mmp_df(y, Sensing(psi, np.ones(16)), params)
+            est = mmp_df(y, Sensing(psi, np.ones(16), 2), params)
             assert est.ls_solves <= min(upsilon, omega ** 2)
             assert est.ls_solves >= 1
 
@@ -180,7 +216,7 @@ class TestMmpDf:
         rng = np.random.default_rng(8)
         psi = rng.standard_normal((20, 10))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        est = mmp_df(y, Sensing(psi, np.ones(20)), MmpDfParams(k=3, omega=2, upsilon=4))
+        est = mmp_df(y, Sensing(psi, np.ones(20), 3), MmpDfParams(omega=2, upsilon=4))
         assert est.support == tuple(sorted(est.support))
         sup0 = [i - 1 for i in est.support]
         assert len(est.coeffs) == 3
@@ -193,26 +229,40 @@ class TestMmpDf:
         # candidate is skipped with infinite residual instead of crashing
         psi = np.ones((8, 2))
         y = np.ones(8, dtype=complex)
-        est = mmp_df(y, Sensing(psi, np.ones(8)), MmpDfParams(k=2, omega=1, upsilon=1))
+        est = mmp_df(y, Sensing(psi, np.ones(8), 2), MmpDfParams(omega=1, upsilon=1))
         assert est.support == (1, 2)
         assert math.isinf(est.residual_norm)
         assert np.array_equal(est.coeffs, np.zeros(2))
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
-            mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4)), MmpDfParams(k=2))
+            mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4), 2), MmpDfParams())
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError, match=r"^sensing matrix has 2 rows, need >= 4$"):
-            mmp_df(np.ones(2, complex), Sensing(np.ones((2, 5)), np.ones(2)), MmpDfParams(k=4))
+        with pytest.raises(ValueError, match=r"^psi has 2 rows, need >= k = 4$"):
+            mmp_df(np.ones(2, complex), Sensing(np.ones((2, 5)), np.ones(2), 4), MmpDfParams())
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_sparsity_below_one_rejected(self, k):
+        psi = Sensing(np.ones((4, 4)), np.ones(4), k)
+        with pytest.raises(ValueError, match=rf"^psi k \(sparsity\) must be >= 1, got {k}$"):
+            mmp_df(np.ones(4, complex), psi, MmpDfParams())
+
+    def test_depth_is_the_factor_sparsity(self):
+        rng = np.random.default_rng(12)
+        entries = rng.standard_normal((16, 8))
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        for k in (1, 2, 3):
+            est = mmp_df(y, Sensing(entries, np.ones(16), k), MmpDfParams())
+            assert len(est.support) == len(est.coeffs) == k
 
     def test_omega_capped_at_the_unused_columns(self):
         # omega = M asks every node for more children than it has unused columns;
         # the search visits each support once, and no path repeats a column
         rng = np.random.default_rng(10)
-        psi = Sensing(rng.standard_normal((8, 5)), np.ones(8))
+        psi = Sensing(rng.standard_normal((8, 5)), np.ones(8), 3)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        est = mmp_df(y, psi, MmpDfParams(k=3, omega=5, lam=1e-12, upsilon=100))
+        est = mmp_df(y, psi, MmpDfParams(omega=5, lam=1e-12, upsilon=100))
         assert (est.stop, est.ls_solves) == ("exhausted", math.comb(5, 3))
         assert len(set(est.support)) == 3
         best = min(itertools.combinations(range(5), 3), key=lambda cols: np.linalg.norm(
@@ -224,9 +274,9 @@ class TestMmpDf:
         # zero gains: every inner node meets a zero pivot, so no depth-k path is
         # scored; the estimate is the documented one, as in the reference search
         rng = np.random.default_rng(11)
-        psi = Sensing(rng.choice([-1.0, 1.0], size=(8, 6)), np.zeros(8))
+        psi = Sensing(rng.choice([-1.0, 1.0], size=(8, 6)), np.zeros(8), 3)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        params = MmpDfParams(k=3, omega=omega, upsilon=4)
+        params = MmpDfParams(omega=omega, upsilon=4)
         for est in (mmp_df(y, psi, params), reference_mmp_df(y, psi, params)):
             assert (est.support, est.ls_solves, est.stop) == ((1, 2, 3), 0, "exhausted")
             assert est.residual_norm == math.inf
@@ -235,25 +285,25 @@ class TestMmpDf:
     def test_complex_psi_rejected(self):
         psi = generate_set(3, 1, 16, 8)[0] * (1 + 1j)
         with pytest.raises(ValueError, match="psi"):
-            mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16)), MmpDfParams(k=2))
+            mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16), 2), MmpDfParams())
 
     @pytest.mark.parametrize("field", ["entries", "gains"])
     def test_complex_factor_rejected(self, field):
         parts = {"entries": generate_set(3, 1, 16, 8)[0], "gains": np.ones(16)}
         parts[field] = parts[field] * (1 + 1j)
         with pytest.raises(ValueError, match=f"psi {field} must be real"):
-            mmp_df(np.ones(16, complex), Sensing(**parts), MmpDfParams(k=2))
+            mmp_df(np.ones(16, complex), Sensing(**parts, k=2), MmpDfParams())
 
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
     def test_misshapen_gains_rejected(self, gains):
-        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains)
+        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains, 2)
         with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
-            mmp_df(np.ones(16, complex), psi, MmpDfParams(k=2))
+            mmp_df(np.ones(16, complex), psi, MmpDfParams())
 
     def test_one_dimensional_entries_rejected(self):
         with pytest.raises(ValueError, match="psi entries must be 2-D"):
-            mmp_df(np.ones(16, complex), Sensing(np.ones(16), np.ones(16)), MmpDfParams(k=1))
+            mmp_df(np.ones(16, complex), Sensing(np.ones(16), np.ones(16), 1), MmpDfParams())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_gains_rejected(self, value):
@@ -261,9 +311,9 @@ class TestMmpDf:
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         gains = np.ones(16)
         gains[5] = value
-        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains)
+        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains, 2)
         with pytest.raises(ValueError, match="NaN or inf"):
-            mmp_df(y, psi, MmpDfParams(k=2))
+            mmp_df(y, psi, MmpDfParams())
 
     @pytest.mark.parametrize("where", ["y_hat", "psi"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -276,19 +326,19 @@ class TestMmpDf:
         else:
             psi[5, 3] = value
         with pytest.raises(ValueError, match="NaN or inf"):
-            mmp_df(y, Sensing(psi, np.ones(16)), MmpDfParams(k=2))
+            mmp_df(y, Sensing(psi, np.ones(16), 2), MmpDfParams())
 
     def test_absolute_stop_switch(self):
         # pure noise scaled to norm 10: candidate residuals sit near 9, so a
         # relative threshold of 0.95 stops at the first candidate while the
         # same number read as an absolute residual keeps searching
         rng = np.random.default_rng(14)
-        psi = Sensing(generate_set(3, 1, 32, 16)[0] / math.sqrt(2), np.ones(32))
+        psi = Sensing(generate_set(3, 1, 32, 16)[0] / math.sqrt(2), np.ones(32), 2)
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y *= 10.0 / np.linalg.norm(y)
-        relative = mmp_df(y, psi, MmpDfParams(k=2, omega=2, lam=0.95, upsilon=4))
+        relative = mmp_df(y, psi, MmpDfParams(omega=2, lam=0.95, upsilon=4))
         absolute = mmp_df(
-            y, psi, MmpDfParams(k=2, omega=2, lam=0.95, upsilon=4, relative_stop=False)
+            y, psi, MmpDfParams(omega=2, lam=0.95, upsilon=4, relative_stop=False)
         )
         assert relative.ls_solves == 1
         # distinct supports in this tree: 3 (one duplicate pruned)
@@ -297,7 +347,7 @@ class TestMmpDf:
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(15)
-        psi = Sensing(generate_set(5, 1, 32, 16)[0], rng.uniform(0.2, 2.0, 32))
+        psi = Sensing(generate_set(5, 1, 32, 16)[0], rng.uniform(0.2, 2.0, 32), 2)
         exact = dense(psi)[:, [3, 11]] @ np.array([1 + 1j, -1 + 1j])
         noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for y, omega, upsilon, stop, solves in [
@@ -305,12 +355,12 @@ class TestMmpDf:
             (noise, 2, 2, "budget", 2),
             (noise, 1, 2, "exhausted", 1),  # omega = 1 leaves a single candidate
         ]:
-            est = mmp_df(y, psi, MmpDfParams(k=2, omega=omega, upsilon=upsilon))
+            est = mmp_df(y, psi, MmpDfParams(omega=omega, upsilon=upsilon))
             assert (est.stop, est.ls_solves) == (stop, solves)
 
     def test_all_zero_input_is_deterministic(self):
-        psi = Sensing(generate_set(13, 1, 16, 8)[0] / math.sqrt(2), np.ones(16))
-        est = mmp_df(np.zeros(16, complex), psi, MmpDfParams(k=2))
+        psi = Sensing(generate_set(13, 1, 16, 8)[0] / math.sqrt(2), np.ones(16), 2)
+        est = mmp_df(np.zeros(16, complex), psi, MmpDfParams())
         assert est.support == (1, 2)  # stable tie-break toward low columns
         assert np.allclose(est.coeffs, 0.0)
 
@@ -454,8 +504,8 @@ class TestGramSearchMatchesReference:
         c = rng.choice([-1.0, 1.0], size=(32, 16))
         c[:, 9] = c[:, 2]
         c[:, 12] = c[:, 5]
-        psi = Sensing(c, np.ones(32))
-        params = MmpDfParams(k=k, omega=omega, lam=0.01, upsilon=upsilon, relative_stop=relative)
+        psi = Sensing(c, np.ones(32), k)
+        params = MmpDfParams(omega=omega, lam=0.01, upsilon=upsilon, relative_stop=relative)
         for cols in ((2, 5, 7), (9, 12, 0), (2, 9, 4)):
             y = c[:, list(cols[:k])] @ np.array([1 + 1j, -2 + 1j, 3j])[:k]
             for y_hat in (y, np.zeros(32, complex)):
@@ -521,8 +571,8 @@ class TestSymbolSetDecision:
         (psi,) = sensing_matrix(np.ones(32), books[:1], k=2)
         y = dense(psi)[:, :2] @ np.asarray(coeffs, dtype=complex)  # support (1, 2), rank 0, reused
         h = np.ones(32, complex)
-        det = secbim_decode(y, h, books, space, MmpDfParams(k=2))
-        metrics, estimates = secbim_joint_metrics(y, h, books, MmpDfParams(k=2))
+        det = secbim_decode(y, h, books, space, MmpDfParams())
+        metrics, estimates = secbim_joint_metrics(y, h, books, space, MmpDfParams())
         assert estimates[det.g_hat - 1].support == (1, 2)
         return det, metrics[det.g_hat - 1, det.l_hat - 1]  # the decision's metric
 
@@ -549,7 +599,7 @@ class TestEsvcDecode:
         space = ApSpace(M=4, K=2)
         books = generate_set(17, 1, 32, 4)
         book = books[0]
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         h = np.ones(32, dtype=complex)
         for value in range(8):
             bits = int_to_bits(value, 3)
@@ -563,7 +613,7 @@ class TestEsvcDecode:
     def test_noiseless_random_channels(self):
         rng = np.random.default_rng(9)
         space = ApSpace(M=64, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         for trial in range(1000):
             book, msg, h_freq, y = _random_message_chain(
                 rng, 64, 64, 10, params, space, seed=trial % 13
@@ -575,7 +625,7 @@ class TestEsvcDecode:
     def test_pure_noise_ber_near_half(self):
         rng = np.random.default_rng(10)
         space = ApSpace(M=64, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(23, 1, 64, 64)
         book = books[0]
         n0 = 80 / space.m_bits * 10.0 ** (50.0 / 10.0)
@@ -600,7 +650,7 @@ class TestSecbimDecode:
         # length-M estimate and the placed symbol sets are both zero
         rng = np.random.default_rng(30 + k)
         space = ApSpace(M=16, K=k)
-        params = MmpDfParams(k=k)
+        params = MmpDfParams()
         books = generate_set(47, 2, 32, 16)
         n0 = 48 / (1 + space.m_bits) * 10.0 ** (-4.0 / 10.0)
         for _ in range(200):
@@ -609,7 +659,7 @@ class TestSecbimDecode:
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 2))])
             _, h_freq = draw_channel(10, 32, rng)
             y = apply_freq(x, h_freq, n0, rng)
-            metrics, estimates = secbim_joint_metrics(y, h_freq, books, params)
+            metrics, estimates = secbim_joint_metrics(y, h_freq, books, space, params)
             for gi, est in enumerate(estimates):
                 sup0 = [i - 1 for i in est.support]
                 vec = np.zeros(16, complex)
@@ -629,7 +679,7 @@ class TestSecbimDecode:
         # expression per book
         rng = np.random.default_rng(50 + k)
         space = ApSpace(M=16, K=k)
-        params = MmpDfParams(k=k)
+        params = MmpDfParams()
         books = generate_set(59, 4, 32, 16)
         symbols = symbol_rows(k)
         n0 = 48 / (2 + space.m_bits) * 10.0 ** (-4.0 / 10.0)
@@ -639,7 +689,7 @@ class TestSecbimDecode:
             x = spread(build_sparse_vector(msg, 16), books[int(rng.integers(0, 4))])
             _, h_freq = draw_channel(10, 32, rng)
             y = apply_freq(x, h_freq, n0, rng)
-            metrics, estimates = secbim_joint_metrics(y, h_freq, books, params)
+            metrics, estimates = secbim_joint_metrics(y, h_freq, books, space, params)
             per_book = np.empty((len(books), 2))
             for gi, est in enumerate(estimates):
                 per_book[gi] = np.sum(np.abs(est.coeffs - symbols) ** 2, axis=1)
@@ -649,7 +699,7 @@ class TestSecbimDecode:
     def test_noiseless_recovery_g4(self):
         rng = np.random.default_rng(12)
         space = ApSpace(M=32, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(37, 4, 32, 32)
         for _ in range(1000):
             g = int(rng.integers(1, 5))
@@ -667,7 +717,7 @@ class TestSecbimDecode:
     def test_noiseless_argmin_never_beaten_by_true_book(self):
         rng = np.random.default_rng(29)
         space = ApSpace(M=16, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(43, 4, 32, 16)
         for _ in range(200):
             g = int(rng.integers(1, 5))
@@ -676,14 +726,14 @@ class TestSecbimDecode:
             x = spread(build_sparse_vector(msg, 16), books[g - 1])
             _, h_freq = draw_channel(10, 32, rng)
             y = apply_freq(x, h_freq, 0.0, rng)
-            metrics, _ = secbim_joint_metrics(y, h_freq, books, params)
+            metrics, _ = secbim_joint_metrics(y, h_freq, books, space, params)
             det = secbim_decode(y, h_freq, books, space, params)
             assert metrics[det.g_hat - 1].min() <= metrics[g - 1].min()
 
     def test_codebook_error_rate_high_snr(self):
         rng = np.random.default_rng(13)
         space = ApSpace(M=64, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(41, 2, 64, 64)
         m_total = 1 + space.m_bits
         n0 = 80 / m_total * 10.0 ** (-30.0 / 10.0)
@@ -698,23 +748,6 @@ class TestSecbimDecode:
             y = apply_freq(x, h_freq, n0, rng)
             wrong += secbim_decode(y, h_freq, books, space, params).g_hat != g
         assert wrong / n_trials < 1e-3
-
-
-class TestSparsityAgreement:
-    """``params.k`` and ``space.K`` each hold K; the decoder names both when
-    they disagree instead of failing inside numpy."""
-
-    @staticmethod
-    def _frame():
-        cfg = SystemConfig(scheme="secbim", G=2, N=32, M=16, K=2, ebn0_db=10.0)
-        ctx = LinkContext.for_config(cfg)
-        _, _, y, h_freq = transmit_frame(ctx, np.random.default_rng(0))
-        return ctx, y, h_freq
-
-    def test_decode_params_k_against_space(self):
-        ctx, y, h = self._frame()
-        with pytest.raises(ValueError, match=r"^params\.k = 3 but space\.K = 2$"):
-            secbim_decode(y, h, ctx.books, ctx.space, MmpDfParams(k=3))
 
 
 class TestMlDetectors:
@@ -739,7 +772,7 @@ class TestMlDetectors:
     def test_agreement_with_greedy_high_snr(self):
         rng = np.random.default_rng(16)
         space = ApSpace(M=16, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(53, 1, 32, 16)
         book = books[0]
         cand = build_ml_candidates(space)
@@ -945,7 +978,7 @@ class TestScaleInvariance:
     def test_greedy_decisions_unchanged(self, scale):
         rng = np.random.default_rng(19)
         space = ApSpace(M=16, K=2)
-        params = MmpDfParams(k=2)
+        params = MmpDfParams()
         books = generate_set(67, 1, 32, 16)
         n0 = 48 / space.m_bits * 10.0 ** (-5.0 / 10.0)
         value = int(rng.integers(0, 2 ** space.m_bits))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -69,6 +70,18 @@ class TestSweepPlan:
     def test_limit_type_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be int, got {value}$"):
             small_plan(values=(0.0,), **{name: value})
+
+    @pytest.mark.parametrize("values", ["10", b"10", 5.0, np.array(5.0), None],
+                             ids=["str", "bytes", "float", "0-d", "None"])
+    def test_values_not_a_sequence_named(self, values):
+        # read as characters, "10" would sweep 1 dB and 0 dB
+        with pytest.raises(ValueError, match="^values must be a sequence of axis values, got "):
+            small_plan(values=values)
+
+    @pytest.mark.parametrize("base", [None, {"N": 32}, "SystemConfig()"])
+    def test_base_not_a_config_named(self, base):
+        with pytest.raises(ValueError, match="^base must be SystemConfig, got "):
+            small_plan(base=base)
 
     def test_numpy_limits_stored_as_ints(self):
         plan = small_plan(max_trials=np.int64(200), shard_trials=np.int32(100))
@@ -224,6 +237,14 @@ class TestRunBerSweep:
             run_ber_sweep(small_plan(values=(0.0,), max_trials=100), workers=workers,
                           measure_time=False)
 
+    @pytest.mark.parametrize("measure_time", ["no", 0, None])
+    def test_measure_time_not_a_bool_rejected(self, measure_time, monkeypatch):
+        # a truthy "no" would time every decode; the check comes before any shard
+        monkeypatch.setattr(harness, "_run_shard", None)
+        with pytest.raises(ValueError, match=f"^measure_time must be bool, got {measure_time!r}$"):
+            run_ber_sweep(small_plan(values=(0.0,), max_trials=100), workers=1,
+                          measure_time=measure_time)
+
 
 class TestConfidenceInterval:
     def test_formula(self):
@@ -322,6 +343,12 @@ class TestEmission:
         (dict(bit_errors=10 * 7 + 1), "bit_errors"),
         (dict(wall_ns_per_decode=-1.0), "wall_ns_per_decode"),
         (dict(wall_ns_per_decode=float("nan")), "wall_ns_per_decode"),
+        # a non-integer count would be written as a row that read_ber_csv refuses
+        (dict(trials=1.5), "trials"),
+        (dict(bit_errors=2.5), "bit_errors"),
+        (dict(trials=True), "trials"),
+        (dict(wall_ns_per_decode="0"), "wall_ns_per_decode"),
+        (dict(config={"N": 32}), "config"),
     ])
     def test_impossible_record_rejected(self, change, name):
         fields = dict(config=self.CFG, trials=10, bit_errors=70, wall_ns_per_decode=0.0)
@@ -329,6 +356,15 @@ class TestEmission:
         assert BerRecord(**fields).ber == 1.0  # every bit wrong is possible
         with pytest.raises(ValueError, match=f"^{name} must"):
             BerRecord(**{**fields, **change})
+
+    def test_numpy_counts_read_back(self):
+        rec = BerRecord(config=self.CFG, trials=np.int64(10), bit_errors=np.int32(7),
+                        wall_ns_per_decode=np.float64(2.5))
+        assert (type(rec.trials), type(rec.bit_errors)) == (int, int)
+        buf = io.StringIO()
+        write_ber_csv([rec], buf)
+        buf.seek(0)
+        assert read_ber_csv(buf) == [rec]
 
     @pytest.mark.parametrize("column,text", [("trials", "0"), ("bit_errors", "-3"),
                                              ("bit_errors", "1000000")])
@@ -430,6 +466,14 @@ class TestRunTiming:
         with pytest.raises(ValueError, match=f"^{name} "):
             run_timing(**{**kwargs, **overrides})
 
+    @pytest.mark.parametrize("configs,message", [
+        (SystemConfig(N=32, M=16), "configs must be an iterable of SystemConfig, got "),
+        ([{}], "configs[0] must be SystemConfig, got {}"),
+        ([SystemConfig(N=32, M=16), "esvc"], "configs[1] must be SystemConfig, got 'esvc'"),
+    ], ids=["one-config", "dict", "str"])
+    def test_non_config_named(self, configs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_timing(configs, decodes=5, warmup=0, batches=5)
 
     def test_ml_time_scales_with_books(self):
         # the candidates grow by G, so should the enumeration time; at M = 128

@@ -138,7 +138,7 @@ class TestSystemConfig:
     def test_space_n0_and_search_controls_derived_once(self):
         cfg = SystemConfig(scheme="secbim", G=2, N=32, M=16, ebn0_db=3.0)
         assert cfg.space is cfg.space and cfg.mmp is cfg.mmp
-        assert (cfg.space.M, cfg.space.K, cfg.mmp.k) == (16, 2, 2)
+        assert (cfg.space.M, cfg.space.K) == (16, 2) and cfg.mmp == detectors.MmpDfParams()
         assert LinkContext.for_config(cfg).space is cfg.space
         # not fields: a config equals and hashes like its fields alone
         assert cfg == replace(cfg) and hash(cfg) == hash(replace(cfg))
