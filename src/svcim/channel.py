@@ -9,8 +9,9 @@ the test suite checks to 1e-9.
 Noise is injected per complex sample with variance n0 = Eb * 10^(-EbN0/10),
 Eb = (N+L)/m (``SystemConfig.n0``), identically in both domains; the CP
 energy penalty is thereby part of the SNR accounting, and n0 = 0 is
-noiseless. Taps follow a uniform power-delay profile,
-i.i.d. CN(0, 1/v), so the frequency response is CN(0, 1) per subcarrier.
+noiseless; a NaN, infinite or negative n0 is a ``ValueError`` naming n0.
+Taps follow a uniform power-delay profile, i.i.d. CN(0, 1/v), so the
+frequency response is CN(0, 1) per subcarrier.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ def draw_channel(v: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, 
 
 
 def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
+    if not 0.0 <= n0 < math.inf:  # NaN fails too
+        raise ValueError(f"n0 (noise variance) must be finite and >= 0, got {n0}")
     if n0 == 0.0:
         return np.zeros(n_samples, dtype=np.complex128)
     re, im = rng.standard_normal((2, n_samples))

@@ -72,16 +72,3 @@ def generate_set(seed: int, G: int, n: int, m: int) -> np.ndarray:
     books.setflags(write=False)
     return books
 
-
-def column_coherence(book: np.ndarray) -> float:
-    """Largest normalized inner product between distinct columns, in [0, 1].
-
-    Low coherence is what lets greedy recovery tell activation patterns
-    apart; it shrinks as N grows for fixed M.
-    """
-    c = np.asarray(book)
-    if c.shape[1] < 2:
-        return 0.0
-    gram = np.abs(c.T @ c) / c.shape[0]
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())

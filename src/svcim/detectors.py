@@ -86,7 +86,9 @@ class Sensing:
 
     For a co-phased block ``entries`` is the +-1 codebook and ``gains`` is
     |h| / sqrt(k); a generic real N x M matrix is the case gains = ones.
-    :func:`mmp_df` recovers k active columns of it.
+    :func:`mmp_df` recovers k active columns of it. A factor that is complex,
+    misshapen, or has a k outside [1, min(N, M)] is a ``ValueError`` when it
+    is built.
     """
 
     entries: np.ndarray  # real, N x M
@@ -94,7 +96,18 @@ class Sensing:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", require_type(self.k, int, "k"))
+        object.__setattr__(self, "k", _require_sparsity(self.k, "psi k (sparsity)"))
+        for name in ("entries", "gains"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
+        if np.ndim(self.entries) != 2:
+            raise ValueError(f"psi entries must be 2-D, got shape {np.shape(self.entries)}")
+        n, m = np.shape(self.entries)
+        if np.shape(self.gains) != (n,):
+            raise ValueError(f"psi gains must have shape ({n},), got {np.shape(self.gains)}")
+        for size, name in ((m, "columns"), (n, "rows")):
+            if size < self.k:
+                raise ValueError(f"psi has {size} {name}, need >= k = {self.k}")
 
 
 @dataclass(eq=False)
@@ -112,21 +125,32 @@ class DetectionResult:
     bits: np.ndarray
 
 
-def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray) -> None:
-    """Reject ``books`` unless it is a (G, N, M) array with G a power of two, and a
-    y_freq or h_freq that is not a length-N vector or holds a NaN or inf."""
+def _require_sparsity(k, name: str) -> int:
+    """``k`` as an int, the search depth of a sensing factor; a k below 1 is a
+    ``ValueError`` naming ``name``."""
+    if require_type(k, int, "k") < 1:
+        raise ValueError(f"{name} must be >= 1, got {k}")
+    return int(k)
+
+
+def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray, space: ApSpace) -> None:
+    """The decoders' one input guard: reject a ``space`` that is no ``ApSpace``,
+    ``books`` unless it is a (G, N, M) array with G a power of two and M =
+    ``space.M``, and a y_freq or h_freq that is not a length-N vector or holds
+    a NaN or inf."""
+    require_type(space, ApSpace, "space")
     if np.ndim(books) != 3:
         raise ValueError(f"books must be a (G, N, M) array, got shape {np.shape(books)}")
     require_pow2(len(books), "G")
-    n = books.shape[1]
+    if books.shape[2] != space.M:
+        raise ValueError(f"books must have M = {space.M} columns, got shape {books.shape}")
     for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
-        if np.shape(arr) != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {np.shape(arr)}")
-    if math.isfinite(abs(np.vdot(y_freq, h_freq))):  # a NaN or inf in either propagates
-        return
-    for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} holds a NaN or inf")
+        if np.shape(arr) != books.shape[1:2]:  # (N,)
+            raise ValueError(f"{name} must have shape {books.shape[1:2]}, got {np.shape(arr)}")
+    if not math.isfinite(abs(np.vdot(y_freq, h_freq))):  # a NaN or inf in either propagates
+        for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a NaN or inf")
 
 
 def _result(books: np.ndarray, space: ApSpace, g_hat: int, d_hat: int,
@@ -164,13 +188,11 @@ def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensin
 
     The co-phased block is k-sparse in each of them, and all G share one
     channel factor: every returned ``Sensing`` holds the same gains array,
-    |h| / sqrt(k), computed once per call, and carries ``k``.
+    |h| / sqrt(k), computed once per call, and carries ``k``. Each factor
+    checks its book against the gains as it is built.
     """
-    if np.ndim(books) != 3 or np.shape(h_freq) != np.shape(books)[1:2]:
-        raise ValueError(f"books {np.shape(books)} is no (G, N, M) set for h_freq {np.shape(h_freq)}")
-    if require_type(k, int, "k") < 1:
-        raise ValueError(f"sparsity k must be >= 1, got {k}")
-    gains = np.abs(h_freq) / math.sqrt(k)
+    # k is checked here only because the division comes before any Sensing
+    gains = np.abs(h_freq) / math.sqrt(_require_sparsity(k, "sparsity k"))
     return [Sensing(book, gains, k) for book in books]
 
 
@@ -259,28 +281,16 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     Raises
     ------
-    ValueError : on a k below 1, complex ``entries`` or ``gains``, mismatched
-        shapes, fewer than k rows or columns, or a NaN or inf in ``y_hat``,
+    ValueError : on a ``psi`` that is no :class:`Sensing` (which checks its
+        own factors and k), a ``params`` that is no :class:`MmpDfParams`, a
+        ``y_hat`` whose length is not N, or a NaN or inf in ``y_hat``,
         ``entries`` or ``gains``.
     """
+    require_type(psi, Sensing, "psi")
+    require_type(params, MmpDfParams, "params")
     y = np.ascontiguousarray(y_hat, dtype=np.complex128)
-    c = np.asarray(psi.entries)
-    w = np.asarray(psi.gains)
-    for name, arr in (("entries", c), ("gains", w)):
-        if np.iscomplexobj(arr):
-            raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
-    if c.ndim != 2:
-        raise ValueError(f"psi entries must be 2-D, got shape {c.shape}")
+    c, w, k = np.asarray(psi.entries), np.asarray(psi.gains), psi.k
     n, m = c.shape
-    if w.shape != (n,):
-        raise ValueError(f"psi gains must have shape ({n},), got {w.shape}")
-    k = psi.k
-    if k < 1:
-        raise ValueError(f"psi k (sparsity) must be >= 1, got {k}")
-    if m < k:
-        raise ValueError(f"psi has {m} columns, need >= k = {k}")
-    if n < k:
-        raise ValueError(f"psi has {n} rows, need >= k = {k}")
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
@@ -386,7 +396,7 @@ def secbim_joint_metrics(
     length-M estimate and each set placed on its support, as both are zero
     off the support.
     """
-    _require_inputs(y_freq, h_freq, books)
+    _require_inputs(y_freq, h_freq, books, space)
     y_hat = cophase(y_freq, h_freq)
     estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, space.K)]
     coeffs = np.array([est.coeffs for est in estimates])
@@ -486,9 +496,9 @@ def ml_secbim(
 
     ``cand`` is the index table ``build_ml_candidates(space)``.
     """
-    _require_inputs(y_freq, h_freq, books)
+    _require_inputs(y_freq, h_freq, books, space)
     require_ml_cap(len(books), space)
-    if np.shape(cand) != (space.n_combos, space.K) or books.shape[2] != space.M:
+    if np.shape(cand) != (space.n_combos, space.K):
         raise ValueError(f"cand of shape {np.shape(cand)} and books of shape {books.shape} "
                          f"do not fit M = {space.M}, K = {space.K}")
     metrics = _ml_metrics(y_freq, h_freq, books, space, cand)

@@ -63,8 +63,10 @@ class SweepPlan:
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         require_type(self.base, SystemConfig, "base")
-        # a string is the text of one value, not a sequence of them
-        if isinstance(self.values, (str, bytes)) or not np.iterable(self.values):
+        # a string is the text of one value, and a dict or a set has no order
+        # to sweep in: none of them is a sequence of values. Read as objects,
+        # a ragged list is one too, and its items meet the field's type rule
+        if np.ndim(np.array(self.values, dtype=object)) != 1:
             raise ValueError(f"values must be a sequence of axis values, got {self.values!r}")
         # values as SystemConfig stores them; every config is validated
         # before any simulation
@@ -243,10 +245,8 @@ def run_timing(configs, decodes: int = 1000, warmup: int = 50,
         require_type(value, int, name)
     if batches < 1:
         raise ValueError(f"batches must be at least 1, got {batches}")
-    if decodes < batches:
-        raise ValueError(f"decodes must be at least batches ({batches}), got {decodes}")
-    if decodes % batches:
-        raise ValueError(f"decodes must be a multiple of batches ({batches}), got {decodes}")
+    if decodes < 1 or decodes % batches:
+        raise ValueError(f"decodes must be a positive multiple of batches ({batches}), got {decodes}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     if not np.iterable(configs):

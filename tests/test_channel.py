@@ -120,3 +120,18 @@ class TestApplyTime:
                 apply_time(ofdm_modulate(x, cp_len), taps, 0.0, rng, cp_len), cp_len
             )
             assert np.max(np.abs(via_time - x * h_freq)) < 1e-9 * np.max(np.abs(x * h_freq))
+
+
+class TestNoiseVariance:
+    @pytest.mark.parametrize("path", ["freq", "time"])
+    @pytest.mark.parametrize("n0", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_impossible_n0_named(self, path, n0):
+        # a NaN or inf n0 would fill the block with it; a negative one has no square root
+        rng = np.random.default_rng(13)
+        taps, h_freq = draw_channel(4, 16, rng)
+        x = np.ones(16, complex)
+        with pytest.raises(ValueError, match=f"^n0 \\(noise variance\\) must be finite and >= 0, got {n0}$"):
+            if path == "freq":
+                apply_freq(x, h_freq, n0, rng)
+            else:
+                apply_time(x, taps, n0, rng, cp_len=4)

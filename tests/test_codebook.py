@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from svcim.codebook import (
-    column_coherence,
     generate_set,
     require_pow2,
 )
 from svcim.link import LinkContext, SystemConfig
 from svcim.transceiver import ofdm_demodulate, ofdm_modulate
+
+from oracles import column_coherence
 
 
 class TestPowerOfTwo:

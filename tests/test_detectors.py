@@ -244,9 +244,8 @@ class TestMmpDf:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_sparsity_below_one_rejected(self, k):
-        psi = Sensing(np.ones((4, 4)), np.ones(4), k)
         with pytest.raises(ValueError, match=rf"^psi k \(sparsity\) must be >= 1, got {k}$"):
-            mmp_df(np.ones(4, complex), psi, MmpDfParams())
+            mmp_df(np.ones(4, complex), Sensing(np.ones((4, 4)), np.ones(4), k), MmpDfParams())
 
     def test_depth_is_the_factor_sparsity(self):
         rng = np.random.default_rng(12)
@@ -297,8 +296,28 @@ class TestMmpDf:
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
     def test_misshapen_gains_rejected(self, gains):
-        psi = Sensing(generate_set(3, 1, 16, 8)[0], gains, 2)
         with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
+            mmp_df(np.ones(16, complex), Sensing(generate_set(3, 1, 16, 8)[0], gains, 2),
+                   MmpDfParams())
+
+    @pytest.mark.parametrize("entries,gains,k,message", [
+        (np.ones((4, 4)), np.ones(4), 0, r"^psi k \(sparsity\) must be >= 1, got 0$"),
+        (np.ones((4, 4)) * 1j, np.ones(4), 2, "^psi entries must be real"),
+        (np.ones((4, 4)), np.ones(4) * 1j, 2, "^psi gains must be real"),
+        (np.ones(4), np.ones(4), 1, r"^psi entries must be 2-D, got shape \(4,\)$"),
+        (np.ones((4, 4)), np.ones(3), 2, r"^psi gains must have shape \(4,\), got \(3,\)$"),
+        (np.ones((4, 1)), np.ones(4), 2, "^psi has 1 columns, need >= k = 2$"),
+        (np.ones((2, 5)), np.ones(2), 4, "^psi has 2 rows, need >= k = 4$"),
+    ], ids=["k=0", "complex-entries", "complex-gains", "1-D", "short-gains", "columns", "rows"])
+    def test_malformed_factor_rejected_when_built(self, entries, gains, k, message):
+        # the factor checks itself: no search is needed to find the fault
+        with pytest.raises(ValueError, match=message):
+            Sensing(entries, gains, k)
+
+    @pytest.mark.parametrize("psi", [np.ones((16, 8)), None, (np.ones((16, 8)), np.ones(16), 2)],
+                             ids=["array", "None", "tuple"])
+    def test_psi_not_a_sensing_named(self, psi):
+        with pytest.raises(ValueError, match="^psi must be Sensing, got "):
             mmp_df(np.ones(16, complex), psi, MmpDfParams())
 
     def test_one_dimensional_entries_rejected(self):
@@ -825,10 +844,12 @@ class TestMlDetectors:
         cand = build_ml_candidates(ApSpace(M=8, K=2))
         y = np.ones(32, complex)
         for other_books, space in ((books, ApSpace(M=8, K=3)),
-                                   (generate_set(61, 2, 32, 16), ApSpace(M=16, K=2)),
-                                   (generate_set(61, 2, 32, 16), ApSpace(M=8, K=2))):
+                                   (generate_set(61, 2, 32, 16), ApSpace(M=16, K=2))):
             with pytest.raises(ValueError, match="^cand of shape"):
                 ml_secbim(y, y, other_books, space, cand)
+        # books as wide as no pattern of the space: the shared guard names them first
+        with pytest.raises(ValueError, match="^books must have M = 8 columns"):
+            ml_secbim(y, y, generate_set(61, 2, 32, 16), ApSpace(M=8, K=2), cand)
 
     def test_one_table_serves_every_g_and_n(self):
         cand = build_ml_candidates(ApSpace(M=8, K=2))
@@ -970,6 +991,38 @@ class TestMalformedBooks:
         y = np.ones(32, dtype=complex)
         with pytest.raises(ValueError, match=message):
             decode_frame(replace(ctx, books=bad(ctx.books)), y, y)
+
+
+class TestDecoderInputsNamed:
+    """Both decoders share one input guard; each fault names its argument."""
+
+    SPACE = ApSpace(M=32, K=2)
+
+    def decode(self, detector, books, space, params=MmpDfParams()):
+        y = np.ones(books.shape[1], complex)
+        if detector == "mmpdf":
+            return secbim_decode(y, y, books, space, params)
+        return ml_secbim(y, y, books, space, build_ml_candidates(self.SPACE))
+
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_books_of_another_width_named(self, detector, m):
+        # 16 columns once decoded into a word of the 32-column space, from columns 1-16 only
+        message = rf"^books must have M = 32 columns, got shape \(1, 32, {m}\)$"
+        with pytest.raises(ValueError, match=message):
+            self.decode(detector, generate_set(0, 1, 32, m), self.SPACE)
+
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("space", [None, (32, 2), SystemConfig(N=32, M=32)],
+                             ids=["None", "tuple", "config"])
+    def test_space_not_a_pattern_space_named(self, detector, space):
+        with pytest.raises(ValueError, match="^space must be ApSpace, got "):
+            self.decode(detector, generate_set(0, 1, 32, 32), space)
+
+    @pytest.mark.parametrize("params", [None, {"omega": 2}, SystemConfig()], ids=["None", "dict", "config"])
+    def test_params_not_search_controls_named(self, params):
+        with pytest.raises(ValueError, match="^params must be MmpDfParams, got "):
+            self.decode("mmpdf", generate_set(0, 1, 32, 32), self.SPACE, params)
 
 
 class TestScaleInvariance:

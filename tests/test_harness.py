@@ -71,12 +71,17 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match=f"^{name} must be int, got {value}$"):
             small_plan(values=(0.0,), **{name: value})
 
-    @pytest.mark.parametrize("values", ["10", b"10", 5.0, np.array(5.0), None],
-                             ids=["str", "bytes", "float", "0-d", "None"])
+    @pytest.mark.parametrize("values", ["10", b"10", 5.0, np.array(5.0), None, {0.0: 1}, {0.0, 4.0}],
+                             ids=["str", "bytes", "float", "0-d", "None", "dict", "set"])
     def test_values_not_a_sequence_named(self, values):
-        # read as characters, "10" would sweep 1 dB and 0 dB
+        # read as characters, "10" would sweep 1 dB and 0 dB; a dict would
+        # sweep its keys, and a set in hash order
         with pytest.raises(ValueError, match="^values must be a sequence of axis values, got "):
             small_plan(values=values)
+
+    def test_ragged_values_meet_the_field_rule(self):
+        with pytest.raises(ValueError, match=r"^ebn0_db must be float, got \[1\.0\]$"):
+            small_plan(values=[0.0, [1.0]])
 
     @pytest.mark.parametrize("base", [None, {"N": 32}, "SystemConfig()"])
     def test_base_not_a_config_named(self, base):
