@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .codebook import require_array
+
 
 def draw_channel(v: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one block-fading realization with v i.i.d. CN(0, 1/v) taps.
@@ -45,10 +47,8 @@ def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
 def apply_freq(
     x_freq: np.ndarray, h_freq: np.ndarray, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-subcarrier model: y(b) = x(b) h(b) + w(b)."""
-    x_freq = np.asarray(x_freq)
-    if len(x_freq) != len(h_freq):
-        raise ValueError(f"block length {len(x_freq)} != channel length {len(h_freq)}")
+    """Per-subcarrier model: y(b) = x(b) h(b) + w(b), x and h vectors of one length."""
+    require_array(h_freq, require_array(x_freq, (None,), "x_freq").shape, "h_freq")
     return x_freq * h_freq + _awgn(len(x_freq), n0, rng)
 
 
@@ -64,8 +64,8 @@ def apply_time(
     Requires v <= L; otherwise the tail of one block would spill past the
     prefix and the per-subcarrier model would no longer hold.
     """
-    x_time = np.asarray(x_time)
-    if len(taps) > cp_len:
+    require_array(x_time, (None,), "x_time")
+    if len(require_array(taps, (None,), "taps")) > cp_len:
         raise ValueError(f"tap count {len(taps)} exceeds CP length {cp_len}")
     faded = np.convolve(x_time, taps)[: len(x_time)]
     return faded + _awgn(len(x_time), n0, rng)

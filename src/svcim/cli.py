@@ -69,9 +69,15 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
         return replace(config_from_text(fh.read()), **given)
 
 
-def _sweep_plan(args: argparse.Namespace, **limits) -> SweepPlan:
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among ``names`` that were given; one not given leaves the library's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _sweep_plan(args: argparse.Namespace) -> SweepPlan:
     values = tuple(part for part in args.values.split(",") if part.strip())
-    return SweepPlan(base=_config_from_args(args), sweep_axis=args.axis, values=values, **limits)
+    return SweepPlan(base=_config_from_args(args), sweep_axis=args.axis, values=values,
+                     **_given(args, "min_errors", "max_trials"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(ber)
     ber.add_argument("--axis", choices=SWEEP_AXES, default="ebn0")
     ber.add_argument("--values", required=True, help="comma-separated sweep values")
-    ber.add_argument("--min-errors", type=int, default=100)
-    ber.add_argument("--max-trials", type=int, default=100_000)
+    # no defaults: a limit that is not given is SweepPlan's
+    ber.add_argument("--min-errors", type=int, default=argparse.SUPPRESS)
+    ber.add_argument("--max-trials", type=int, default=argparse.SUPPRESS)
     ber.add_argument("--out", default="ber.csv")
     ber.add_argument("--format", choices=("csv", "plot"), default="csv")
 
@@ -91,14 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(timing)
     timing.add_argument("--axis", choices=SWEEP_AXES, default="M")
     timing.add_argument("--values", required=True, help="comma-separated config values")
-    timing.add_argument("--decodes", type=int, default=1000)
-    timing.add_argument("--warmup", type=int, default=50)
+    # no defaults: a count that is not given is run_timing's
+    timing.add_argument("--decodes", type=int, default=argparse.SUPPRESS)
+    timing.add_argument("--warmup", type=int, default=argparse.SUPPRESS)
     timing.add_argument("--out", default="timing.csv")
     return parser
 
 
 def _cmd_ber(args: argparse.Namespace) -> int:
-    plan = _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
+    plan = _sweep_plan(args)
     records = run_ber_sweep(plan)
     for rec in records:
         # no errors: BER <= frame error rate < 3/trials at 95% (the rule of three)
@@ -118,8 +126,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     print("blas threads:", *(f"{name}={os.environ.get(name, 'unset')}" for name in _BLAS_THREADS))
     if not any(name in os.environ for name in _BLAS_THREADS):
         print("warning: BLAS threads are not pinned; set OPENBLAS_NUM_THREADS=1", file=sys.stderr)
-    records = run_timing(map(plan.config_at, plan.values), decodes=args.decodes,
-                         warmup=args.warmup)
+    records = run_timing(map(plan.config_at, plan.values), **_given(args, "decodes", "warmup"))
     for rec in records:
         eff = spectral_efficiency(rec.config)
         print(

@@ -9,8 +9,9 @@ identity is its 1-based position g, and it is ``books[g - 1]``. Entries are
 stored unnormalized; the 1/sqrt(K) energy scaling happens at spreading time so
 books are reusable across sparsity settings.
 
-The link's two value rules live here, below every module that applies them:
-the power-of-two rule and the type rule of a record's fields.
+The link's value rules live here, below every module that applies them:
+the power-of-two rule, the type rule of a record's fields and the shape rule
+of an array argument.
 """
 from __future__ import annotations
 
@@ -46,11 +47,31 @@ def require_type(value, tp: type, name: str):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def require_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` when it is an ndarray of ``shape``, where a ``None`` entry
+    takes any length. Anything else, a list or a numpy scalar included, is a
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, np.ndarray):
+        got = value.shape
+        if len(got) == len(shape):
+            i = 0  # an index, not zip's tuples (about 0.2 us more): this runs on every frame
+            for want in shape:
+                if want is not None and want != got[i]:
+                    break
+                i += 1
+            else:
+                return value
+    else:
+        got = type(value).__name__
+    want = ", ".join("*" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+    raise ValueError(f"{name} must be an array of shape ({want}), got {got}")
+
+
 @functools.cache
 def field_types(cls) -> dict[str, type]:
-    """Name -> type of each dataclass field of ``cls``, in field order."""
+    """Name -> type of each dataclass field of ``cls`` that ``__init__`` takes, in field order."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
 def require_field_types(record) -> None:

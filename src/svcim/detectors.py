@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import require_field_types, require_pow2, require_type
+from .codebook import require_array, require_field_types, require_pow2, require_type
 from .index_codec import (
     ApSpace,
     combo_to_rank,
@@ -86,9 +86,10 @@ class Sensing:
 
     For a co-phased block ``entries`` is the +-1 codebook and ``gains`` is
     |h| / sqrt(k); a generic real N x M matrix is the case gains = ones.
-    :func:`mmp_df` recovers k active columns of it. A factor that is complex,
-    misshapen, or has a k outside [1, min(N, M)] is a ``ValueError`` when it
-    is built.
+    :func:`mmp_df` recovers k active columns of it. A factor whose entries or
+    gains are no arrays of these shapes (:func:`~svcim.codebook.require_array`)
+    or are complex, or whose k is outside [1, min(N, M)], is a ``ValueError``
+    when it is built.
     """
 
     entries: np.ndarray  # real, N x M
@@ -97,14 +98,11 @@ class Sensing:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _require_sparsity(self.k, "psi k (sparsity)"))
+        n, m = require_array(self.entries, (None, None), "psi entries").shape
+        require_array(self.gains, (n,), "psi gains")
         for name in ("entries", "gains"):
             if np.iscomplexobj(getattr(self, name)):
                 raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
-        if np.ndim(self.entries) != 2:
-            raise ValueError(f"psi entries must be 2-D, got shape {np.shape(self.entries)}")
-        n, m = np.shape(self.entries)
-        if np.shape(self.gains) != (n,):
-            raise ValueError(f"psi gains must have shape ({n},), got {np.shape(self.gains)}")
         for size, name in ((m, "columns"), (n, "rows")):
             if size < self.k:
                 raise ValueError(f"psi has {size} {name}, need >= k = {self.k}")
@@ -136,17 +134,12 @@ def _require_sparsity(k, name: str) -> int:
 def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray, space: ApSpace) -> None:
     """The decoders' one input guard: reject a ``space`` that is no ``ApSpace``,
     ``books`` unless it is a (G, N, M) array with G a power of two and M =
-    ``space.M``, and a y_freq or h_freq that is not a length-N vector or holds
-    a NaN or inf."""
+    ``space.M``, and a y_freq or h_freq that is not an array of shape (N,) or
+    holds a NaN or inf."""
     require_type(space, ApSpace, "space")
-    if np.ndim(books) != 3:
-        raise ValueError(f"books must be a (G, N, M) array, got shape {np.shape(books)}")
-    require_pow2(len(books), "G")
-    if books.shape[2] != space.M:
-        raise ValueError(f"books must have M = {space.M} columns, got shape {books.shape}")
-    for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
-        if np.shape(arr) != books.shape[1:2]:  # (N,)
-            raise ValueError(f"{name} must have shape {books.shape[1:2]}, got {np.shape(arr)}")
+    require_pow2(len(require_array(books, (None, None, space.M), "books")), "G")
+    require_array(y_freq, books.shape[1:2], "y_freq")  # (N,)
+    require_array(h_freq, books.shape[1:2], "h_freq")
     if not math.isfinite(abs(np.vdot(y_freq, h_freq))):  # a NaN or inf in either propagates
         for name, arr in (("y_freq", y_freq), ("h_freq", h_freq)):
             if not np.isfinite(arr).all():
@@ -176,11 +169,8 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
     exactly zero channel gain (probability-zero draw) passes through
     unrotated.
     """
-    y = np.asarray(y_freq)
-    h = np.asarray(h_freq)
-    if len(y) != len(h):
-        raise ValueError(f"length mismatch: y {len(y)}, h {len(h)}")
-    return np.exp(-1j * np.angle(h)) * y
+    require_array(h_freq, require_array(y_freq, (None,), "y_freq").shape, "h_freq")
+    return np.exp(-1j * np.angle(h_freq)) * y_freq
 
 
 def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensing]:
@@ -283,16 +273,14 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     ------
     ValueError : on a ``psi`` that is no :class:`Sensing` (which checks its
         own factors and k), a ``params`` that is no :class:`MmpDfParams`, a
-        ``y_hat`` whose length is not N, or a NaN or inf in ``y_hat``,
+        ``y_hat`` that is no array of shape (N,), or a NaN or inf in ``y_hat``,
         ``entries`` or ``gains``.
     """
     require_type(psi, Sensing, "psi")
     require_type(params, MmpDfParams, "params")
-    y = np.ascontiguousarray(y_hat, dtype=np.complex128)
-    c, w, k = np.asarray(psi.entries), np.asarray(psi.gains), psi.k
+    c, w, k = psi.entries, psi.gains, psi.k
     n, m = c.shape
-    if len(y) != n:
-        raise ValueError(f"input length {len(y)} != sensing rows {n}")
+    y = np.ascontiguousarray(require_array(y_hat, (n,), "y_hat"), dtype=np.complex128)
 
     c_t = c.T
     y2 = y.view(np.float64).reshape(n, 2)  # row i holds (Re y_i, Im y_i)
@@ -498,9 +486,7 @@ def ml_secbim(
     """
     _require_inputs(y_freq, h_freq, books, space)
     require_ml_cap(len(books), space)
-    if np.shape(cand) != (space.n_combos, space.K):
-        raise ValueError(f"cand of shape {np.shape(cand)} and books of shape {books.shape} "
-                         f"do not fit M = {space.M}, K = {space.K}")
+    require_array(cand, (space.n_combos, space.K), "cand")
     metrics = _ml_metrics(y_freq, h_freq, books, space, cand)
     i = int(np.argmin(metrics))  # (g, word)-ordered: the first minimum is the smallest pair
     g0, word = divmod(i, metrics.shape[1])

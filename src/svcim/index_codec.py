@@ -15,6 +15,8 @@ from math import comb
 
 import numpy as np
 
+from .codebook import require_field_types
+
 
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     """MSB-first binary expansion of ``value`` into exactly ``width`` bits."""
@@ -38,7 +40,8 @@ def bits_to_int(bits) -> int:
 class ApSpace:
     """Dimensioning of the K-of-M activation-pattern space.
 
-    M is the virtual-domain length, K the number of active indices. All
+    M is the virtual-domain length, K the number of active indices; each
+    takes an int by the type rule (:func:`~svcim.codebook.require_type`). All
     derived sizes are exact integers (Python bignums), so no configuration
     can silently overflow. They are computed once, when the space is built,
     because the codec reads them on every frame.
@@ -54,6 +57,7 @@ class ApSpace:
     n_reused: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K >= self.M:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .codebook import require_pow2
+from .codebook import require_array, require_pow2
 from .index_codec import SparseMessage, symbol_rows
 
 
@@ -38,10 +38,8 @@ def spread(s: np.ndarray, book: np.ndarray) -> np.ndarray:
     Only the K active columns of C are multiplied, so the book is never
     cast to complex as a whole.
     """
-    if book.ndim != 2:
-        raise ValueError(f"book must be one 2-D codebook, got shape {book.shape}")
-    if book.shape[1] != len(s):
-        raise ValueError(f"codebook width {book.shape[1]} != sparse vector length {len(s)}")
+    require_array(book, (None, None), "book")
+    require_array(s, book.shape[1:], "s")
     idx = np.flatnonzero(s)
     if len(idx) == 0:
         raise ValueError("sparse vector has empty support")
@@ -50,8 +48,7 @@ def spread(s: np.ndarray, book: np.ndarray) -> np.ndarray:
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
     """Unitary IFFT plus cyclic prefix: the last cp_len samples are prepended."""
-    x_freq = np.asarray(x_freq)
-    n = len(x_freq)
+    n = len(require_array(x_freq, (None,), "x_freq"))
     require_pow2(n, "N")
     if not 0 <= cp_len < n:
         raise ValueError(f"CP length {cp_len} outside [0, {n})")
@@ -61,8 +58,7 @@ def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
 
 def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
     """Drop the cyclic prefix and apply the unitary FFT."""
-    y_time = np.asarray(y_time)
-    n = len(y_time) - cp_len
+    n = len(require_array(y_time, (None,), "y_time")) - cp_len
     require_pow2(n, "N")
     if cp_len < 0 or cp_len >= n:
         raise ValueError(f"CP length {cp_len} inconsistent with frame of {len(y_time)}")

@@ -66,8 +66,18 @@ class TestApplyFreq:
     def test_length_mismatch(self):
         rng = np.random.default_rng(7)
         _, h_freq = draw_channel(2, 16, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^h_freq must be an array of shape \(8,\), got \(16,\)$"):
             apply_freq(np.zeros(8, complex), h_freq, 0.0, rng)
+
+    @pytest.mark.parametrize("x,h,name,got", [
+        (np.complex128(1), np.ones(16, complex), "x_freq", "complex128"),
+        (np.zeros(16, complex).tolist(), np.ones(16, complex), "x_freq", "list"),
+        (np.zeros(16, complex), np.ones(16, complex).tolist(), "h_freq", "list"),
+    ], ids=["scalar-x", "list-x", "list-h"])
+    def test_non_arrays_named(self, x, h, name, got):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match=rf"^{name} must be an array of shape .*, got {got}$"):
+            apply_freq(x, h, 0.0, rng)
 
 
 class TestApplyTime:
@@ -83,6 +93,14 @@ class TestApplyTime:
         taps, _ = draw_channel(10, 64, rng)
         with pytest.raises(ValueError):
             apply_time(np.zeros(72, complex), taps, 0.0, rng, cp_len=8)
+
+    @pytest.mark.parametrize("name", ["x_time", "taps"])
+    def test_lists_named(self, name):
+        rng = np.random.default_rng(9)
+        args = {"x_time": np.zeros(72, complex), "taps": draw_channel(4, 64, rng)[0]}
+        args[name] = args[name].tolist()
+        with pytest.raises(ValueError, match=rf"^{name} must be an array of shape \(\*,\), got list$"):
+            apply_time(args["x_time"], args["taps"], 0.0, rng, cp_len=8)
 
     def test_noise_variance_on_zero_input(self):
         rng = np.random.default_rng(10)

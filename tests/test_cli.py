@@ -2,12 +2,13 @@
 import csv
 import json
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from svcim.cli import _config_from_args, _sweep_plan, build_parser, main
-from svcim.harness import TIMING_CSV_COLUMNS, read_ber_csv
+from svcim.harness import TIMING_CSV_COLUMNS, SweepPlan, read_ber_csv
 from svcim.link import SystemConfig
 
 
@@ -271,6 +272,12 @@ class TestTimingCommand:
 def test_flag_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args([command, "--values", "0"])
     assert _config_from_args(args) == SystemConfig()
+    if command == "ber":  # the sweep limits are SweepPlan's own
+        defaults = {f.name: f.default for f in fields(SweepPlan)}
+        plan = _sweep_plan(args)
+        assert (plan.min_errors, plan.max_trials) == (defaults["min_errors"], defaults["max_trials"])
+    else:  # no count reaches run_timing, which applies its own
+        assert not {"decodes", "warmup"} & vars(args).keys()
 
 
 def test_missing_subcommand_is_usage_error():
@@ -293,9 +300,6 @@ def test_readme_experiments_build_their_sweeps():
     outs = []
     for argv in commands:
         args = build_parser().parse_args(argv)
-        if args.command == "ber":
-            _sweep_plan(args, min_errors=args.min_errors, max_trials=args.max_trials)
-        else:
-            _sweep_plan(args)  # the configs the timing run times, in order
+        _sweep_plan(args)  # the plan a ber run sweeps; the configs a timing run times, in order
         outs.append(args.out)
     assert len(set(outs)) == len(outs)  # one file per series

@@ -4,6 +4,7 @@ import pytest
 
 from svcim.codebook import (
     generate_set,
+    require_array,
     require_pow2,
 )
 from svcim.link import LinkContext, SystemConfig
@@ -33,6 +34,28 @@ class TestPowerOfTwo:
     @pytest.mark.parametrize("n", [1, 2, 64, 1 << 40])
     def test_powers_of_two_pass(self, n):
         require_pow2(n, "N")
+
+
+class TestArrayShape:
+    """``require_array`` is the one shape rule of the link's array arguments."""
+
+    @pytest.mark.parametrize("shape", [(3, 4), (None, 4), (3, None), (None, None)])
+    def test_matching_array_returned_as_is(self, shape):
+        value = np.zeros((3, 4))
+        assert require_array(value, shape, "x") is value
+
+    @pytest.mark.parametrize("value,shape,message", [
+        (np.zeros((1, 32, 32)), (None, 32), r"^books must be an array of shape \(\*, 32\), got \(1, 32, 32\)$"),
+        (np.zeros(5), (4,), r"^books must be an array of shape \(4,\), got \(5,\)$"),
+        (np.zeros((4, 3)), (None, 4), r"^books must be an array of shape \(\*, 4\), got \(4, 3\)$"),
+        (np.zeros(()), (None,), r"^books must be an array of shape \(\*,\), got \(\)$"),
+        ([[1.0] * 32], (None, 32), r"^books must be an array of shape \(\*, 32\), got list$"),
+        (np.float64(1.0), (None,), r"^books must be an array of shape \(\*,\), got float64$"),
+        (None, (None,), r"^books must be an array of shape \(\*,\), got NoneType$"),
+    ], ids=["extra-axis", "length", "width", "0-d", "list", "numpy-scalar", "None"])
+    def test_anything_else_named(self, value, shape, message):
+        with pytest.raises(ValueError, match=message):
+            require_array(value, shape, "books")
 
 
 class TestGeneration:

@@ -79,8 +79,17 @@ class TestCophase:
         assert np.allclose(cophase(y, h), y)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^h_freq must be an array of shape \(4,\), got \(5,\)$"):
             cophase(np.zeros(4), np.zeros(5))
+
+    @pytest.mark.parametrize("y,h,name,got", [
+        (np.complex128(1), np.ones(32, complex), "y_freq", "complex128"),
+        (np.ones(32, complex).tolist(), np.ones(32, complex), "y_freq", "list"),
+        (np.ones(32, complex), np.float64(1.0), "h_freq", "float64"),
+    ], ids=["scalar-y", "list-y", "scalar-h"])
+    def test_non_arrays_named(self, y, h, name, got):
+        with pytest.raises(ValueError, match=rf"^{name} must be an array of shape .*, got {got}$"):
+            cophase(y, h)
 
 
 class TestSensingMatrix:
@@ -296,7 +305,7 @@ class TestMmpDf:
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
     def test_misshapen_gains_rejected(self, gains):
-        with pytest.raises(ValueError, match=r"psi gains must have shape \(16,\)"):
+        with pytest.raises(ValueError, match=r"^psi gains must be an array of shape \(16,\), got "):
             mmp_df(np.ones(16, complex), Sensing(generate_set(3, 1, 16, 8)[0], gains, 2),
                    MmpDfParams())
 
@@ -304,11 +313,14 @@ class TestMmpDf:
         (np.ones((4, 4)), np.ones(4), 0, r"^psi k \(sparsity\) must be >= 1, got 0$"),
         (np.ones((4, 4)) * 1j, np.ones(4), 2, "^psi entries must be real"),
         (np.ones((4, 4)), np.ones(4) * 1j, 2, "^psi gains must be real"),
-        (np.ones(4), np.ones(4), 1, r"^psi entries must be 2-D, got shape \(4,\)$"),
-        (np.ones((4, 4)), np.ones(3), 2, r"^psi gains must have shape \(4,\), got \(3,\)$"),
+        (np.ones(4), np.ones(4), 1, r"^psi entries must be an array of shape \(\*, \*\), got \(4,\)$"),
+        (np.ones((4, 4)), np.ones(3), 2, r"^psi gains must be an array of shape \(4,\), got \(3,\)$"),
+        (np.ones((4, 4)).tolist(), np.ones(4), 2,
+         r"^psi entries must be an array of shape \(\*, \*\), got list$"),
         (np.ones((4, 1)), np.ones(4), 2, "^psi has 1 columns, need >= k = 2$"),
         (np.ones((2, 5)), np.ones(2), 4, "^psi has 2 rows, need >= k = 4$"),
-    ], ids=["k=0", "complex-entries", "complex-gains", "1-D", "short-gains", "columns", "rows"])
+    ], ids=["k=0", "complex-entries", "complex-gains", "1-D", "short-gains", "list-entries",
+            "columns", "rows"])
     def test_malformed_factor_rejected_when_built(self, entries, gains, k, message):
         # the factor checks itself: no search is needed to find the fault
         with pytest.raises(ValueError, match=message):
@@ -321,7 +333,7 @@ class TestMmpDf:
             mmp_df(np.ones(16, complex), psi, MmpDfParams())
 
     def test_one_dimensional_entries_rejected(self):
-        with pytest.raises(ValueError, match="psi entries must be 2-D"):
+        with pytest.raises(ValueError, match=r"^psi entries must be an array of shape \(\*, \*\)"):
             mmp_df(np.ones(16, complex), Sensing(np.ones(16), np.ones(16), 1), MmpDfParams())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -845,10 +857,10 @@ class TestMlDetectors:
         y = np.ones(32, complex)
         for other_books, space in ((books, ApSpace(M=8, K=3)),
                                    (generate_set(61, 2, 32, 16), ApSpace(M=16, K=2))):
-            with pytest.raises(ValueError, match="^cand of shape"):
+            with pytest.raises(ValueError, match="^cand must be an array of shape "):
                 ml_secbim(y, y, other_books, space, cand)
         # books as wide as no pattern of the space: the shared guard names them first
-        with pytest.raises(ValueError, match="^books must have M = 8 columns"):
+        with pytest.raises(ValueError, match=r"^books must be an array of shape \(\*, \*, 8\)"):
             ml_secbim(y, y, generate_set(61, 2, 32, 16), ApSpace(M=8, K=2), cand)
 
     def test_one_table_serves_every_g_and_n(self):
@@ -975,14 +987,14 @@ class TestMismatchedLengths:
     def test_rejected_with_value_error(self, detector, y_shape, h_shape, name):
         # the books and the ML table are N = 32 wide
         ctx = LinkContext.for_config(SystemConfig(N=32, M=16, detector=detector))
-        with pytest.raises(ValueError, match=f"^{name} must have shape \\(32,\\)"):
+        with pytest.raises(ValueError, match=f"^{name} must be an array of shape \\(32,\\)"):
             decode_frame(ctx, np.ones(y_shape, dtype=complex), np.ones(h_shape, dtype=complex))
 
 
 class TestMalformedBooks:
     @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
     @pytest.mark.parametrize("bad,message", [
-        (lambda books: books[0], r"^books must be a \(G, N, M\) array, got shape \(32, 16\)$"),
+        (lambda books: books[0], r"^books must be an array of shape \(\*, \*, 16\), got \(32, 16\)$"),
         (lambda books: np.concatenate([books, books[:1]]), "^G must be a power of two, got 3$"),
     ], ids=["2-D", "three-books"])
     def test_rejected_by_name(self, detector, bad, message):
@@ -999,7 +1011,7 @@ class TestDecoderInputsNamed:
     SPACE = ApSpace(M=32, K=2)
 
     def decode(self, detector, books, space, params=MmpDfParams()):
-        y = np.ones(books.shape[1], complex)
+        y = np.ones(32, complex)
         if detector == "mmpdf":
             return secbim_decode(y, y, books, space, params)
         return ml_secbim(y, y, books, space, build_ml_candidates(self.SPACE))
@@ -1008,9 +1020,28 @@ class TestDecoderInputsNamed:
     @pytest.mark.parametrize("m", [16, 64])
     def test_books_of_another_width_named(self, detector, m):
         # 16 columns once decoded into a word of the 32-column space, from columns 1-16 only
-        message = rf"^books must have M = 32 columns, got shape \(1, 32, {m}\)$"
+        message = rf"^books must be an array of shape \(\*, \*, 32\), got \(1, 32, {m}\)$"
         with pytest.raises(ValueError, match=message):
             self.decode(detector, generate_set(0, 1, 32, m), self.SPACE)
+
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    def test_books_as_a_list_named(self, detector):
+        with pytest.raises(ValueError, match=r"^books must be an array of shape \(\*, \*, 32\), got list$"):
+            self.decode(detector, generate_set(0, 1, 32, 32).tolist(), self.SPACE)
+
+    @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
+    @pytest.mark.parametrize("name", ["y_freq", "h_freq"])
+    def test_received_block_as_a_list_named(self, detector, name):
+        # a list y_freq once decoded: the guard now takes arrays only
+        books = generate_set(0, 1, 32, 32)
+        block = {"y_freq": np.ones(32, complex), "h_freq": np.ones(32, complex)}
+        block[name] = block[name].tolist()
+        args = (block["y_freq"], block["h_freq"], books, self.SPACE)
+        with pytest.raises(ValueError, match=rf"^{name} must be an array of shape \(32,\), got list$"):
+            if detector == "mmpdf":
+                secbim_decode(*args, MmpDfParams())
+            else:
+                ml_secbim(*args, build_ml_candidates(self.SPACE))
 
     @pytest.mark.parametrize("detector", ["mmpdf", "ml"])
     @pytest.mark.parametrize("space", [None, (32, 2), SystemConfig(N=32, M=32)],

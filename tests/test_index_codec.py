@@ -75,6 +75,17 @@ class TestApSpace:
         with pytest.raises(ValueError):
             ApSpace(M=4, K=4)
 
+    @pytest.mark.parametrize("m,k,name,value", [
+        (32.0, 2, "M", "32.0"), (32, 2.5, "K", "2.5"), ("32", 2, "M", "'32'"), (True, 1, "M", "True"),
+    ], ids=["float-M", "float-K", "text-M", "bool-M"])
+    def test_sizes_taken_by_the_type_rule(self, m, k, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be int, got {value}$"):
+            ApSpace(M=m, K=k)
+
+    def test_numpy_sizes_stored_as_ints(self):
+        space = ApSpace(M=np.int64(8), K=np.int32(2))
+        assert (space, type(space.M), type(space.K)) == (ApSpace(M=8, K=2), int, int)
+
 
 class TestRanking:
     def test_reference_rows(self):

@@ -39,8 +39,8 @@ class TestSpread:
         books = generate_set(3, 2, 32, 32)
         s = build_sparse_vector(SparseMessage((1, 2), False, 0), 32)
         # the whole (G, N, M) set in place of one book names the book
-        with pytest.raises(ValueError, match=r"^book must be one 2-D codebook, "
-                                             r"got shape \(2, 32, 32\)$"):
+        with pytest.raises(ValueError, match=r"^book must be an array of shape \(\*, \*\), "
+                                             r"got \(2, 32, 32\)$"):
             spread(s, books)
         assert spread(s, books[1]).shape == (32,)
 
@@ -60,8 +60,16 @@ class TestSpread:
         s = np.zeros(5, complex)
         s[0] = 1
         s[1] = 1j
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^s must be an array of shape \(4,\), got \(5,\)$"):
             spread(s, book)
+
+    def test_lists_named(self):
+        book = generate_set(seed=3, G=1, n=8, m=4)[0]
+        s = np.array([1, 1j, 0, 0])
+        with pytest.raises(ValueError, match=r"^s must be an array of shape \(4,\), got list$"):
+            spread(s.tolist(), book)
+        with pytest.raises(ValueError, match=r"^book must be an array of shape \(\*, \*\), got list$"):
+            spread(s, book.tolist())
 
     def test_empty_support_rejected(self):
         book = generate_set(seed=3, G=1, n=8, m=4)[0]
