@@ -178,9 +178,10 @@ def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensin
 
     The co-phased block is k-sparse in each of them, and all G share one
     channel factor: every returned ``Sensing`` holds the same gains array,
-    |h| / sqrt(k), computed once per call, and carries ``k``. Each factor
-    checks its book against the gains as it is built.
+    |h| / sqrt(k), computed once per call, and carries ``k``. ``books`` that
+    is no array of shape (*, len(h_freq), *) is a ``ValueError`` naming it.
     """
+    require_array(books, (None, len(h_freq), None), "books")
     # k is checked here only because the division comes before any Sensing
     gains = np.abs(h_freq) / math.sqrt(_require_sparsity(k, "sparsity k"))
     return [Sensing(book, gains, k) for book in books]
@@ -298,62 +299,69 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     stop = "exhausted"
     seen: set[tuple[int, ...]] = set()
 
-    def dfs(path: tuple[int, ...], x: list[complex], path_gram: list[list[float]]) -> bool:
-        nonlocal best_resid, best_path, best_coeffs, full_solves, stop
+    def children(path: tuple[int, ...], x: list[complex]) -> list[int]:
+        """The omega best unused columns at the node (path, x), best first."""
         corr = c0
         for col, xi in zip(path, x):
             corr = corr - xi * gram[col]
         corr = np.abs(corr)
         for col in path:
             corr[col] = -1.0
-        children = []
-        # the omega best unused columns; the first maximum: ties go to the lowest column
+        best = []
+        # the first maximum: ties go to the lowest column
         for _ in range(min(params.omega, m - len(path))):
             col = int(corr.argmax())
-            children.append(col)
+            best.append(col)
             corr[col] = -math.inf
-        for col in children:
-            new_path = path + (col,)
-            row = [gram[p].item(col) for p in path]
-            if len(new_path) == k:
-                support = tuple(sorted(new_path))
-                if support in seen:
-                    continue
-                seen.add(support)
-                full_solves += 1
-                a = c.take(new_path, axis=1) * w[:, None]
-                new = a[:, -1]
-                coef = _solve_normal(_bordered(path_gram, row, new.dot(new)),
-                                     [c0.item(i) for i in new_path])
-                if coef is None:
-                    r_norm = math.inf
-                else:
-                    coef = np.array(coef)
-                    r = (y2 - a.dot(coef.view(np.float64).reshape(k, 2))).ravel()
-                    r_norm = math.sqrt(r.dot(r))
-                if r_norm < best_resid or best_path is None:
-                    best_resid = r_norm
-                    best_path = new_path
-                    best_coeffs = coef
-                if r_norm < stop_level:
-                    stop = "threshold"
-                    return True
-                if full_solves >= params.upsilon:
-                    stop = "budget"
-                    return True
-            else:
-                g = gram.get(col)
-                if g is None:
-                    g = gram[col] = c_t.dot(w2 * c[:, col])
-                new_gram = _bordered(path_gram, row, g.item(col))
-                coef = _solve_normal(new_gram, [c0.item(i) for i in new_path])
-                if coef is None:
-                    continue  # degenerate partial path: its completions are too
-                if dfs(new_path, coef, new_gram):
-                    return True
-        return False
+        return best
 
-    dfs((), [], [])
+    # one entry per open node, deepest last: its path, its Gram matrix and
+    # its children not yet expanded. No function here refers to itself, so a
+    # search leaves no reference cycle for the garbage collector
+    stack = [((), [], iter(children((), [])))]
+    while stack:
+        path, path_gram, todo = stack[-1]
+        col = next(todo, None)
+        if col is None:
+            stack.pop()
+            continue
+        new_path = path + (col,)
+        row = [gram[p].item(col) for p in path]
+        if len(new_path) == k:
+            support = tuple(sorted(new_path))
+            if support in seen:
+                continue
+            seen.add(support)
+            full_solves += 1
+            a = c.take(new_path, axis=1) * w[:, None]
+            new = a[:, -1]
+            coef = _solve_normal(_bordered(path_gram, row, new.dot(new)),
+                                 [c0.item(i) for i in new_path])
+            if coef is None:
+                r_norm = math.inf
+            else:
+                coef = np.array(coef)
+                r = (y2 - a.dot(coef.view(np.float64).reshape(k, 2))).ravel()
+                r_norm = math.sqrt(r.dot(r))
+            if r_norm < best_resid or best_path is None:
+                best_resid = r_norm
+                best_path = new_path
+                best_coeffs = coef
+            if r_norm < stop_level:
+                stop = "threshold"
+                break
+            if full_solves >= params.upsilon:
+                stop = "budget"
+                break
+        else:
+            g = gram.get(col)
+            if g is None:
+                g = gram[col] = c_t.dot(w2 * c[:, col])
+            new_gram = _bordered(path_gram, row, g.item(col))
+            coef = _solve_normal(new_gram, [c0.item(i) for i in new_path])
+            if coef is None:
+                continue  # degenerate partial path: its completions are too
+            stack.append((new_path, new_gram, iter(children(new_path, coef))))
 
     if best_path is None:  # every path met a zero pivot before depth k
         best_path = tuple(range(k))

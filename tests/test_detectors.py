@@ -1,6 +1,7 @@
 """Detector tests: co-phasing algebra, greedy recovery against an
 independent OMP oracle, decision rules, ML baselines and scale invariance.
 """
+import gc
 import itertools
 import math
 import re
@@ -29,6 +30,7 @@ from svcim.detectors import (
     secbim_joint_metrics,
     sensing_matrix,
 )
+from svcim.harness import SweepPlan, run_ber_sweep
 from svcim.index_codec import ApSpace, encode_bits, int_to_bits, rank_to_combo, symbol_rows
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
@@ -122,6 +124,14 @@ class TestSensingMatrix:
         book = generate_set(2, 1, 8, 4)[0]
         with pytest.raises(ValueError):
             sensing_matrix(np.ones(4), book[None], k=2)
+
+    @pytest.mark.parametrize("which,got", [("one-book", r"\(16, 8\)"), ("list", "list")])
+    def test_books_not_a_set_named(self, which, got):
+        # named as the argument, not as the psi entries of the factor it builds
+        books = generate_set(0, 1, 16, 8)
+        bad = books[0] if which == "one-book" else books.tolist()
+        with pytest.raises(ValueError, match=rf"^books must be an array of shape \(\*, 16, \*\), got {got}$"):
+            sensing_matrix(np.ones(16), bad, 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_factors_equal_the_dense_product(self, k):
@@ -590,6 +600,65 @@ class TestDeepFadeDecisionsMatchLstsq:
             frames += 1
         assert frames >= 2000
         assert differ == 0
+
+
+def _cyclic_garbage(run):
+    """Call ``run()`` with the cyclic collector off; return how many
+    unreachable objects the collector then finds (0: reference counting
+    freed everything ``run`` left)."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """A search leaves no reference cycle, so sweeps never need the cyclic
+    collector: after a warm-up sweep, each sweep of every detector and
+    channel path, and each way a search can stop, leaves nothing for it."""
+
+    # K = 3 takes the contract's search controls and absolute stop
+    CONFIGS = {
+        "esvc-mmpdf": {},
+        "secbim-g4": dict(scheme="secbim", G=4),
+        "mmpdf-k3": dict(K=3, mmp_omega=3, mmp_lam=0.05, mmp_upsilon=4, mmp_relative_stop=False),
+        "ml-freq": dict(detector="ml"),
+        "ml-time": dict(detector="ml", channel_path="time"),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_sweep(self, name):
+        cfg = SystemConfig(N=32, M=32, seed=5, **self.CONFIGS[name])
+        plan = SweepPlan(cfg, "ebn0", (0.0, 8.0, math.inf), max_trials=64)
+
+        def sweep():
+            records = run_ber_sweep(plan, workers=1, measure_time=False)
+            assert [r.trials for r in records] == [64] * 3
+
+        sweep()  # warm-up: lazy imports and caches
+        assert _cyclic_garbage(sweep) == 0
+
+    @pytest.mark.parametrize("stop", ["threshold", "budget", "exhausted"])
+    def test_search(self, stop):
+        rng = np.random.default_rng(15)
+        if stop == "exhausted":  # K = N: the deepest tree, walked to its end
+            psi = Sensing(rng.choice([-1.0, 1.0], size=(4, 8)), rng.uniform(0.2, 2.0, 4), 4)
+            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            params = MmpDfParams(omega=2, lam=1e-300, upsilon=100, relative_stop=False)
+        else:
+            psi = Sensing(generate_set(5, 1, 32, 16)[0], rng.uniform(0.2, 2.0, 32), 2)
+            y = dense(psi)[:, [3, 11]] @ np.array([1 + 1j, -1 + 1j])
+            if stop == "budget":
+                y = y + rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            params = MmpDfParams()
+        out = []
+        assert _cyclic_garbage(lambda: out.append(mmp_df(y, psi, params))) == 0
+        assert out[0].stop == stop
 
 
 class TestSymbolSetDecision:

@@ -300,7 +300,7 @@ class TestRunFrame:
 class TestSearchesPerDecode:
     """Search work per decode, counted on link frames: linear in G, flat in M.
 
-    The deterministic counterpart of the wall-clock ratio in
+    The deterministic counterpart of the search-time ratio in
     ``test_harness.py::TestRunTiming::test_secbim_time_scales_with_books``.
     """
 
