@@ -10,8 +10,8 @@ stored unnormalized; the 1/sqrt(K) energy scaling happens at spreading time so
 books are reusable across sparsity settings.
 
 The link's value rules live here, below every module that applies them:
-the power-of-two rule, the type rule of a record's fields and the shape rule
-of an array argument.
+the power-of-two rule, the lower-bound rule, the type rule of a record's
+fields and the shape rule of an array argument.
 """
 from __future__ import annotations
 
@@ -36,6 +36,14 @@ def require_pow2(n: int, name: str) -> None:
     """The one power-of-two rule of the link (N and G); the error names ``name``."""
     if n < 1 or n & (n - 1):
         raise ValueError(f"{name} must be a power of two, got {n}")
+
+
+def require_at_least(value, low, name: str):
+    """``value`` when it is >= ``low``; anything else, NaN included, is a
+    ``ValueError`` naming ``name``."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def require_type(value, tp: type, name: str):
@@ -83,8 +91,8 @@ def require_field_types(record) -> None:
 def generate_set(seed: int, G: int, n: int, m: int) -> np.ndarray:
     """The G books as one read-only (G, n, m) array; book g is ``books[g - 1]``."""
     require_pow2(G, "G")
-    if n < 1 or m < 1:
-        raise ValueError("codebook dimensions must be positive")
+    for value, name in ((n, "n"), (m, "m")):
+        require_at_least(require_type(value, int, name), 1, name)
     books = np.empty((G, n, m))
     for g, book in enumerate(books, start=1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOK_STREAM_TAG, g)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import require_array, require_field_types, require_pow2, require_type
+from .codebook import require_array, require_at_least, require_field_types, require_pow2, require_type
 from .index_codec import (
     ApSpace,
     combo_to_rank,
@@ -60,12 +60,10 @@ class MmpDfParams:
     def __post_init__(self) -> None:
         # each message starts with the field name (SystemConfig prefixes "mmp_")
         require_field_types(self)
-        if self.omega < 1:
-            raise ValueError(f"omega must be >= 1, got {self.omega}")
+        require_at_least(self.omega, 1, "omega")
         if not self.lam > 0:  # NaN fails too
             raise ValueError(f"lam (stop threshold) must be positive, got {self.lam}")
-        if self.upsilon < 1:
-            raise ValueError(f"upsilon must be >= 1, got {self.upsilon}")
+        require_at_least(self.upsilon, 1, "upsilon")
 
 
 @dataclass(eq=False)
@@ -97,7 +95,8 @@ class Sensing:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _require_sparsity(self.k, "psi k (sparsity)"))
+        k = require_at_least(require_type(self.k, int, "k"), 1, "psi k (sparsity)")
+        object.__setattr__(self, "k", k)
         n, m = require_array(self.entries, (None, None), "psi entries").shape
         require_array(self.gains, (n,), "psi gains")
         for name in ("entries", "gains"):
@@ -121,14 +120,6 @@ class DetectionResult:
     l_hat: int  # 1 = original symbol set, 2 = extended
     g_hat: int
     bits: np.ndarray
-
-
-def _require_sparsity(k, name: str) -> int:
-    """``k`` as an int, the search depth of a sensing factor; a k below 1 is a
-    ``ValueError`` naming ``name``."""
-    if require_type(k, int, "k") < 1:
-        raise ValueError(f"{name} must be >= 1, got {k}")
-    return int(k)
 
 
 def _require_inputs(y_freq: np.ndarray, h_freq: np.ndarray, books: np.ndarray, space: ApSpace) -> None:
@@ -183,7 +174,8 @@ def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensin
     """
     require_array(books, (None, len(h_freq), None), "books")
     # k is checked here only because the division comes before any Sensing
-    gains = np.abs(h_freq) / math.sqrt(_require_sparsity(k, "sparsity k"))
+    k = require_at_least(require_type(k, int, "k"), 1, "sparsity k")
+    gains = np.abs(h_freq) / math.sqrt(k)
     return [Sensing(book, gains, k) for book in books]
 
 

@@ -28,7 +28,7 @@ from itertools import islice, starmap
 
 import numpy as np
 
-from .codebook import require_field_types, require_type
+from .codebook import require_at_least, require_field_types, require_type
 from .link import (
     LinkContext,
     SystemConfig,
@@ -75,10 +75,8 @@ class SweepPlan:
         if not self.values:
             raise ValueError("sweep needs at least one value")
         for name in ("min_errors", "max_trials", "shard_trials"):
-            value = require_type(getattr(self, name), int, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_at_least(
+                require_type(getattr(self, name), int, name), 1, name))
 
     @property
     def axis_field(self) -> str:
@@ -109,13 +107,11 @@ class BerRecord:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        require_at_least(self.trials, 1, "trials")
         if not 0 <= self.bit_errors <= self.trials * self.m:
             raise ValueError(f"bit_errors must lie in [0, trials * m] = "
                              f"[0, {self.trials * self.m}], got {self.bit_errors}")
-        if not self.wall_ns_per_decode >= 0:  # NaN fails too
-            raise ValueError(f"wall_ns_per_decode must be >= 0, got {self.wall_ns_per_decode}")
+        require_at_least(self.wall_ns_per_decode, 0, "wall_ns_per_decode")
 
     @property
     def m(self) -> int:
@@ -142,8 +138,7 @@ class TimingRecord:
 
 def binomial_ci95(ber: float, n_bits: int) -> float:
     """Normal-approximation 95% half-width, 1.96 sqrt(p(1-p)/n)."""
-    if n_bits < 1:
-        raise ValueError("need at least one observed bit")
+    require_at_least(n_bits, 1, "n_bits")
     return 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
 
 
@@ -156,9 +151,7 @@ def _worker_count(workers: int | None) -> int:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
     else:
         name, workers = "workers", require_type(workers, int, "workers")
-    if workers < 1:
-        raise ValueError(f"{name} must be at least 1, got {workers}")
-    return workers
+    return require_at_least(workers, 1, name)
 
 
 def _run_shard(cfg: SystemConfig, point_idx: int, shard_idx: int,
@@ -243,12 +236,10 @@ def run_timing(configs, decodes: int = 1000, warmup: int = 50,
     """
     for name, value in (("batches", batches), ("decodes", decodes), ("warmup", warmup)):
         require_type(value, int, name)
-    if batches < 1:
-        raise ValueError(f"batches must be at least 1, got {batches}")
+    require_at_least(batches, 1, "batches")
     if decodes < 1 or decodes % batches:
         raise ValueError(f"decodes must be a positive multiple of batches ({batches}), got {decodes}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup}")
+    require_at_least(warmup, 0, "warmup")
     if not np.iterable(configs):
         raise ValueError(f"configs must be an iterable of SystemConfig, got {configs!r}")
     runs = []  # (ctx, rng, batch means) per config

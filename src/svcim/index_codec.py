@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .codebook import require_field_types
+from .codebook import require_at_least, require_field_types, require_type
 
 
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
@@ -26,10 +26,12 @@ def int_to_bits(value: int, width: int) -> tuple[int, ...]:
 
 
 def bits_to_int(bits) -> int:
-    """Decimal value of an MSB-first bit word."""
+    """Decimal value of an MSB-first bit word; each bit is an int (a numpy
+    integer included) by the type rule, so a bool, a float or a string is
+    rejected by name."""
     out = 0
     for b in bits:
-        b = int(b)
+        b = require_type(b, int, "bit")
         if b not in (0, 1):
             raise ValueError(f"bit word contains non-binary entry {b!r}")
         out = (out << 1) | b
@@ -58,8 +60,7 @@ class ApSpace:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        require_at_least(self.K, 1, "K")
         if self.K >= self.M:
             raise ValueError(f"K must be < M, got K={self.K}, M={self.M}")
         n_combos = comb(self.M, self.K)  # >= M >= 2 for 1 <= K < M
@@ -132,8 +133,9 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
 
 
 def combo_to_rank(indices, space: ApSpace) -> int:
-    """Rank of a K-combination; exact inverse of :func:`rank_to_combo`."""
-    idx = tuple(int(i) for i in indices)
+    """Rank of a K-combination; exact inverse of :func:`rank_to_combo`. Each
+    index is an int by the type rule."""
+    idx = tuple(require_type(i, int, "index") for i in indices)
     if len(idx) != space.K:
         raise ValueError(f"expected {space.K} indices, got {len(idx)}")
     if any(i < 1 or i > space.M for i in idx):
@@ -151,7 +153,7 @@ def encode_bits(bits, space: ApSpace, g: int = 1) -> SparseMessage:
     set, so no word is ever wasted on an illegal pattern. ``g`` is the
     codebook the word is spread with; it does not enter the mapping.
     """
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(bits)  # any iterable of bits; bits_to_int checks each one
     if len(bits) != space.m_bits:
         raise ValueError(f"expected {space.m_bits}-bit word, got {len(bits)} bits")
     value = bits_to_int(bits)

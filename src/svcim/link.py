@@ -20,7 +20,7 @@ import numpy as np
 
 from . import detectors
 from .channel import apply_freq, apply_time, draw_channel
-from .codebook import field_types, generate_set, require_field_types, require_pow2
+from .codebook import field_types, generate_set, require_at_least, require_field_types, require_pow2
 from .detectors import DetectionResult, MmpDfParams, build_ml_candidates, require_ml_cap
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
@@ -82,8 +82,7 @@ class SystemConfig:
         if self.K > self.N:
             raise ValueError(f"K must be <= N, got K={self.K}, N={self.N}")
         require_pow2(self.G, "G")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        require_at_least(self.seed, 0, "seed")
         if self.scheme == "esvc" and self.G != 1:
             raise ValueError("the single-codebook scheme requires G = 1")
         if self.detector == "ml":

@@ -20,10 +20,13 @@ def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
     message's active indices and zeros elsewhere.
 
     The sparsity K is the number of indices; ``msg.extended`` picks the
-    symbol set (see :func:`symbol_rows`).
+    symbol set (see :func:`symbol_rows`). Indices outside [1, m] or not
+    strictly increasing are a ``ValueError`` naming them.
     """
     if any(i < 1 or i > m for i in msg.indices):
         raise ValueError(f"indices {msg.indices} outside [1, {m}]")
+    if any(a >= b for a, b in zip(msg.indices, msg.indices[1:])):
+        raise ValueError(f"indices {msg.indices} must be strictly increasing")
     symbols = symbol_rows(len(msg.indices))[int(msg.extended)]
     values = np.zeros(m, dtype=np.complex128)
     for k, idx in enumerate(msg.indices):

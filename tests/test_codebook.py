@@ -5,6 +5,7 @@ import pytest
 from svcim.codebook import (
     generate_set,
     require_array,
+    require_at_least,
     require_pow2,
 )
 from svcim.link import LinkContext, SystemConfig
@@ -34,6 +35,28 @@ class TestPowerOfTwo:
     @pytest.mark.parametrize("n", [1, 2, 64, 1 << 40])
     def test_powers_of_two_pass(self, n):
         require_pow2(n, "N")
+
+
+class TestLowerBound:
+    """``require_at_least`` is the one lower-bound rule; each caller names its field."""
+
+    @pytest.mark.parametrize("value,low", [(1, 1), (7, 1), (0, 0), (0.0, 0), (1e300, 0)])
+    def test_value_at_or_above_returned_as_is(self, value, low):
+        assert require_at_least(value, low, "x") is value
+
+    @pytest.mark.parametrize("value,low", [(0, 1), (-1, 0), (-0.5, 0), (float("nan"), 0)])
+    def test_below_or_nan_named(self, value, low):
+        with pytest.raises(ValueError, match=f"^x must be >= {low}, got {value}$"):
+            require_at_least(value, low, "x")
+
+    @pytest.mark.parametrize("n,m,message", [
+        (0, 8, "n must be >= 1, got 0"), (8, -1, "m must be >= 1, got -1"),
+        (8.0, 8, "n must be int, got 8.0"), (8, True, "m must be int, got True"),
+    ])
+    def test_generate_set_dimensions_named(self, n, m, message):
+        # each dimension is named, and an int by the type rule: a float is not taken
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_set(0, 1, n, m)
 
 
 class TestArrayShape:

@@ -261,10 +261,18 @@ class TestMmpDf:
         with pytest.raises(ValueError, match=r"^psi has 2 rows, need >= k = 4$"):
             mmp_df(np.ones(2, complex), Sensing(np.ones((2, 5)), np.ones(2), 4), MmpDfParams())
 
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_sparsity_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match=rf"^psi k \(sparsity\) must be >= 1, got {k}$"):
-            mmp_df(np.ones(4, complex), Sensing(np.ones((4, 4)), np.ones(4), k), MmpDfParams())
+    @pytest.mark.parametrize("name,k,build", [
+        (r"psi k \(sparsity\)", 0, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
+        (r"psi k \(sparsity\)", -1, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
+        ("sparsity k", 0, lambda k: sensing_matrix(np.ones(4), np.ones((1, 4, 4)), k)),
+        ("omega", 0, lambda k: MmpDfParams(omega=k)),
+        ("upsilon", -1, lambda k: MmpDfParams(upsilon=k)),
+    ], ids=["0", "-1", "sensing_matrix", "omega", "upsilon"])
+    def test_sparsity_below_one_rejected(self, name, k, build):
+        # the search's lower bounds, each in the one form of codebook.require_at_least,
+        # checked when its holder is built
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {k}$"):
+            build(k)
 
     def test_depth_is_the_factor_sparsity(self):
         rng = np.random.default_rng(12)

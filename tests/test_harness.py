@@ -59,10 +59,30 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             small_plan(sweep_axis="N", values=(32, 48))
 
-    @pytest.mark.parametrize("name", ["min_errors", "max_trials", "shard_trials"])
-    def test_limit_below_one_named(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
-            small_plan(**{name: 0})
+    @pytest.mark.parametrize("name,low,value", [
+        ("min_errors", 1, 0), ("max_trials", 1, 0), ("shard_trials", 1, 0), ("trials", 1, 0),
+        ("wall_ns_per_decode", 0, -1.0), ("wall_ns_per_decode", 0, math.nan), ("n_bits", 1, 0),
+        ("workers", 1, 0), (harness.WORKERS_ENV, 1, -2), ("batches", 1, 0), ("warmup", 0, -1),
+    ], ids=["min_errors", "max_trials", "shard_trials", "trials", "wall_ns_per_decode",
+            "wall_ns_per_decode-nan", "n_bits", "workers", "workers-env", "batches", "warmup"])
+    def test_limit_below_one_named(self, monkeypatch, name, low, value):
+        # every lower bound of the harness is one rule in one form: codebook.require_at_least
+        monkeypatch.setattr(harness, "_run_shard", None)  # each check comes before any shard
+        monkeypatch.setenv(harness.WORKERS_ENV, str(value if name == harness.WORKERS_ENV else 1))
+        record = dict(config=SystemConfig(N=32, M=16), trials=1, bit_errors=0, wall_ns_per_decode=0.0)
+        timing = dict(configs=[SystemConfig(N=32, M=16)], decodes=20, warmup=0, batches=5)
+        plan = small_plan(values=(0.0,), max_trials=100)
+        calls = {
+            "trials": lambda: BerRecord(**{**record, name: value}),
+            "wall_ns_per_decode": lambda: BerRecord(**{**record, name: value}),
+            "n_bits": lambda: binomial_ci95(0.1, value),
+            "workers": lambda: run_ber_sweep(plan, workers=value, measure_time=False),
+            harness.WORKERS_ENV: lambda: run_ber_sweep(plan, measure_time=False),
+            "batches": lambda: run_timing(**{**timing, name: value}),
+            "warmup": lambda: run_timing(**{**timing, name: value}),
+        }
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
+            calls.get(name, lambda: small_plan(**{name: value}))()
 
     @pytest.mark.parametrize("name,value", [
         ("max_trials", 10.5), ("shard_trials", 8.0), ("min_errors", 2.5), ("max_trials", True),

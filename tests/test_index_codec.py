@@ -157,6 +157,10 @@ class TestRanking:
             combo_to_rank((1, 5), space)  # above range
         with pytest.raises(ValueError):
             combo_to_rank((1, 2, 3), space)  # wrong length
+        # each index is an int by the type rule: int() would rank 1.5 as index 1
+        with pytest.raises(ValueError, match=r"^index must be int, got 1\.5$"):
+            combo_to_rank((1.5, 3.2), space)
+        assert combo_to_rank(np.array([2, 4], dtype=np.int64), space) == combo_to_rank((2, 4), space)
 
 
 class TestBitMapping:
@@ -170,6 +174,10 @@ class TestBitMapping:
 
     def test_documented_words(self):
         space = ApSpace(M=4, K=2)
+        # a numpy bit array, or any iterable of bits, encodes as its Python ints do
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        assert encode_bits(bits, space) == encode_bits(bits.tolist(), space)
+        assert encode_bits(iter(bits.tolist()), space) == encode_bits(bits.tolist(), space)
         msg = encode_bits((1, 0, 1), space)
         assert msg.indices == (3, 4) and not msg.extended
         msg = encode_bits((1, 1, 0), space)
@@ -247,6 +255,13 @@ class TestBitWords:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             bits_to_int((0, 2, 1))
+        # each bit is an int by the type rule, never coerced: int() would read [True, 1.5]
+        # as 3, and 1.9 as a 1
+        for bit in (1.9, True, "1"):
+            with pytest.raises(ValueError, match=f"^bit must be int, got {bit!r}$"):
+                bits_to_int((1, bit))
+        with pytest.raises(ValueError, match=r"^bit must be int, got 1\.9$"):
+            encode_bits([1.9, 0.2, 1.0, 0.7, 0.0], ApSpace(M=8, K=2))
 
 
 class TestSymbolSets:

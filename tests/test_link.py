@@ -127,6 +127,11 @@ class TestSystemConfig:
     @pytest.mark.parametrize("kwargs,message", [
         (dict(K=0), "^K must be >= 1, got 0$"),
         (dict(K=64, M=64), "^K must be < M, got K=64, M=64$"),
+        # the config's other lower bounds meet the same rule, in the same form
+        (dict(K=-3), "^K must be >= 1, got -3$"),
+        (dict(seed=-1), "^seed must be >= 0, got -1$"),
+        (dict(mmp_omega=0), "^mmp_omega must be >= 1, got 0$"),
+        (dict(mmp_upsilon=-2), "^mmp_upsilon must be >= 1, got -2$"),
     ])
     def test_k_against_m_is_the_pattern_space_rule(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 """Spreading and OFDM framing: hand examples, unitarity, energy accounting."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ class TestBuildSparseVector:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             build_sparse_vector(SparseMessage((1, 5), False, 0), 4)
+
+    @pytest.mark.parametrize("indices", [(2, 2), (3, 1)], ids=["repeated", "decreasing"])
+    def test_indices_not_strictly_increasing_named(self, indices):
+        # (2, 2) would build a 1-sparse vector, which spread scales by 1/sqrt(1), not 1/sqrt(2)
+        message = re.escape(f"indices {indices} must be strictly increasing")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_sparse_vector(SparseMessage(indices, False, 0), 4)
 
 
 class TestSpread:
