@@ -30,18 +30,26 @@ def draw_channel(v: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, 
     """
     if not 1 <= v <= n:
         raise ValueError(f"tap count {v} outside [1, {n}]")
-    re, im = rng.standard_normal((2, v))
-    taps = (re + 1j * im) * math.sqrt(0.5 / v)
+    taps = _complex_normal(v, math.sqrt(0.5 / v), rng)
     return taps, np.fft.fft(taps, n)
 
 
+def _complex_normal(n: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """n complex samples ``(re + 1j * im) * scale``, byte for byte, where
+    ``re, im = rng.standard_normal((2, n))``: the draws are scaled in place
+    and interleaved into one complex array."""
+    draws = rng.standard_normal((2, n))
+    draws *= scale
+    return draws.T.copy().view(np.complex128).ravel()
+
+
 def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
+    """A fresh complex array of CN(0, n0) noise; the channel output is added into it."""
     if not 0.0 <= n0 < math.inf:  # NaN fails too
         raise ValueError(f"n0 (noise variance) must be finite and >= 0, got {n0}")
     if n0 == 0.0:
         return np.zeros(n_samples, dtype=np.complex128)
-    re, im = rng.standard_normal((2, n_samples))
-    return (re + 1j * im) * math.sqrt(n0 / 2.0)
+    return _complex_normal(n_samples, math.sqrt(n0 / 2.0), rng)
 
 
 def apply_freq(
@@ -49,7 +57,9 @@ def apply_freq(
 ) -> np.ndarray:
     """Per-subcarrier model: y(b) = x(b) h(b) + w(b), x and h vectors of one length."""
     require_array(h_freq, require_array(x_freq, (None,), "x_freq").shape, "h_freq")
-    return x_freq * h_freq + _awgn(len(x_freq), n0, rng)
+    y = _awgn(len(x_freq), n0, rng)
+    y += x_freq * h_freq
+    return y
 
 
 def apply_time(
@@ -67,5 +77,6 @@ def apply_time(
     require_array(x_time, (None,), "x_time")
     if len(require_array(taps, (None,), "taps")) > cp_len:
         raise ValueError(f"tap count {len(taps)} exceeds CP length {cp_len}")
-    faded = np.convolve(x_time, taps)[: len(x_time)]
-    return faded + _awgn(len(x_time), n0, rng)
+    y = _awgn(len(x_time), n0, rng)
+    y += np.convolve(x_time, taps)[: len(x_time)]
+    return y

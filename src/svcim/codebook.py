@@ -49,7 +49,12 @@ def require_at_least(value, low, name: str):
 def require_type(value, tp: type, name: str):
     """``value`` as a field ``name`` of type ``tp`` stores it: a numpy scalar
     becomes the Python number it holds. A value the type does not take is a
-    ``ValueError`` naming the field."""
+    ``ValueError`` naming the field.
+
+    A value of class exactly ``tp`` is taken after that one test: a frame
+    meets this rule once per codec bit and once per rank index."""
+    if value.__class__ is tp:
+        return value
     if not isinstance(value, _TAKES.get(tp, tp)) or (isinstance(value, bool) and tp is not bool):
         raise ValueError(f"{name} must be {tp.__name__}, got {value!r}")
     return value.item() if isinstance(value, np.generic) else value

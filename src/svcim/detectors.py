@@ -100,11 +100,11 @@ class Sensing:
         n, m = require_array(self.entries, (None, None), "psi entries").shape
         require_array(self.gains, (n,), "psi gains")
         for name in ("entries", "gains"):
-            if np.iscomplexobj(getattr(self, name)):
+            if getattr(self, name).dtype.kind == "c":
                 raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
-        for size, name in ((m, "columns"), (n, "rows")):
-            if size < self.k:
-                raise ValueError(f"psi has {size} {name}, need >= k = {self.k}")
+        if min(m, n) < k:
+            size, name = (m, "columns") if m < k else (n, "rows")
+            raise ValueError(f"psi has {size} {name}, need >= k = {k}")
 
 
 @dataclass(eq=False)
@@ -388,8 +388,9 @@ def secbim_joint_metrics(
     y_hat = cophase(y_freq, h_freq)
     estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, space.K)]
     coeffs = np.array([est.coeffs for est in estimates])
-    metrics = (np.abs(coeffs[:, None, :] - symbol_rows(space.K)) ** 2).sum(axis=2)
-    return metrics, estimates
+    dist = np.abs(coeffs[:, None, :] - symbol_rows(space.K))
+    dist *= dist
+    return dist.sum(axis=2), estimates
 
 
 def secbim_decode(
@@ -450,10 +451,12 @@ def _ml_metrics(y: np.ndarray, h: np.ndarray, books: np.ndarray, space: ApSpace,
     W = C^T diag(|h|^2) C; K <= 2 has no such pair. The extended set is the
     negated original, so its words negate the correlation.
     """
-    h2 = np.abs(h) ** 2
+    h2 = np.abs(h)
+    h2 *= h2
     w = y * np.conj(h)  # conj(z) for z = conj(y) h: its (Re, Im) are (Re z, -Im z)
     # [g - 1, p, j]: -2/sqrt(K) Re(j**p t_j) for book g
-    parts = w.view(np.float64).reshape(-1, 2).T @ books * (-2.0 / math.sqrt(space.K))
+    parts = w.view(np.float64).reshape(-1, 2).T @ books
+    parts *= -2.0 / math.sqrt(space.K)
     pairs = [(a, b) for a in range(space.K) for b in range(a + 2, space.K, 2)]
     n_combos, n_reused = space.n_combos, space.n_reused
     metrics = np.empty((len(books), 1 << space.m_bits))

@@ -137,9 +137,16 @@ class TimingRecord:
 
 
 def binomial_ci95(ber: float, n_bits: int) -> float:
-    """Normal-approximation 95% half-width, 1.96 sqrt(p(1-p)/n)."""
-    require_at_least(n_bits, 1, "n_bits")
-    return 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
+    """Normal-approximation 95% half-width, 1.96 sqrt(p(1-p)/n).
+
+    ``n_bits`` is an int >= 1 and ``ber`` a number in [0, 1]; anything else,
+    a NaN BER included, is a ``ValueError`` naming the argument.
+    """
+    n_bits = require_at_least(require_type(n_bits, int, "n_bits"), 1, "n_bits")
+    ber = require_type(ber, float, "ber")
+    if not 0.0 <= ber <= 1.0:  # NaN fails too
+        raise ValueError(f"ber must lie in [0, 1], got {ber}")
+    return 1.96 * math.sqrt(ber * (1.0 - ber) / n_bits)
 
 
 def _worker_count(workers: int | None) -> int:

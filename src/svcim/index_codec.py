@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import pairwise
 from math import comb
 
 import numpy as np
@@ -140,7 +141,7 @@ def combo_to_rank(indices, space: ApSpace) -> int:
         raise ValueError(f"expected {space.K} indices, got {len(idx)}")
     if any(i < 1 or i > space.M for i in idx):
         raise ValueError(f"indices {idx} outside [1, {space.M}]")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
+    if any(a >= b for a, b in pairwise(idx)):
         raise ValueError(f"indices {idx} must be strictly increasing")
     return sum(comb(i - 1, k) for k, i in enumerate(idx, start=1))
 

@@ -8,6 +8,7 @@ random +-1 codebook entries.
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,14 +24,15 @@ def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
     symbol set (see :func:`symbol_rows`). Indices outside [1, m] or not
     strictly increasing are a ``ValueError`` naming them.
     """
-    if any(i < 1 or i > m for i in msg.indices):
-        raise ValueError(f"indices {msg.indices} outside [1, {m}]")
-    if any(a >= b for a, b in zip(msg.indices, msg.indices[1:])):
-        raise ValueError(f"indices {msg.indices} must be strictly increasing")
-    symbols = symbol_rows(len(msg.indices))[int(msg.extended)]
+    indices = msg.indices
+    if any(i < 1 or i > m for i in indices):
+        raise ValueError(f"indices {indices} outside [1, {m}]")
+    if any(a >= b for a, b in pairwise(indices)):
+        raise ValueError(f"indices {indices} must be strictly increasing")
+    symbols = symbol_rows(len(indices))[int(msg.extended)]
     values = np.zeros(m, dtype=np.complex128)
-    for k, idx in enumerate(msg.indices):
-        values[idx - 1] = symbols[k]
+    for k, i in enumerate(indices):
+        values[i - 1] = symbols[k]
     return values
 
 
@@ -43,10 +45,12 @@ def spread(s: np.ndarray, book: np.ndarray) -> np.ndarray:
     """
     require_array(book, (None, None), "book")
     require_array(s, book.shape[1:], "s")
-    idx = np.flatnonzero(s)
+    idx = s.nonzero()[0]  # s is 1-D here
     if len(idx) == 0:
         raise ValueError("sparse vector has empty support")
-    return book.take(idx, axis=1).dot(s.take(idx)) / math.sqrt(len(idx))
+    x_freq = book.take(idx, axis=1).dot(s.take(idx))
+    x_freq /= math.sqrt(len(idx))
+    return x_freq
 
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
@@ -55,8 +59,9 @@ def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
     require_pow2(n, "N")
     if not 0 <= cp_len < n:
         raise ValueError(f"CP length {cp_len} outside [0, {n})")
-    body = np.fft.ifft(x_freq) * math.sqrt(n)
-    return np.concatenate([body[n - cp_len:], body])
+    body = np.fft.ifft(x_freq)
+    body *= math.sqrt(n)
+    return np.concatenate((body[n - cp_len:], body))
 
 
 def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
@@ -65,4 +70,6 @@ def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
     require_pow2(n, "N")
     if cp_len < 0 or cp_len >= n:
         raise ValueError(f"CP length {cp_len} inconsistent with frame of {len(y_time)}")
-    return np.fft.fft(y_time[cp_len:]) / math.sqrt(n)
+    x_freq = np.fft.fft(y_time[cp_len:])
+    x_freq /= math.sqrt(n)
+    return x_freq

@@ -4,6 +4,9 @@ The equivalence check IS the correctness oracle for the per-subcarrier
 model: modulating, convolving with the taps across the CP and demodulating
 must equal the element-wise product with the frequency response.
 """
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -153,3 +156,60 @@ class TestNoiseVariance:
                 apply_freq(x, h_freq, n0, rng)
             else:
                 apply_time(x, taps, n0, rng, cp_len=4)
+
+
+class TestInPlaceDraws:
+    """The complex draws are built in place, byte for byte the values of
+    ``(re + 1j * im) * scale`` with ``re, im = rng.standard_normal((2, n))``,
+    and each call consumes the generator as that expression does."""
+
+    @staticmethod
+    def _complex_normal(n, scale, rng):
+        re, im = rng.standard_normal((2, n))
+        return (re + 1j * im) * scale
+
+    @staticmethod
+    def _same_state(rng, ref):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("v,n", [(1, 1), (1, 16), (4, 16), (10, 64), (16, 128), (144, 256)])
+    def test_draw_channel(self, v, n):
+        rng = np.random.default_rng(v * 1000 + n)
+        for _ in range(5):
+            ref = copy.deepcopy(rng)
+            taps, h_freq = draw_channel(v, n, rng)
+            want = self._complex_normal(v, math.sqrt(0.5 / v), ref)
+            assert taps.dtype == np.complex128 and taps.shape == (v,)
+            assert taps.tobytes() == want.tobytes()
+            assert h_freq.tobytes() == np.fft.fft(want, n).tobytes()
+            self._same_state(rng, ref)
+
+    @pytest.mark.parametrize("n0", [0.0, 1e-3, 0.37, 2.0, 40.0])
+    @pytest.mark.parametrize("n", [1, 16, 80, 128])
+    @pytest.mark.parametrize("real_x", [False, True], ids=["complex-x", "real-x"])
+    def test_apply_freq_noise(self, n, n0, real_x):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + (0.0 if real_x else 1j * rng.standard_normal(n))
+        _, h_freq = draw_channel(1, n, rng)
+        for _ in range(5):
+            ref = copy.deepcopy(rng)
+            y = apply_freq(x, h_freq, n0, rng)
+            noise = (self._complex_normal(n, math.sqrt(n0 / 2.0), ref) if n0 > 0.0
+                     else np.zeros(n, dtype=np.complex128))
+            assert y.tobytes() == (x * h_freq + noise).tobytes()
+            self._same_state(rng, ref)
+
+    @pytest.mark.parametrize("n0", [0.0, 1e-3, 0.37, 2.0])
+    @pytest.mark.parametrize("v,n,cp_len", [(1, 16, 4), (4, 32, 8), (10, 64, 16), (16, 128, 16)])
+    def test_apply_time_noise(self, v, n, cp_len, n0):
+        rng = np.random.default_rng(v + n)
+        taps, _ = draw_channel(v, n, rng)
+        x = ofdm_modulate(rng.standard_normal(n) + 1j * rng.standard_normal(n), cp_len)
+        for _ in range(5):
+            ref = copy.deepcopy(rng)
+            y = apply_time(x, taps, n0, rng, cp_len)
+            noise = (self._complex_normal(len(x), math.sqrt(n0 / 2.0), ref) if n0 > 0.0
+                     else np.zeros(len(x), dtype=np.complex128))
+            assert y.shape == x.shape
+            assert y.tobytes() == (np.convolve(x, taps)[: len(x)] + noise).tobytes()
+            self._same_state(rng, ref)

@@ -1,4 +1,7 @@
 """Book generation: determinism, entry statistics, the set array, coherence."""
+import enum
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from svcim.codebook import (
     require_array,
     require_at_least,
     require_pow2,
+    require_type,
 )
+from svcim.index_codec import ApSpace
 from svcim.link import LinkContext, SystemConfig
 from svcim.transceiver import ofdm_demodulate, ofdm_modulate
 
@@ -57,6 +62,47 @@ class TestLowerBound:
         # each dimension is named, and an int by the type rule: a float is not taken
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate_set(0, 1, n, m)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestFieldType:
+    """``require_type``: a value of class exactly the field type is taken
+    after one test; every other value meets the full rule, and the result
+    is the same as if the shortcut were not there."""
+
+    SPACE = ApSpace(M=8, K=2)
+
+    # value, field type, what comes back (value and class)
+    TAKEN = [
+        (3, int, 3, int), (0.5, float, 0.5, float), (True, bool, True, bool), ("a", str, "a", str),
+        (SPACE, ApSpace, SPACE, ApSpace),
+        (np.int64(3), int, 3, int), (np.uint8(1), int, 1, int),
+        (np.float64(0.5), float, 0.5, float), (np.int64(2), float, 2, int),
+        (4, float, 4, int), (_Level.LOW, int, _Level.LOW, _Level),
+    ]
+
+    @pytest.mark.parametrize("value,tp,want,cls", TAKEN, ids=[
+        "int", "float", "bool", "str", "ApSpace", "int64-as-int", "uint8-as-int",
+        "float64-as-float", "int64-as-float", "int-as-float", "IntEnum-as-int"])
+    def test_taken(self, value, tp, want, cls):
+        got = require_type(value, tp, "x")
+        assert got == want and got.__class__ is cls
+        if cls is value.__class__:  # an exact instance comes back as the same object
+            assert got is value
+
+    @pytest.mark.parametrize("value,tp,name", [
+        (True, int, "n"), (np.bool_(True), int, "n"), (1.9, int, "n"), (np.float64(2.0), int, "n"),
+        ("1", int, "bit"), (True, float, "x"), (1, bool, "flag"), ("no", bool, "flag"),
+        (1, str, "s"), (None, int, "n"), (SPACE, SystemConfig, "base"),
+    ], ids=["bool-as-int", "numpy-bool-as-int", "float-as-int", "float64-as-int", "str-as-bit",
+            "bool-as-float", "int-as-bool", "str-as-bool", "int-as-str", "None-as-int",
+            "space-as-config"])
+    def test_rejected_by_name(self, value, tp, name):
+        with pytest.raises(ValueError, match=f"^{name} must be {tp.__name__}, got {re.escape(repr(value))}$"):
+            require_type(value, tp, name)
 
 
 class TestArrayShape:

@@ -276,6 +276,24 @@ class TestConfidenceInterval:
         assert binomial_ci95(0.0, 100) == 0.0
         assert np.isclose(binomial_ci95(0.5, 100), 1.96 * math.sqrt(0.25 / 100))
 
+    @pytest.mark.parametrize("ber,n_bits,message", [
+        (1.5, 10, "ber must lie in [0, 1], got 1.5"),
+        (-0.2, 10, "ber must lie in [0, 1], got -0.2"),
+        (math.nan, 10, "ber must lie in [0, 1], got nan"),
+        (math.inf, 10, "ber must lie in [0, 1], got inf"),
+        (True, 10, "ber must be float, got True"),
+        (0.1, 2.5, "n_bits must be int, got 2.5"),
+        (0.1, True, "n_bits must be int, got True"),
+    ], ids=["above-one", "negative", "nan", "inf", "bool-ber", "fractional-bits", "bool-bits"])
+    def test_impossible_arguments_named(self, ber, n_bits, message):
+        # each once gave a zero-width interval, a NaN or a value for a fractional count
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            binomial_ci95(ber, n_bits)
+
+    @pytest.mark.parametrize("ber,n_bits", [(0, 10), (1, 10), (1.0, 1), (np.float64(0.25), np.int64(40))])
+    def test_edges_taken(self, ber, n_bits):
+        assert binomial_ci95(ber, n_bits) == 1.96 * math.sqrt(float(ber) * (1.0 - ber) / int(n_bits))
+
     def test_coverage_on_synthetic_bernoulli(self):
         # calibrated oracle: the documented interval must bracket p = 0.1
         # in at least 90% of repeated meta-runs
