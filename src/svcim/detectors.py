@@ -39,6 +39,16 @@ from .index_codec import (
 # Refuse ML enumeration beyond this many candidate blocks, G * 2**m_bits.
 ML_CANDIDATE_CAP = 1 << 20
 
+# A Gram pivot at most this fraction of the largest diagonal entry marks the
+# solve degenerate. A column repeated up to sign leaves a pivot of a few eps
+# (at most 17 eps up to N = 4096, as its entries are summed in different
+# orders); a pivot this small means cond(Gram) >= 1 / PIVOT_RTOL, about 2e13.
+PIVOT_RTOL = 256 * np.finfo(float).eps
+
+# A leaf scored by ||y||^2 - Re(b^H x) below this fraction of ||y||^2 forms
+# its residual vector instead (see mmp_df).
+RESIDUAL_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MmpDfParams:
@@ -186,20 +196,24 @@ def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | 
     wins a tie, and rows are scaled by reciprocal pivots, in the order
     LAPACK's getrf and getrs take the steps; for 1 x 1 and 2 x 2 systems
     these are the floating-point operations of ``np.linalg.solve``.
-    Returns None on an exactly zero pivot or a non-finite x: the
-    rank-deficient subproblems (degenerate channel or codebook draw) that
-    callers score with an infinite residual.
+    Returns None on a pivot of magnitude at most ``PIVOT_RTOL`` times the
+    largest diagonal magnitude, zero included, or on a non-finite x: the
+    subproblems that are rank-deficient to working precision (degenerate
+    channel or codebook draw) and that callers score with an infinite
+    residual (Golub & Van Loan, *Matrix Computations*, on rank decisions
+    under rounding).
     """
     k = len(b)
     a = [row[:] for row in gram]
     x = list(b)
     inv = [0.0] * k
+    tol = PIVOT_RTOL * max([abs(row[i]) for i, row in enumerate(a)])
     for j in range(k):
         p = j
         for i in range(j + 1, k):
             if abs(a[i][j]) > abs(a[p][j]):
                 p = i
-        if a[p][j] == 0.0:
+        if abs(a[p][j]) <= tol:
             return None
         a[j], a[p] = a[p], a[j]
         x[j], x[p] = x[p], x[j]
@@ -237,16 +251,24 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     after ``upsilon`` full-depth candidates (or tree exhaustion). With
     ``omega=1`` the search reduces to orthogonal matching pursuit.
 
-    Only full-depth candidates form a residual vector. With psi = diag(w) C,
+    No residual vector is formed on the way. With psi = diag(w) C,
     c0 = psi^T y = C^T (w y) and g_j = psi^T psi_j = C^T (w^2 c_j), a path P
     with LS amplitudes x has residual correlations |c0 - sum_i x_i g_{P_i}|,
     and the Gram matrix of its normal equations is its parent's plus one
     row read off the cached g of the parent's columns. One product gives
     c0, an inner node computes g only for the column it adds, and each
     K x K solve is a small elimination in Python (:func:`_solve_normal`).
-    A full-depth candidate gathers its K columns of psi for the last
-    diagonal entry and for its residual vector, whose norm is the
-    candidate's score. The N x M product psi is never formed.
+    A full-depth candidate takes its new column of psi for the last
+    diagonal entry and is scored from the solve it makes: at the solution x
+    of G x = b, b = c0[P], its squared residual is r^2 = ||y||^2 - Re(b^H x).
+    The identity's absolute error is about K u cond(psi_P)^2 ||y||^2 (unit
+    roundoff u; Bjorck, *Numerical Methods for Least Squares Problems*,
+    1996; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002),
+    so it cancels near a perfect fit and can go negative. A candidate whose
+    r^2 falls below ``RESIDUAL_RTOL`` ||y||^2 (1e-6) is scored by the norm
+    of its residual vector instead; above it, r has a relative error of at
+    most about K cond(psi_P)^2 u / (2 RESIDUAL_RTOL) = 6e-11 K cond(psi_P)^2.
+    The N x M product psi is never formed.
 
     Parameters
     ----------
@@ -258,7 +280,7 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     Returns
     -------
     SparseEstimate with ascending 1-based support and the stop reason. When
-    every path meets a zero pivot before depth k, so that no candidate is
+    every path meets a degenerate pivot before depth k, so that no candidate is
     scored, it is support (1, ..., k) with zero coefficients, an infinite
     residual and stop "exhausted".
 
@@ -281,12 +303,13 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     if not np.isfinite(c0).all():  # a NaN or inf in y_hat, entries or gains reaches c0
         raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
     w2 = w * w
-    stop_level = params.lam * (math.sqrt(np.vdot(y, y).real) if params.relative_stop else 1.0)
+    y_sq = float(np.vdot(y, y).real)
+    stop_level = params.lam * (math.sqrt(y_sq) if params.relative_stop else 1.0)
     gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
 
     best_resid = math.inf
     best_path: tuple[int, ...] | None = None
-    best_coeffs: np.ndarray | None = None  # in best_path's order
+    best_coeffs: list[complex] | None = None  # in best_path's order
     full_solves = 0
     stop = "exhausted"
     seen: set[tuple[int, ...]] = set()
@@ -325,16 +348,18 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
                 continue
             seen.add(support)
             full_solves += 1
-            a = c.take(new_path, axis=1) * w[:, None]
-            new = a[:, -1]
-            coef = _solve_normal(_bordered(path_gram, row, new.dot(new)),
-                                 [c0.item(i) for i in new_path])
+            new = c[:, col] * w
+            b = [c0.item(i) for i in new_path]
+            coef = _solve_normal(_bordered(path_gram, row, new.dot(new)), b)
             if coef is None:
                 r_norm = math.inf
             else:
-                coef = np.array(coef)
-                r = (y2 - a.dot(coef.view(np.float64).reshape(k, 2))).ravel()
-                r_norm = math.sqrt(r.dot(r))
+                r2 = y_sq - sum(bi.conjugate() * xi for bi, xi in zip(b, coef)).real
+                if not r2 > RESIDUAL_RTOL * y_sq:  # near a perfect fit: the vector's norm
+                    a = c.take(new_path, axis=1) * w[:, None]
+                    r = (y2 - a.dot(np.array(coef).view(np.float64).reshape(k, 2))).ravel()
+                    r2 = r.dot(r)
+                r_norm = math.sqrt(r2)
             if r_norm < best_resid or best_path is None:
                 best_resid = r_norm
                 best_path = new_path
@@ -355,12 +380,12 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
                 continue  # degenerate partial path: its completions are too
             stack.append((new_path, new_gram, iter(children(new_path, coef))))
 
-    if best_path is None:  # every path met a zero pivot before depth k
+    if best_path is None:  # every path met a degenerate pivot before depth k
         best_path = tuple(range(k))
     order = sorted(range(k), key=best_path.__getitem__)
     return SparseEstimate(
         support=tuple(best_path[i] + 1 for i in order),
-        coeffs=np.zeros(k, dtype=np.complex128) if best_coeffs is None else best_coeffs[order],
+        coeffs=np.array(best_coeffs or [0j] * k)[order],
         residual_norm=best_resid,
         ls_solves=full_solves,
         stop=stop,

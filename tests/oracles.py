@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 
-from svcim.detectors import MmpDfParams, Sensing, SparseEstimate
+from svcim.detectors import PIVOT_RTOL, MmpDfParams, Sensing, SparseEstimate
 from svcim.index_codec import ApSpace, encode_bits, int_to_bits
 from svcim.transceiver import build_sparse_vector
 
@@ -47,6 +47,21 @@ def reference_omp(y, psi, k):
     return tuple(sorted(chosen))
 
 
+def degenerate_gram(gram: np.ndarray) -> bool:
+    """Whether Gaussian elimination with partial pivoting on ``gram`` meets a
+    pivot of magnitude at most ``PIVOT_RTOL`` times its largest diagonal
+    magnitude: the rank rule of the search's own solver, by row operations."""
+    a = np.array(gram, dtype=float)
+    tol = PIVOT_RTOL * np.abs(np.diag(a)).max()
+    for j in range(len(a)):
+        p = j + int(np.abs(a[j:, j]).argmax())
+        if abs(a[p, j]) <= tol:
+            return True
+        a[[j, p]] = a[[p, j]]
+        a[j + 1:] -= np.outer(a[j + 1:, j] / a[j, j], a[j])
+    return False
+
+
 # The recursive MMP-DF search with one np.linalg.solve per tree node, kept
 # as the reference the Gram-form search in svcim.detectors is checked against.
 def _ls_fit(
@@ -54,15 +69,16 @@ def _ls_fit(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Least squares on the chosen real columns via normal equations.
 
-    Returns ``(coef, residual)``, or None on a rank-deficient subproblem
-    (degenerate channel or codebook draw); callers treat that candidate as
-    having infinite residual.
+    Returns ``(coef, residual)``, or None on a subproblem that is
+    rank-deficient to working precision (:func:`degenerate_gram`: degenerate
+    channel or codebook draw); callers treat that candidate as having
+    infinite residual.
     """
     a = psi[:, cols]
-    try:
-        coef = np.linalg.solve(a.T @ a, a.T @ y)
-    except np.linalg.LinAlgError:
+    gram = a.T @ a
+    if degenerate_gram(gram):
         return None
+    coef = np.linalg.solve(gram, a.T @ y)
     if not np.all(np.isfinite(coef)):
         return None
     return coef, y - a @ coef

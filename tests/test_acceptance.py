@@ -203,13 +203,15 @@ def test_c07_ml_never_worse_than_greedy():
     _passed("C7 ML never worse than greedy", f"{len(points)} Eb/N0 points")
 
 
-def test_c08_decoder_complexity_trends():
+def test_c08_decoder_complexity_trends(search_ns_by_books):
     """Greedy decode time is flat in M; ML grows with the candidate count;
     joint decoding scales linearly in G.
 
     ML is timed from M = 128 up: below it, the decode's fixed cost (the
     input checks, the column correlations and the bits) outweighs its
-    per-candidate gathers at N = 64."""
+    per-candidate gathers at N = 64. The G searches of a joint decode are
+    timed apart from its fixed cost, which all books share: at N = M = 64
+    that cost alone pulls the whole-decode G = 4 / G = 1 ratio to 2.7-3.2."""
     t0 = time.time()
     cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED, detector="mmpdf")
             for m in (64, 128, 256)]
@@ -230,11 +232,9 @@ def test_c08_decoder_complexity_trends():
     book_cfgs = [SystemConfig(scheme="esvc", G=1, **base)] + [
         SystemConfig(scheme="secbim", G=g, **base) for g in (2, 4)
     ]
-    book_recs = run_timing(book_cfgs, decodes=1500, warmup=60, batches=15)
-    t_single = book_recs[0].mean_ns
-    for rec in book_recs[1:]:
-        g = rec.config.G
-        assert 0.7 * g <= rec.mean_ns / t_single <= 1.3 * g
+    search_ns = search_ns_by_books(book_cfgs, decodes=1500, warmup=60, batches=15)
+    for g in (2, 4):
+        assert 0.7 * g <= search_ns[g] / search_ns[1] <= 1.3 * g
 
     assert time.time() - t0 < 600
     _passed(

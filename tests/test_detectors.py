@@ -18,6 +18,7 @@ from svcim.channel import apply_freq, draw_channel
 from svcim.codebook import generate_set
 from svcim.detectors import (
     ML_CANDIDATE_CAP,
+    RESIDUAL_RTOL,
     MmpDfParams,
     Sensing,
     _ml_metrics,
@@ -36,6 +37,7 @@ from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
 from svcim.transceiver import build_sparse_vector, spread
 
 from oracles import (
+    degenerate_gram,
     dense,
     reference_ml_candidates,
     reference_mmp_df,
@@ -252,6 +254,41 @@ class TestMmpDf:
         assert est.support == (1, 2)
         assert math.isinf(est.residual_norm)
         assert np.array_equal(est.coeffs, np.zeros(2))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_column_repeated_up_to_sign_is_degenerate(self, sign):
+        # N = 4 rows, the second column the first up to sign: the exact pivot
+        # is zero, but the leaf's diagonal (a dot) and its off-diagonal entry (a
+        # product with the whole book) round differently, so the computed pivot
+        # is often a few eps; the scale-relative rule scores the path degenerate
+        rng = np.random.default_rng(16)
+        col = np.array([1.0, -1.0, 1.0, 1.0])
+        entries = np.column_stack([col, sign * col])
+        nonzero_det = 0
+        for _ in range(40):
+            psi = Sensing(entries, rng.uniform(0.05, 3.0, 4), 2)
+            g0 = entries.T.dot(psi.gains ** 2 * col)
+            new = entries[:, 1] * psi.gains
+            nonzero_det += g0[0] * new.dot(new) - g0[1] * g0[1] != 0.0
+            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            for search in (mmp_df, reference_mmp_df):
+                est = search(y, psi, MmpDfParams(omega=1, upsilon=2))
+                assert (est.support, est.ls_solves, est.stop) == ((1, 2), 1, "exhausted")
+                assert est.residual_norm == math.inf
+                assert np.array_equal(est.coeffs, np.zeros(2))
+        assert nonzero_det > 0  # the draws reach rounded pivots, not only exact zeros
+
+    def test_pivot_rule_is_relative_to_the_largest_diagonal(self):
+        # one rule in the search's solver and in the oracle: a pivot at most
+        # PIVOT_RTOL = 256 eps times the largest diagonal magnitude is
+        # degenerate, at any scale
+        for scale in (1e-150, 1.0, 1e150):
+            near = [[scale, scale], [scale, scale * (1 + 64 * np.finfo(float).eps)]]
+            far = [[scale, scale], [scale, scale * (1 + 1e-9)]]
+            assert _solve_normal(near, [1.0, 1.0]) is None
+            assert degenerate_gram(np.array(near))
+            assert _solve_normal(far, [1.0, 1.0]) is not None
+            assert not degenerate_gram(np.array(far))
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
@@ -565,6 +602,105 @@ class TestGramSearchMatchesReference:
                 assert est.stop == ref.stop
                 assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9, abs=1e-9)
                 assert np.allclose(est.coeffs, ref.coeffs, rtol=1e-9, atol=1e-9)
+
+
+class TestLeafScoreFromNormalEquations:
+    """A full-depth candidate is scored by ||y||^2 - Re(b^H x), and by the norm
+    of its residual vector when that falls below RESIDUAL_RTOL ||y||^2. Both
+    sides of that threshold, and the noiseless limit, against the oracle's
+    explicit residual: the same support, stop reason and LS solve count, and
+    residuals within rel 1e-9."""
+
+    SEARCHES = (MmpDfParams(), MmpDfParams(omega=3, lam=1e-9, upsilon=5))
+
+    @staticmethod
+    def _generic(rng, n, m, k):
+        """A real factor with Gaussian entries and gains that are no |h| / sqrt(k)."""
+        return Sensing(rng.standard_normal((n, m)), rng.uniform(0.1, 3.0, n), k)
+
+    @staticmethod
+    def _assert_matches_oracle(y, psi, params):
+        est = mmp_df(y, psi, params)
+        ref = reference_mmp_df(y, psi, params)
+        assert (est.support, est.stop, est.ls_solves) == (ref.support, ref.stop, ref.ls_solves)
+        # a residual at rounding level is known only to about eps ||y||
+        assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9,
+                                                  abs=1e-12 * np.linalg.norm(y))
+        return est
+
+    @pytest.mark.parametrize("ratio", [1e-8, RESIDUAL_RTOL * (1 - 1e-3), RESIDUAL_RTOL * (1 + 1e-3),
+                                       1e-4], ids=["1e-8", "below-tau", "above-tau", "1e-4"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_best_leaf_near_the_threshold(self, ratio, k):
+        # y = psi_P s plus a part orthogonal to psi_P, scaled so that the best
+        # leaf's squared residual is ratio * ||y||^2
+        rng = np.random.default_rng([17, k, int(-math.log10(ratio) * 1000)])
+        on_target = 0
+        for trial in range(30):
+            if trial % 2:
+                psi = self._generic(rng, 32, 16, k)
+            else:
+                psi = Sensing(generate_set(trial, 1, 32, 16)[0], rng.uniform(0.1, 3.0, 32), k)
+            cols = rng.choice(16, k, replace=False)
+            a = dense(psi)[:, cols]
+            signal = a @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            noise -= a @ np.linalg.lstsq(a, noise, rcond=None)[0]
+            noise *= math.sqrt(ratio / (1 - ratio)) * np.linalg.norm(signal) / np.linalg.norm(noise)
+            y = signal + noise
+            for params in self.SEARCHES:
+                est = self._assert_matches_oracle(y, psi, params)
+                if est.support == tuple(sorted(cols + 1)):  # not every tree reaches it
+                    on_target += 1
+                    assert est.residual_norm ** 2 == pytest.approx(ratio * np.vdot(y, y).real,
+                                                                   rel=1e-6)
+        assert on_target >= 40
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_noiseless_frames(self, k):
+        # the best leaf fits exactly: the identity alone would read a residual
+        # of about sqrt(eps) ||y||, or a negative square
+        rng = np.random.default_rng([18, k])
+        space = ApSpace(M=16, K=k)
+        for trial in range(40):
+            if trial % 2:
+                psi = self._generic(rng, 32, 16, k)
+            else:
+                (psi,) = sensing_matrix(rng.standard_normal(32) + 1j * rng.standard_normal(32),
+                                        generate_set(trial, 1, 32, 16), k)
+            msg = encode_bits(int_to_bits(int(rng.integers(0, 2 ** space.m_bits)), space.m_bits),
+                              space)
+            y = dense(psi) @ build_sparse_vector(msg, 16)
+            for params in self.SEARCHES:
+                est = self._assert_matches_oracle(y, psi, params)
+                assert est.support == msg.indices
+                assert est.residual_norm < 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_generic_sensing(self, k):
+        # Gaussian entries, gains not of a channel, from pure noise to 40 dB
+        rng = np.random.default_rng([19, k])
+        for trial in range(60):
+            psi = self._generic(rng, 24, 12, k)
+            cols = rng.choice(12, k, replace=False)
+            signal = dense(psi)[:, cols] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            noise = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+            for snr_db in (-math.inf, 0.0, 10.0, 40.0):
+                y = signal * 10.0 ** (snr_db / 20.0) + noise
+                for params in self.SEARCHES:
+                    self._assert_matches_oracle(y, psi, params)
+
+    def test_tiny_absolute_threshold_exhausts_the_tree(self):
+        # K = N: every leaf fits exactly, so its true residual is rounding; the
+        # identity would read 0 and stop on lambda = 1e-300, the residual vector does not
+        rng = np.random.default_rng(15)
+        psi = Sensing(rng.choice([-1.0, 1.0], size=(4, 8)), rng.uniform(0.2, 2.0, 4), 4)
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        params = MmpDfParams(omega=2, lam=1e-300, upsilon=100, relative_stop=False)
+        est, ref = mmp_df(y, psi, params), reference_mmp_df(y, psi, params)
+        # all 14 leaves tie to rounding, so the pick among them is not compared
+        assert (est.stop, est.ls_solves) == (ref.stop, ref.ls_solves) == ("exhausted", 14)
+        assert est.residual_norm < 1e-12 * np.linalg.norm(y)
 
 
 class TestDeepFadeDecisionsMatchLstsq:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svcim import detectors, harness
+from svcim import harness
 from svcim.harness import (
     BerRecord,
     SweepPlan,
@@ -483,31 +483,14 @@ class TestRunTiming:
             assert rec.decodes == 100
             assert rec.spread_ns >= 0
 
-    def test_secbim_time_scales_with_books(self, monkeypatch):
-        # the G searches of a decode are timed apart from its fixed cost
-        # (co-phase, input checks, metrics, bits), which all books share: at
+    def test_secbim_time_scales_with_books(self, search_ns_by_books):
+        # the G searches of a decode are timed apart from its fixed cost: at
         # N = M = 32 that cost alone pulls the whole-decode ratio to about 2.9
         base = dict(M=32, N=32, K=2, L=16, v=10, ebn0_db=20.0, seed=4)
         single = SystemConfig(scheme="esvc", G=1, **base)
         joint = SystemConfig(scheme="secbim", G=4, **base)
-        search_ns = {1: 0, 4: 0}  # by the book count of the decode
-        n_books = []
-        decode, search = detectors.secbim_decode, detectors.mmp_df
-
-        def noted(y_freq, h_freq, books, space, params):
-            n_books[:] = [len(books)]
-            return decode(y_freq, h_freq, books, space, params)
-
-        def timed(y_hat, psi, params):
-            t0 = time.perf_counter_ns()
-            est = search(y_hat, psi, params)
-            search_ns[n_books[0]] += time.perf_counter_ns() - t0
-            return est
-
-        monkeypatch.setattr(detectors, "secbim_decode", noted)
-        monkeypatch.setattr(detectors, "mmp_df", timed)
         # both configs run the same number of decodes, in interleaved batches
-        run_timing([single, joint], decodes=1500, warmup=30, batches=15)
+        search_ns = search_ns_by_books([single, joint], decodes=1500, warmup=30, batches=15)
         ratio = search_ns[4] / search_ns[1]
         assert 0.7 * 4 <= ratio <= 1.3 * 4
 
