@@ -105,14 +105,17 @@ class Sensing:
     k: int
 
     def __post_init__(self) -> None:
-        k = require_at_least(require_type(self.k, int, "k"), 1, "psi k (sparsity)")
-        object.__setattr__(self, "k", k)
-        n, m = require_array(self.entries, (None, None), "psi entries").shape
-        require_array(self.gains, (n,), "psi gains")
-        for name in ("entries", "gains"):
-            if getattr(self, name).dtype.kind == "c":
-                raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
-        if min(m, n) < k:
+        k = require_type(self.k, int, "k")
+        if k is not self.k:  # a numpy integer: store the int it holds
+            object.__setattr__(self, "k", k)
+        require_at_least(k, 1, "psi k (sparsity)")
+        entries, gains = self.entries, self.gains
+        n, m = require_array(entries, (None, None), "psi entries").shape
+        require_array(gains, (n,), "psi gains")
+        if entries.dtype.kind == "c" or gains.dtype.kind == "c":
+            name = "entries" if entries.dtype.kind == "c" else "gains"
+            raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
+        if m < k or n < k:
             size, name = (m, "columns") if m < k else (n, "rows")
             raise ValueError(f"psi has {size} {name}, need >= k = {k}")
 
@@ -189,46 +192,52 @@ def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensin
     return [Sensing(book, gains, k) for book in books]
 
 
-def _solve_normal(gram: list[list[float]], b: list[complex]) -> list[complex] | None:
-    """Solve ``gram @ x = b`` for a small real ``gram`` and complex ``b``.
+def _solve_normal(a: list[list[float]], b: list[complex], scale: float) -> list[complex] | None:
+    """Solve ``a @ x = b`` for a small real ``a`` and complex ``b``, eliminating ``a`` in place.
 
     Gaussian elimination with partial pivoting: the first largest pivot
-    wins a tie, and rows are scaled by reciprocal pivots, in the order
-    LAPACK's getrf and getrs take the steps; for 1 x 1 and 2 x 2 systems
-    these are the floating-point operations of ``np.linalg.solve``.
-    Returns None on a pivot of magnitude at most ``PIVOT_RTOL`` times the
-    largest diagonal magnitude, zero included, or on a non-finite x: the
+    wins a tie, and rows are scaled by reciprocal pivots. Each entry of a
+    and x meets the operations of LAPACK's getrf and getrs in their order
+    (the unit lower solve of b runs as each multiplier is made, which moves
+    no operation on any entry); for 1 x 1 and 2 x 2 systems these are the
+    floating-point operations of ``np.linalg.solve``. ``a`` is overwritten,
+    so a caller that keeps the matrix passes a copy; ``b`` is not.
+    ``scale`` is the largest diagonal magnitude of ``a``, which the search
+    carries down each path. Returns None on a pivot of magnitude at most
+    ``PIVOT_RTOL * scale``, zero included, or on a non-finite x: the
     subproblems that are rank-deficient to working precision (degenerate
     channel or codebook draw) and that callers score with an infinite
     residual (Golub & Van Loan, *Matrix Computations*, on rank decisions
     under rounding).
     """
     k = len(b)
-    a = [row[:] for row in gram]
     x = list(b)
-    inv = [0.0] * k
-    tol = PIVOT_RTOL * max([abs(row[i]) for i, row in enumerate(a)])
+    tol = PIVOT_RTOL * scale
     for j in range(k):
         p = j
+        top = abs(a[j][j])
         for i in range(j + 1, k):
-            if abs(a[i][j]) > abs(a[p][j]):
+            if abs(a[i][j]) > top:
                 p = i
-        if abs(a[p][j]) <= tol:
+                top = abs(a[i][j])
+        if top <= tol:
             return None
-        a[j], a[p] = a[p], a[j]
-        x[j], x[p] = x[p], x[j]
-        inv[j] = r = 1.0 / a[j][j]
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            x[j], x[p] = x[p], x[j]
+        aj = a[j]
+        aj[j] = r = 1.0 / aj[j]  # the diagonal keeps the reciprocal pivot
+        xj = x[j]
         for i in range(j + 1, k):
-            a[i][j] = lo = a[i][j] * r
+            ai = a[i]
+            ai[j] = lo = ai[j] * r
             for c in range(j + 1, k):
-                a[i][c] -= lo * a[j][c]
-    for j in range(k):  # unit lower triangle
-        for i in range(j + 1, k):
-            x[i] -= a[i][j] * x[j]
+                ai[c] -= lo * aj[c]
+            x[i] -= lo * xj  # the unit lower triangle, as each multiplier is made
     for j in range(k - 1, -1, -1):  # upper triangle
-        x[j] *= inv[j]
+        x[j] = xj = x[j] * a[j][j]
         for i in range(j):
-            x[i] -= a[i][j] * x[j]
+            x[i] -= a[i][j] * xj
     if not all(map(cmath.isfinite, x)):
         return None
     return x
@@ -258,6 +267,11 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     row read off the cached g of the parent's columns. One product gives
     c0, an inner node computes g only for the column it adds, and each
     K x K solve is a small elimination in Python (:func:`_solve_normal`).
+    Each open node on the search's stack carries its Gram matrix, its right
+    side b = c0[P] as Python complexes and the largest magnitude on that
+    matrix's diagonal, the scale of the solve's pivot rule; a child extends
+    each by its one column. A leaf's solve overwrites its freshly bordered
+    matrix, and an inner node's solves a copy, as the node keeps its own.
     A full-depth candidate takes its new column of psi for the last
     diagonal entry and is scored from the solve it makes: at the solution x
     of G x = b, b = c0[P], its squared residual is r^2 = ||y||^2 - Re(b^H x).
@@ -306,6 +320,7 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     y_sq = float(np.vdot(y, y).real)
     stop_level = params.lam * (math.sqrt(y_sq) if params.relative_stop else 1.0)
     gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
+    omega = params.omega
 
     best_resid = math.inf
     best_path: tuple[int, ...] | None = None
@@ -316,32 +331,39 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     def children(path: tuple[int, ...], x: list[complex]) -> list[int]:
         """The omega best unused columns at the node (path, x), best first."""
-        corr = c0
-        for col, xi in zip(path, x):
-            corr = corr - xi * gram[col]
-        corr = np.abs(corr)
-        for col in path:
-            corr[col] = -1.0
+        if path:
+            corr = c0 - x[0] * gram[path[0]]
+            for i in range(1, len(path)):
+                corr -= x[i] * gram[path[i]]
+            corr = np.abs(corr)
+            for col in path:
+                corr[col] = -1.0
+        else:
+            corr = np.abs(c0)
         best = []
         # the first maximum: ties go to the lowest column
-        for _ in range(min(params.omega, m - len(path))):
+        for _ in range(min(omega, m - len(path))):
             col = int(corr.argmax())
             best.append(col)
             corr[col] = -math.inf
         return best
 
-    # one entry per open node, deepest last: its path, its Gram matrix and
-    # its children not yet expanded. No function here refers to itself, so a
-    # search leaves no reference cycle for the garbage collector
-    stack = [((), [], iter(children((), [])))]
+    # one entry per open node, deepest last: its path, the Gram matrix and
+    # right side b = c0[path] of its normal equations, the largest magnitude
+    # on that matrix's diagonal, and its children not yet expanded. No
+    # function here refers to itself, so a search leaves no reference cycle
+    # for the garbage collector. The root's scale 0 makes the first
+    # column's |diagonal| its child's scale
+    stack = [((), [], [], 0.0, iter(children((), [])))]
     while stack:
-        path, path_gram, todo = stack[-1]
+        path, path_gram, path_b, path_scale, todo = stack[-1]
         col = next(todo, None)
         if col is None:
             stack.pop()
             continue
         new_path = path + (col,)
         row = [gram[p].item(col) for p in path]
+        b = path_b + [c0.item(col)]
         if len(new_path) == k:
             support = tuple(sorted(new_path))
             if support in seen:
@@ -349,8 +371,9 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             seen.add(support)
             full_solves += 1
             new = c[:, col] * w
-            b = [c0.item(i) for i in new_path]
-            coef = _solve_normal(_bordered(path_gram, row, new.dot(new)), b)
+            diag = float(new.dot(new))
+            # a fresh matrix, so the solve may overwrite it
+            coef = _solve_normal(_bordered(path_gram, row, diag), b, max(path_scale, abs(diag)))
             if coef is None:
                 r_norm = math.inf
             else:
@@ -374,18 +397,21 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             g = gram.get(col)
             if g is None:
                 g = gram[col] = c_t.dot(w2 * c[:, col])
-            new_gram = _bordered(path_gram, row, g.item(col))
-            coef = _solve_normal(new_gram, [c0.item(i) for i in new_path])
+            diag = g.item(col)
+            new_gram = _bordered(path_gram, row, diag)
+            scale = max(path_scale, abs(diag))
+            # the matrix stays on the stack for the node's children: solve a copy
+            coef = _solve_normal([r[:] for r in new_gram], b, scale)
             if coef is None:
                 continue  # degenerate partial path: its completions are too
-            stack.append((new_path, new_gram, iter(children(new_path, coef))))
+            stack.append((new_path, new_gram, b, scale, iter(children(new_path, coef))))
 
     if best_path is None:  # every path met a degenerate pivot before depth k
         best_path = tuple(range(k))
     order = sorted(range(k), key=best_path.__getitem__)
     return SparseEstimate(
         support=tuple(best_path[i] + 1 for i in order),
-        coeffs=np.array(best_coeffs or [0j] * k)[order],
+        coeffs=np.array([best_coeffs[i] for i in order] if best_coeffs else [0j] * k),
         residual_norm=best_resid,
         ls_solves=full_solves,
         stop=stop,

@@ -151,8 +151,9 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
         # two real gemvs beat numpy's promotion of the whole matrix to complex
         corr = np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
         corr[list(path)] = -1.0
-        # stable sort: correlation ties resolve to the lowest column index
-        children = np.argsort(-corr, kind="stable")[: params.omega]
+        # stable sort: correlation ties resolve to the lowest column index; the
+        # path's own columns sort last, and the children stop before them
+        children = np.argsort(-corr, kind="stable")[: min(params.omega, m - len(path))]
         for col in children:
             new_path = path + (int(col),)
             if len(new_path) == k:

@@ -285,10 +285,33 @@ class TestMmpDf:
         for scale in (1e-150, 1.0, 1e150):
             near = [[scale, scale], [scale, scale * (1 + 64 * np.finfo(float).eps)]]
             far = [[scale, scale], [scale, scale * (1 + 1e-9)]]
-            assert _solve_normal(near, [1.0, 1.0]) is None
+            # the solver eliminates in place and takes the largest diagonal magnitude
+            assert _solve_normal([r[:] for r in near], [1.0, 1.0], near[1][1]) is None
             assert degenerate_gram(np.array(near))
-            assert _solve_normal(far, [1.0, 1.0]) is not None
+            assert _solve_normal([r[:] for r in far], [1.0, 1.0], far[1][1]) is not None
             assert not degenerate_gram(np.array(far))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("pair", ["near", "far"])
+    def test_pivot_rule_through_the_search(self, pair, scale):
+        # psi = sqrt(scale) [[1, 1], [0, t]] has the Gram matrix of the pair
+        # above, [[s, s], [s, s (1 + t^2)]] with t^2 = 64 eps (near) or 1e-9 (far):
+        # the search's one 2 x 2 leaf is degenerate for the near pair at every scale
+        t = math.sqrt(64 * np.finfo(float).eps if pair == "near" else 1e-9)
+        psi = Sensing(np.array([[1.0, 1.0], [0.0, t]]), np.full(2, math.sqrt(scale)), 2)
+        y = np.array([1.0 - 2.0j, 0.5 + 1.0j])
+        params = MmpDfParams()
+        est, ref = mmp_df(y, psi, params), reference_mmp_df(y, psi, params)
+        assert (est.support, est.ls_solves, est.stop) == (ref.support, ref.ls_solves, ref.stop)
+        assert (est.support, est.ls_solves) == ((1, 2), 1)
+        if pair == "near":
+            assert est.stop == "exhausted"
+            assert est.residual_norm == ref.residual_norm == math.inf
+            assert np.array_equal(est.coeffs, np.zeros(2))
+        else:  # two columns, two rows: an exact fit
+            assert est.stop == "threshold"
+            assert math.isfinite(est.residual_norm) and math.isfinite(ref.residual_norm)
+            assert np.all(np.isfinite(est.coeffs)) and np.any(est.coeffs != 0)
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
@@ -475,7 +498,8 @@ class TestLsFit:
         # normal equations lose accuracy as cond(A)^2: both gaps are bounded
         # by 64 eps cond(A)^2 times the scale of the quantity compared
         a, y = case
-        coef = np.array(_solve_normal((a.T @ a).tolist(), (a.T @ y).tolist()))
+        gram = a.T @ a
+        coef = np.array(_solve_normal(gram.tolist(), (a.T @ y).tolist(), np.abs(np.diag(gram)).max()))
         resid = y - a @ coef
         ref, *_ = np.linalg.lstsq(a, y, rcond=None)
         sv = np.linalg.svd(a, compute_uv=False)
@@ -602,6 +626,112 @@ class TestGramSearchMatchesReference:
                 assert est.stop == ref.stop
                 assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9, abs=1e-9)
                 assert np.allclose(est.coeffs, ref.coeffs, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("m,k,omega,upsilon", [
+        (3, 2, 3, 9), (2, 2, 2, 2), (3, 3, 3, 9), (4, 3, 4, 20), (4, 2, 4, 20),
+    ])
+    def test_omega_beyond_the_unused_columns(self, m, k, omega, upsilon):
+        # omega > M - depth below the root: both searches expand only the
+        # unused columns, so no path repeats a column and no support is scored twice
+        rng = np.random.default_rng([m, k, omega, upsilon])
+        for trial in range(20):
+            psi = Sensing(rng.choice([-1.0, 1.0], size=(8, m)), rng.uniform(0.2, 2.0, 8), k)
+            y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            for lam in (1e-9, 0.1):
+                params = MmpDfParams(omega=omega, lam=lam, upsilon=upsilon)
+                est, ref = mmp_df(y, psi, params), reference_mmp_df(y, psi, params)
+                assert (est.support, est.ls_solves, est.stop) == (ref.support, ref.ls_solves, ref.stop)
+                assert est.ls_solves <= min(upsilon, math.comb(m, k))
+                assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9,
+                                                          abs=1e-12 * np.linalg.norm(y))
+
+
+class TestNearTies:
+    """Leaves whose residuals tie exactly, or differ by about 1e-12 of
+    themselves: far above the rounding of either search, far below any gap
+    the golden frames reach. The search and the oracle must pick the same
+    support, with the same LS solves and stop reason: the smaller residual,
+    and on an exact tie the leaf scored first."""
+
+    @staticmethod
+    def _residual(a, cols, y):
+        sub = a[:, cols]
+        return np.linalg.norm(y - sub @ np.linalg.lstsq(sub, y, rcond=None)[0])
+
+    @pytest.mark.parametrize("gap", [-1e-12, 1e-12], ids=["u-wins", "v-wins"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_residuals_apart_by_1e12(self, k, gap):
+        # y(t) = a_Q alpha + beta (t a_u + (1 - t) a_v) + noise on k + 1
+        # columns, with Q the first k - 1, u = k - 1 and v = k. The path runs
+        # through Q (|alpha| >= 3 > |beta| = 1), so the two leaves Q + u and
+        # Q + v are scored one after the other, and t is set so that their
+        # residuals differ by gap times their size
+        rng = np.random.default_rng([21, k, gap > 0])
+        prefix, u, v = list(range(k - 1)), k - 1, k
+        params = MmpDfParams(omega=2, lam=1e-3, upsilon=2)
+        for trial in range(20):
+            psi = Sensing(rng.standard_normal((24, k + 1)), rng.uniform(0.5, 2.0, 24), k)
+            a = dense(psi)
+            alpha = (3.0 + rng.uniform(0, 1, k - 1)) * np.exp(2j * np.pi * rng.uniform(size=k - 1))
+            base = a[:, prefix] @ alpha + 0.05 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
+            beta = np.exp(2j * np.pi * rng.uniform())
+
+            def frame(t):
+                return base + beta * (t * a[:, u] + (1.0 - t) * a[:, v])
+
+            def split(t):  # r(Q + u) - r(Q + v)
+                y = frame(t)
+                return self._residual(a, prefix + [u], y) - self._residual(a, prefix + [v], y)
+
+            lo, hi = 0.0, 1.0  # split(0) > 0 > split(1)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if split(mid) > 0 else (lo, mid)
+            slope = (split(hi + 1e-4) - split(lo - 1e-4)) / (hi - lo + 2e-4)
+            size = self._residual(a, prefix + [u], frame(lo))
+            t = lo + gap * size / slope
+            y = frame(t)
+            r_u, r_v = self._residual(a, prefix + [u], y), self._residual(a, prefix + [v], y)
+            assert 0.5 * abs(gap) < abs(r_u - r_v) / r_u < 2.0 * abs(gap)
+            assert (r_u < r_v) == (gap < 0)
+            est, ref = mmp_df(y, psi, params), reference_mmp_df(y, psi, params)
+            assert (est.support, est.ls_solves, est.stop) == (ref.support, ref.ls_solves, ref.stop)
+            assert (est.ls_solves, est.stop) == (2, "budget")
+            winner = u if gap < 0 else v
+            assert est.support == tuple(sorted(c + 1 for c in prefix + [winner]))
+
+    @staticmethod
+    def _hadamard(n):
+        h = np.ones((1, 1))
+        while len(h) < n:
+            h = np.block([[h, h], [h, -h]])
+        return h
+
+    @pytest.mark.parametrize("params", [MmpDfParams(omega=2, lam=1e-3, upsilon=2),
+                                        MmpDfParams(omega=3, lam=1e-3, upsilon=20)],
+                             ids=["budget", "exhausted"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_ties_go_to_the_first_leaf_scored(self, k, params):
+        # orthogonal +-1 columns and small Gaussian-integer amplitudes keep every
+        # product, solve and residual exact in both searches. Columns u < v carry
+        # amplitudes of equal magnitude, so the leaves Q + u and Q + v tie
+        # exactly; u ties v in correlation too and is expanded, and scored, first
+        h = self._hadamard(16)
+        psi = Sensing(h[:, :8], np.ones(16), k)
+        rest = h[:, 8:] @ np.array([3, 0, 1 + 1j, 0, -2j, 0, 0, 1])  # off the book's columns
+        prefix = [6, 1][: k - 1]
+        amps = {6: 8 + 4j, 1: -7 + 5j}
+        for u, v, (au, av) in [(2, 5, (2 + 1j, 1 - 2j)), (0, 7, (-3j, 3)), (3, 4, (1 + 1j, -1 + 1j))]:
+            x = np.zeros(8, complex)
+            for col in prefix:
+                x[col] = amps[col]
+            x[u], x[v] = au, av
+            y = h[:, :8] @ x + rest
+            est, ref = mmp_df(y, psi, params), reference_mmp_df(y, psi, params)
+            assert (est.support, est.ls_solves, est.stop) == (ref.support, ref.ls_solves, ref.stop)
+            assert est.residual_norm == ref.residual_norm
+            assert est.support == tuple(sorted(c + 1 for c in prefix + [u]))
+            assert est.stop == ("budget" if params.upsilon == 2 else "exhausted")
 
 
 class TestLeafScoreFromNormalEquations:
