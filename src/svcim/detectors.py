@@ -20,7 +20,6 @@ are one (G, N, M) array, and the 1-based codebook index g of
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,10 +38,13 @@ from .index_codec import (
 # Refuse ML enumeration beyond this many candidate blocks, G * 2**m_bits.
 ML_CANDIDATE_CAP = 1 << 20
 
-# A Gram pivot at most this fraction of the largest diagonal entry marks the
-# solve degenerate. A column repeated up to sign leaves a pivot of a few eps
-# (at most 17 eps up to N = 4096, as its entries are summed in different
-# orders); a pivot this small means cond(Gram) >= 1 / PIVOT_RTOL, about 2e13.
+# A new LDL^T pivot at most this fraction of its column's squared norm marks
+# the path degenerate: the pivot is the column's squared distance from the
+# span of the path, so the ratio is the squared sine of their angle and does
+# not depend on the column's scale. A column repeated up to sign leaves a
+# ratio of a few eps (at most 17 eps up to N = 4096, as its entries are summed
+# in different orders); a ratio this small means the column-scaled Gram
+# matrix has cond >= 1 / PIVOT_RTOL, about 2e13.
 PIVOT_RTOL = 256 * np.finfo(float).eps
 
 # A leaf scored by ||y||^2 - Re(b^H x) below this fraction of ||y||^2 forms
@@ -192,60 +194,51 @@ def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensin
     return [Sensing(book, gains, k) for book in books]
 
 
-def _solve_normal(a: list[list[float]], b: list[complex], scale: float) -> list[complex] | None:
-    """Solve ``a @ x = b`` for a small real ``a`` and complex ``b``, eliminating ``a`` in place.
+def _extend(factor: tuple, g: list[float], diag: float, c: complex) -> tuple | None:
+    """A path's LDL^T factor extended by one column, or None on a degenerate pivot.
 
-    Gaussian elimination with partial pivoting: the first largest pivot
-    wins a tie, and rows are scaled by reciprocal pivots. Each entry of a
-    and x meets the operations of LAPACK's getrf and getrs in their order
-    (the unit lower solve of b runs as each multiplier is made, which moves
-    no operation on any entry); for 1 x 1 and 2 x 2 systems these are the
-    floating-point operations of ``np.linalg.solve``. ``a`` is overwritten,
-    so a caller that keeps the matrix passes a copy; ``b`` is not.
-    ``scale`` is the largest diagonal magnitude of ``a``, which the search
-    carries down each path. Returns None on a pivot of magnitude at most
-    ``PIVOT_RTOL * scale``, zero included, or on a non-finite x: the
-    subproblems that are rank-deficient to working precision (degenerate
-    channel or codebook draw) and that callers score with an infinite
-    residual (Golub & Van Loan, *Matrix Computations*, on rank decisions
-    under rounding).
+    ``factor`` is (rows, d, z, energy) for a path P whose Gram matrix is
+    G = L D L^T, L unit lower triangular: rows[i] holds the i entries of L's
+    row i left of its diagonal, d the pivots, z = L^-1 c0[P] and energy
+    sum |z_i|^2 / d_i, which equals Re(b^H x) at the LS amplitudes x of
+    b = c0[P]. The new column brings its Gram entries ``g`` against P (in
+    path order), its squared norm ``diag`` and its correlation ``c``. One
+    forward substitution u = L^-1 g gives the new row l = u / d, the pivot
+    diag - l.u and the z entry c - l.z; no row is exchanged. The pivot is
+    the column's squared distance from the span of P, so one at most
+    ``PIVOT_RTOL * diag`` (NaN and negative ones too), or a non-finite
+    energy, marks the path rank-deficient to working precision (degenerate
+    channel or codebook draw), which callers score with an infinite residual.
     """
-    k = len(b)
-    x = list(b)
-    tol = PIVOT_RTOL * scale
-    for j in range(k):
-        p = j
-        top = abs(a[j][j])
-        for i in range(j + 1, k):
-            if abs(a[i][j]) > top:
-                p = i
-                top = abs(a[i][j])
-        if top <= tol:
-            return None
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            x[j], x[p] = x[p], x[j]
-        aj = a[j]
-        aj[j] = r = 1.0 / aj[j]  # the diagonal keeps the reciprocal pivot
-        xj = x[j]
-        for i in range(j + 1, k):
-            ai = a[i]
-            ai[j] = lo = ai[j] * r
-            for c in range(j + 1, k):
-                ai[c] -= lo * aj[c]
-            x[i] -= lo * xj  # the unit lower triangle, as each multiplier is made
-    for j in range(k - 1, -1, -1):  # upper triangle
-        x[j] = xj = x[j] * a[j][j]
-        for i in range(j):
-            x[i] -= a[i][j] * xj
-    if not all(map(cmath.isfinite, x)):
+    rows, d, z, energy = factor
+    u: list[float] = []
+    for row, gi in zip(rows, g):
+        for lij, uj in zip(row, u):
+            gi -= lij * uj
+        u.append(gi)
+    l = [ui / di for ui, di in zip(u, d)]
+    pivot = diag
+    zk = c
+    for li, ui, zi in zip(l, u, z):
+        pivot -= li * ui
+        zk -= li * zi
+    if not pivot > PIVOT_RTOL * diag:
         return None
+    energy += (zk.real * zk.real + zk.imag * zk.imag) / pivot
+    if not math.isfinite(energy):
+        return None
+    return rows + [l], d + [pivot], z + [zk], energy
+
+
+def _amplitudes(factor: tuple) -> list[complex]:
+    """The LS amplitudes x = L^-T D^-1 z of an :func:`_extend` factor, in path order."""
+    rows, d, z, _ = factor
+    x = [zi / di for zi, di in zip(z, d)]
+    for i in range(len(x) - 1, 0, -1):
+        xi = x[i]
+        for j, lij in enumerate(rows[i]):
+            x[j] -= lij * xi
     return x
-
-
-def _bordered(gram: list[list[float]], row: list[float], diag: float) -> list[list[float]]:
-    """``gram`` with ``row`` appended as its last row and column and ``diag`` in the corner."""
-    return [r + [v] for r, v in zip(gram, row)] + [row + [diag]]
 
 
 def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstimate:
@@ -265,16 +258,17 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     with LS amplitudes x has residual correlations |c0 - sum_i x_i g_{P_i}|,
     and the Gram matrix of its normal equations is its parent's plus one
     row read off the cached g of the parent's columns. One product gives
-    c0, an inner node computes g only for the column it adds, and each
-    K x K solve is a small elimination in Python (:func:`_solve_normal`).
-    Each open node on the search's stack carries its Gram matrix, its right
-    side b = c0[P] as Python complexes and the largest magnitude on that
-    matrix's diagonal, the scale of the solve's pivot rule; a child extends
-    each by its one column. A leaf's solve overwrites its freshly bordered
-    matrix, and an inner node's solves a copy, as the node keeps its own.
-    A full-depth candidate takes its new column of psi for the last
-    diagonal entry and is scored from the solve it makes: at the solution x
-    of G x = b, b = c0[P], its squared residual is r^2 = ||y||^2 - Re(b^H x).
+    c0, and an inner node computes g only for the column it adds. Each open
+    node on the search's stack carries the LDL^T factor of its Gram matrix
+    (:func:`_extend`): the rows of L, the pivots d, z = L^-1 c0[P] and the
+    energy sum |z_i|^2 / d_i = Re(b^H x), b = c0[P]. A child extends its
+    parent's factor by one row with one forward substitution, with no row
+    exchanges, and is degenerate when its new pivot is at most
+    ``PIVOT_RTOL`` times its column's squared norm. The amplitudes
+    x = L^-T D^-1 z (:func:`_amplitudes`) are solved for an inner node's
+    children, for a leaf scored by its residual vector and for the returned
+    leaf. A full-depth candidate takes its new column of psi for its
+    squared norm and is scored as r^2 = ||y||^2 - energy.
     The identity's absolute error is about K u cond(psi_P)^2 ||y||^2 (unit
     roundoff u; Bjorck, *Numerical Methods for Least Squares Problems*,
     1996; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002),
@@ -324,7 +318,7 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
 
     best_resid = math.inf
     best_path: tuple[int, ...] | None = None
-    best_coeffs: list[complex] | None = None  # in best_path's order
+    best_leaf: tuple | None = None  # best_path's factor, None if degenerate
     full_solves = 0
     stop = "exhausted"
     seen: set[tuple[int, ...]] = set()
@@ -348,22 +342,19 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             corr[col] = -math.inf
         return best
 
-    # one entry per open node, deepest last: its path, the Gram matrix and
-    # right side b = c0[path] of its normal equations, the largest magnitude
-    # on that matrix's diagonal, and its children not yet expanded. No
+    # one entry per open node, deepest last: its path, the LDL^T factor of
+    # its Gram matrix (see _extend) and its children not yet expanded. No
     # function here refers to itself, so a search leaves no reference cycle
-    # for the garbage collector. The root's scale 0 makes the first
-    # column's |diagonal| its child's scale
-    stack = [((), [], [], 0.0, iter(children((), [])))]
+    # for the garbage collector
+    stack = [((), ([], [], [], 0.0), iter(children((), [])))]
     while stack:
-        path, path_gram, path_b, path_scale, todo = stack[-1]
+        path, factor, todo = stack[-1]
         col = next(todo, None)
         if col is None:
             stack.pop()
             continue
         new_path = path + (col,)
         row = [gram[p].item(col) for p in path]
-        b = path_b + [c0.item(col)]
         if len(new_path) == k:
             support = tuple(sorted(new_path))
             if support in seen:
@@ -371,22 +362,21 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             seen.add(support)
             full_solves += 1
             new = c[:, col] * w
-            diag = float(new.dot(new))
-            # a fresh matrix, so the solve may overwrite it
-            coef = _solve_normal(_bordered(path_gram, row, diag), b, max(path_scale, abs(diag)))
-            if coef is None:
+            leaf = _extend(factor, row, float(new.dot(new)), c0.item(col))
+            if leaf is None:
                 r_norm = math.inf
             else:
-                r2 = y_sq - sum(bi.conjugate() * xi for bi, xi in zip(b, coef)).real
+                r2 = y_sq - leaf[3]
                 if not r2 > RESIDUAL_RTOL * y_sq:  # near a perfect fit: the vector's norm
                     a = c.take(new_path, axis=1) * w[:, None]
-                    r = (y2 - a.dot(np.array(coef).view(np.float64).reshape(k, 2))).ravel()
+                    x = np.array(_amplitudes(leaf)).view(np.float64).reshape(k, 2)
+                    r = (y2 - a.dot(x)).ravel()
                     r2 = r.dot(r)
                 r_norm = math.sqrt(r2)
             if r_norm < best_resid or best_path is None:
                 best_resid = r_norm
                 best_path = new_path
-                best_coeffs = coef
+                best_leaf = leaf
             if r_norm < stop_level:
                 stop = "threshold"
                 break
@@ -397,21 +387,18 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             g = gram.get(col)
             if g is None:
                 g = gram[col] = c_t.dot(w2 * c[:, col])
-            diag = g.item(col)
-            new_gram = _bordered(path_gram, row, diag)
-            scale = max(path_scale, abs(diag))
-            # the matrix stays on the stack for the node's children: solve a copy
-            coef = _solve_normal([r[:] for r in new_gram], b, scale)
-            if coef is None:
+            node = _extend(factor, row, g.item(col), c0.item(col))
+            if node is None:
                 continue  # degenerate partial path: its completions are too
-            stack.append((new_path, new_gram, b, scale, iter(children(new_path, coef))))
+            stack.append((new_path, node, iter(children(new_path, _amplitudes(node)))))
 
     if best_path is None:  # every path met a degenerate pivot before depth k
         best_path = tuple(range(k))
     order = sorted(range(k), key=best_path.__getitem__)
+    coeffs = _amplitudes(best_leaf) if best_leaf else [0j] * k
     return SparseEstimate(
         support=tuple(best_path[i] + 1 for i in order),
-        coeffs=np.array([best_coeffs[i] for i in order] if best_coeffs else [0j] * k),
+        coeffs=np.array([coeffs[i] for i in order]),
         residual_norm=best_resid,
         ls_solves=full_solves,
         stop=stop,

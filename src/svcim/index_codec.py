@@ -39,6 +39,15 @@ def bits_to_int(bits) -> int:
     return out
 
 
+def require_support(indices, m: int) -> None:
+    """Reject active indices outside [1, m] or not strictly increasing with a
+    ``ValueError`` naming them: the support rule of every activation pattern."""
+    if any(i < 1 or i > m for i in indices):
+        raise ValueError(f"indices {indices} outside [1, {m}]")
+    if any(a >= b for a, b in pairwise(indices)):
+        raise ValueError(f"indices {indices} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class ApSpace:
     """Dimensioning of the K-of-M activation-pattern space.
@@ -101,6 +110,12 @@ def symbol_rows(k: int) -> np.ndarray:
     return rows
 
 
+def require_rank(d: int, space: ApSpace) -> None:
+    """Reject a pattern rank outside [0, C(M, K) - 1] with a ``ValueError`` naming it."""
+    if not 0 <= d < space.n_combos:
+        raise ValueError(f"rank {d} outside [0, {space.n_combos - 1}]")
+
+
 def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
     """Unrank ``d`` into the d-th K-combination of {1..M}.
 
@@ -111,8 +126,7 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
     a call makes O(K log M) binomial evaluations. Returns 1-based, strictly
     increasing indices.
     """
-    if not 0 <= d < space.n_combos:
-        raise ValueError(f"rank {d} outside [0, {space.n_combos - 1}]")
+    require_rank(d, space)
     out = []
     x = d
     hi = space.M
@@ -139,10 +153,7 @@ def combo_to_rank(indices, space: ApSpace) -> int:
     idx = tuple(require_type(i, int, "index") for i in indices)
     if len(idx) != space.K:
         raise ValueError(f"expected {space.K} indices, got {len(idx)}")
-    if any(i < 1 or i > space.M for i in idx):
-        raise ValueError(f"indices {idx} outside [1, {space.M}]")
-    if any(a >= b for a, b in pairwise(idx)):
-        raise ValueError(f"indices {idx} must be strictly increasing")
+    require_support(idx, space.M)
     return sum(comb(i - 1, k) for k, i in enumerate(idx, start=1))
 
 
@@ -169,8 +180,7 @@ def decode_to_bits(d_hat: int, extended: bool, space: ApSpace) -> tuple[int, ...
     Ranks at or above ``n_reused`` are never reused, so the flag is ignored
     there and the rank converts to bits directly.
     """
-    if not 0 <= d_hat < space.n_combos:
-        raise ValueError(f"rank {d_hat} outside [0, {space.n_combos - 1}]")
+    require_rank(d_hat, space)
     if not extended or d_hat >= space.n_reused:
         value = d_hat
     else:

@@ -8,12 +8,11 @@ random +-1 codebook entries.
 from __future__ import annotations
 
 import math
-from itertools import pairwise
 
 import numpy as np
 
 from .codebook import require_array, require_pow2
-from .index_codec import SparseMessage, symbol_rows
+from .index_codec import SparseMessage, require_support, symbol_rows
 
 
 def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
@@ -25,10 +24,7 @@ def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
     strictly increasing are a ``ValueError`` naming them.
     """
     indices = msg.indices
-    if any(i < 1 or i > m for i in indices):
-        raise ValueError(f"indices {indices} outside [1, {m}]")
-    if any(a >= b for a, b in pairwise(indices)):
-        raise ValueError(f"indices {indices} must be strictly increasing")
+    require_support(indices, m)
     symbols = symbol_rows(len(indices))[int(msg.extended)]
     values = np.zeros(m, dtype=np.complex128)
     for k, i in enumerate(indices):

@@ -48,16 +48,16 @@ def reference_omp(y, psi, k):
 
 
 def degenerate_gram(gram: np.ndarray) -> bool:
-    """Whether Gaussian elimination with partial pivoting on ``gram`` meets a
-    pivot of magnitude at most ``PIVOT_RTOL`` times its largest diagonal
-    magnitude: the rank rule of the search's own solver, by row operations."""
+    """Whether Gaussian elimination on ``gram`` without row exchanges meets a
+    pivot at most ``PIVOT_RTOL`` times that row's own diagonal entry of
+    ``gram`` (NaN and negative pivots included): the rank rule of the
+    search's LDL^T factor, by row operations. Pivot j is column j's squared
+    distance from the span of the columns before it."""
     a = np.array(gram, dtype=float)
-    tol = PIVOT_RTOL * np.abs(np.diag(a)).max()
+    diag = np.diag(a).copy()
     for j in range(len(a)):
-        p = j + int(np.abs(a[j:, j]).argmax())
-        if abs(a[p, j]) <= tol:
+        if not a[j, j] > PIVOT_RTOL * diag[j]:
             return True
-        a[[j, p]] = a[[p, j]]
         a[j + 1:] -= np.outer(a[j + 1:, j] / a[j, j], a[j])
     return False
 
