@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     for recs in zip(*streams):
         margins.setdefault(recs[0][0], Margins()).add(*recs)
     unmatched = [next(s, None) is not None for s in streams]
+    if any(unmatched):  # a tree that ran ahead would block on its full pipe: end them all
+        for p in procs:
+            p.kill()
     codes = [p.wait() for p in procs]
     if any(codes) or any(unmatched):
         print(f"a sweep failed or the trees ran different decodes (exit codes {codes})")

@@ -1,12 +1,11 @@
 """Receive-side algorithms: greedy sparse recovery and ML references.
 
-The decode pipeline co-phases the received block so the effective channel
-gain is the real, nonnegative magnitude response, pairs that gain, built
-once per frame, with each codebook as the (factored) sensing matrix, and
-recovers the activation pattern with a depth-first multipath matching
-pursuit (MMP-DF). Symbol-set and codebook decisions are nearest-vector
-rules on the recovered amplitudes. Exhaustive ML detection over every
-(codebook, word) pair serves as the optimality baseline; it scores each
+The decode pipeline searches the received block as it arrives: each
+codebook, paired with the complex channel gains h / sqrt(K) built once per
+frame, is a (factored) sensing matrix, and a depth-first multipath matching
+pursuit (MMP-DF) recovers the activation pattern from it. Symbol-set and
+codebook decisions are nearest-vector rules on the recovered amplitudes.
+Exhaustive ML detection over every (codebook, word) pair serves as the optimality baseline; it scores each
 candidate block from the correlations of the received block with the book
 columns, so it stores the active columns of each pattern rank, never the
 blocks.
@@ -94,16 +93,16 @@ class Sensing:
     """The sensing matrix psi = diag(gains) @ entries, kept factored, and the
     sparsity k it was scaled for.
 
-    For a co-phased block ``entries`` is the +-1 codebook and ``gains`` is
-    |h| / sqrt(k); a generic real N x M matrix is the case gains = ones.
-    :func:`mmp_df` recovers k active columns of it. A factor whose entries or
-    gains are no arrays of these shapes (:func:`~svcim.codebook.require_array`)
-    or are complex, or whose k is outside [1, min(N, M)], is a ``ValueError``
-    when it is built.
+    For a received block ``entries`` is the real +-1 codebook and ``gains``
+    is the complex channel response h / sqrt(k); a generic real N x M matrix
+    is the case gains = ones. :func:`mmp_df` recovers k active columns of
+    it. A factor whose entries or gains are no arrays of these shapes
+    (:func:`~svcim.codebook.require_array`), whose entries are complex, or
+    whose k is outside [1, min(N, M)], is a ``ValueError`` when it is built.
     """
 
     entries: np.ndarray  # real, N x M
-    gains: np.ndarray  # real, length N
+    gains: np.ndarray  # real or complex, length N
     k: int
 
     def __post_init__(self) -> None:
@@ -111,12 +110,11 @@ class Sensing:
         if k is not self.k:  # a numpy integer: store the int it holds
             object.__setattr__(self, "k", k)
         require_at_least(k, 1, "psi k (sparsity)")
-        entries, gains = self.entries, self.gains
+        entries = self.entries
         n, m = require_array(entries, (None, None), "psi entries").shape
-        require_array(gains, (n,), "psi gains")
-        if entries.dtype.kind == "c" or gains.dtype.kind == "c":
-            name = "entries" if entries.dtype.kind == "c" else "gains"
-            raise ValueError(f"psi {name} must be real: co-phasing makes the sensing matrix real")
+        require_array(self.gains, (n,), "psi gains")
+        if entries.dtype.kind == "c":
+            raise ValueError("psi entries must be real: the search's Gram matrix is real")
         if m < k or n < k:
             size, name = (m, "columns") if m < k else (n, "rows")
             raise ValueError(f"psi has {size} {name}, need >= k = {k}")
@@ -173,24 +171,27 @@ def cophase(y_freq: np.ndarray, h_freq: np.ndarray) -> np.ndarray:
 
     Leaves the effective gain |h(b)| real and nonnegative. A bin with an
     exactly zero channel gain (probability-zero draw) passes through
-    unrotated.
+    unrotated. No decoder calls it: :func:`mmp_df` takes the complex gains
+    h / sqrt(K) and the block as received, since a unit rotation changes no
+    residual norm. It stays for outside tracing, which wraps it by name.
     """
     require_array(h_freq, require_array(y_freq, (None,), "y_freq").shape, "h_freq")
     return np.exp(-1j * np.angle(h_freq)) * y_freq
 
 
 def sensing_matrix(h_freq: np.ndarray, books: np.ndarray, k: int) -> list[Sensing]:
-    """diag(|h|) C_g / sqrt(k) for each book C_g of the (G, N, M) set, factored.
+    """diag(h) C_g / sqrt(k) for each book C_g of the (G, N, M) set, factored.
 
-    The co-phased block is k-sparse in each of them, and all G share one
+    The received block is k-sparse in each of them, and all G share one
     channel factor: every returned ``Sensing`` holds the same gains array,
-    |h| / sqrt(k), computed once per call, and carries ``k``. ``books`` that
-    is no array of shape (*, len(h_freq), *) is a ``ValueError`` naming it.
+    the complex h / sqrt(k), computed once per call, and carries ``k``.
+    ``books`` that is no array of shape (*, len(h_freq), *) is a
+    ``ValueError`` naming it.
     """
     require_array(books, (None, len(h_freq), None), "books")
     # k is checked here only because the division comes before any Sensing
     k = require_at_least(require_type(k, int, "k"), 1, "sparsity k")
-    gains = np.abs(h_freq) / math.sqrt(k)
+    gains = h_freq / math.sqrt(k)
     return [Sensing(book, gains, k) for book in books]
 
 
@@ -253,12 +254,13 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     after ``upsilon`` full-depth candidates (or tree exhaustion). With
     ``omega=1`` the search reduces to orthogonal matching pursuit.
 
-    No residual vector is formed on the way. With psi = diag(w) C,
-    c0 = psi^T y = C^T (w y) and g_j = psi^T psi_j = C^T (w^2 c_j), a path P
-    with LS amplitudes x has residual correlations |c0 - sum_i x_i g_{P_i}|,
-    and the Gram matrix of its normal equations is its parent's plus one
-    row read off the cached g of the parent's columns. One product gives
-    c0, and an inner node computes g only for the column it adds. Each open
+    No residual vector is formed on the way. With psi = diag(w) C, C real
+    and w real or complex, c0 = psi^H y = C^T (conj(w) y) and
+    g_j = psi^H psi_j = C^T (|w|^2 c_j) is real, so a path P with LS
+    amplitudes x has residual correlations |c0 - sum_i x_i g_{P_i}|, and
+    the Gram matrix of its normal equations is its parent's plus one row
+    read off the cached g of the parent's columns. One product gives c0,
+    and an inner node computes g only for the column it adds. Each open
     node on the search's stack carries the LDL^T factor of its Gram matrix
     (:func:`_extend`): the rows of L, the pivots d, z = L^-1 c0[P] and the
     energy sum |z_i|^2 / d_i = Re(b^H x), b = c0[P]. A child extends its
@@ -267,22 +269,22 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     ``PIVOT_RTOL`` times its column's squared norm. The amplitudes
     x = L^-T D^-1 z (:func:`_amplitudes`) are solved for an inner node's
     children, for a leaf scored by its residual vector and for the returned
-    leaf. A full-depth candidate takes its new column of psi for its
-    squared norm and is scored as r^2 = ||y||^2 - energy.
+    leaf. A full-depth candidate takes its new column of diag(|w|) C for
+    its squared norm and is scored as r^2 = ||y||^2 - energy.
     The identity's absolute error is about K u cond(psi_P)^2 ||y||^2 (unit
     roundoff u; Bjorck, *Numerical Methods for Least Squares Problems*,
     1996; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002),
     so it cancels near a perfect fit and can go negative. A candidate whose
     r^2 falls below ``RESIDUAL_RTOL`` ||y||^2 (1e-6) is scored by the norm
-    of its residual vector instead; above it, r has a relative error of at
-    most about K cond(psi_P)^2 u / (2 RESIDUAL_RTOL) = 6e-11 K cond(psi_P)^2.
-    The N x M product psi is never formed.
+    of its residual vector y - w (C_P x) instead; above it, r has a relative
+    error of at most about K cond(psi_P)^2 u / (2 RESIDUAL_RTOL) =
+    6e-11 K cond(psi_P)^2. The N x M product psi is never formed.
 
     Parameters
     ----------
-    y_hat : co-phased received vector, length N
-    psi : real sensing matrix diag(gains) @ entries, N x M with N, M >= psi.k,
-        and the search depth psi.k
+    y_hat : received vector, length N
+    psi : sensing matrix diag(gains) @ entries, real entries and real or
+        complex gains, N x M with N, M >= psi.k, and the search depth psi.k
     params : search controls
 
     Returns
@@ -305,16 +307,27 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     n, m = c.shape
     y = np.ascontiguousarray(require_array(y_hat, (n,), "y_hat"), dtype=np.complex128)
 
-    c_t = c.T
-    y2 = y.view(np.float64).reshape(n, 2)  # row i holds (Re y_i, Im y_i)
-    c0 = c_t.dot(w[:, None] * y2).view(np.complex128)[:, 0]
-    if not np.isfinite(c0).all():  # a NaN or inf in y_hat, entries or gains reaches c0
-        raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
-    w2 = w * w
     y_sq = float(np.vdot(y, y).real)
+    w_abs = np.abs(w)
+    # y and w first: an inf times a zero in conj(w) * y would be a NaN and a
+    # warning. A NaN or inf in the entries reaches c0, and is its first maximum
+    if not (math.isfinite(y_sq) and math.isfinite(w_abs.item(w_abs.argmax()))):
+        raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
+    c_t = c.T
+    c0 = c_t.dot((np.conj(w) * y).view(np.float64).reshape(n, 2)).view(np.complex128)[:, 0]
+    omega = params.omega
+    corr = np.abs(c0)
+    col = int(corr.argmax())  # the first maximum: ties go to the lowest column
+    if not math.isfinite(corr.item(col)):
+        raise ValueError("y_hat or psi (entries, gains) holds a NaN or inf")
+    root = [col]
+    for _ in range(min(omega, m) - 1):
+        corr[col] = -math.inf
+        col = int(corr.argmax())
+        root.append(col)
+    w2 = w_abs * w_abs
     stop_level = params.lam * (math.sqrt(y_sq) if params.relative_stop else 1.0)
     gram: dict[int, np.ndarray] = {}  # column j of an inner node -> g_j
-    omega = params.omega
 
     best_resid = math.inf
     best_path: tuple[int, ...] | None = None
@@ -323,30 +336,11 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
     stop = "exhausted"
     seen: set[tuple[int, ...]] = set()
 
-    def children(path: tuple[int, ...], x: list[complex]) -> list[int]:
-        """The omega best unused columns at the node (path, x), best first."""
-        if path:
-            corr = c0 - x[0] * gram[path[0]]
-            for i in range(1, len(path)):
-                corr -= x[i] * gram[path[i]]
-            corr = np.abs(corr)
-            for col in path:
-                corr[col] = -1.0
-        else:
-            corr = np.abs(c0)
-        best = []
-        # the first maximum: ties go to the lowest column
-        for _ in range(min(omega, m - len(path))):
-            col = int(corr.argmax())
-            best.append(col)
-            corr[col] = -math.inf
-        return best
-
     # one entry per open node, deepest last: its path, the LDL^T factor of
     # its Gram matrix (see _extend) and its children not yet expanded. No
     # function here refers to itself, so a search leaves no reference cycle
     # for the garbage collector
-    stack = [((), ([], [], [], 0.0), iter(children((), [])))]
+    stack = [((), ([], [], [], 0.0), iter(root))]
     while stack:
         path, factor, todo = stack[-1]
         col = next(todo, None)
@@ -361,17 +355,16 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
                 continue
             seen.add(support)
             full_solves += 1
-            new = c[:, col] * w
+            new = c[:, col] * w_abs
             leaf = _extend(factor, row, float(new.dot(new)), c0.item(col))
             if leaf is None:
                 r_norm = math.inf
             else:
                 r2 = y_sq - leaf[3]
                 if not r2 > RESIDUAL_RTOL * y_sq:  # near a perfect fit: the vector's norm
-                    a = c.take(new_path, axis=1) * w[:, None]
                     x = np.array(_amplitudes(leaf)).view(np.float64).reshape(k, 2)
-                    r = (y2 - a.dot(x)).ravel()
-                    r2 = r.dot(r)
+                    r = y - w * c.take(new_path, axis=1).dot(x).view(np.complex128)[:, 0]
+                    r2 = np.vdot(r, r).real
                 r_norm = math.sqrt(r2)
             if r_norm < best_resid or best_path is None:
                 best_resid = r_norm
@@ -390,7 +383,20 @@ def mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams) -> SparseEstima
             node = _extend(factor, row, g.item(col), c0.item(col))
             if node is None:
                 continue  # degenerate partial path: its completions are too
-            stack.append((new_path, node, iter(children(new_path, _amplitudes(node)))))
+            # the node's children: the omega best unused columns, best first
+            x = _amplitudes(node)
+            corr = c0 - x[0] * gram[new_path[0]]
+            for i in range(1, len(new_path)):
+                corr -= x[i] * gram[new_path[i]]
+            corr = np.abs(corr)
+            for p in new_path:
+                corr[p] = -1.0
+            best = []
+            for _ in range(min(omega, m - len(new_path))):
+                j = int(corr.argmax())
+                best.append(j)
+                corr[j] = -math.inf
+            stack.append((new_path, node, iter(best)))
 
     if best_path is None:  # every path met a degenerate pivot before depth k
         best_path = tuple(range(k))
@@ -415,16 +421,15 @@ def secbim_joint_metrics(
     """The 2G decision metrics behind the joint decode, one row per book.
 
     ``books`` is the (G, N, M) set and K is ``space.K``. Each book gets its
-    own sparse recovery of the one co-phased block, and all G searches share
-    one channel factor (:func:`sensing_matrix`, called once). Row g - 1
-    holds the squared distances from book g's K least-squares amplitudes to
+    own sparse recovery of the received block, and all G searches share one
+    channel factor, the complex gains h / sqrt(K) (:func:`sensing_matrix`,
+    called once). Row g - 1 holds the squared distances from book g's K least-squares amplitudes to
     the original and to the extended symbol set: the distance between the
     length-M estimate and each set placed on its support, as both are zero
     off the support.
     """
     _require_inputs(y_freq, h_freq, books, space)
-    y_hat = cophase(y_freq, h_freq)
-    estimates = [mmp_df(y_hat, psi, params) for psi in sensing_matrix(h_freq, books, space.K)]
+    estimates = [mmp_df(y_freq, psi, params) for psi in sensing_matrix(h_freq, books, space.K)]
     coeffs = np.array([est.coeffs for est in estimates])
     dist = np.abs(coeffs[:, None, :] - symbol_rows(space.K))
     dist *= dist

@@ -24,7 +24,8 @@ def search_ns_by_books(monkeypatch):
     """A function that runs ``run_timing(configs, **kwargs)`` and returns the
     nanoseconds its MMP-DF searches took, keyed by the book count G of the
     decode they served. The G searches of a decode are timed apart from its
-    fixed cost (co-phase, input checks, metrics, bits), which all books share."""
+    fixed cost (input checks, the channel factor, metrics, bits), which all
+    books share."""
     from svcim import detectors
     from svcim.harness import run_timing
 

@@ -11,7 +11,8 @@ from svcim.transceiver import build_sparse_vector
 
 
 def dense(psi: Sensing) -> np.ndarray:
-    """The N x M matrix diag(gains) @ entries that a ``Sensing`` stands for."""
+    """The N x M matrix diag(gains) @ entries that a ``Sensing`` stands for,
+    complex when its gains are."""
     return np.asarray(psi.gains)[:, None] * np.asarray(psi.entries)
 
 
@@ -67,18 +68,20 @@ def degenerate_gram(gram: np.ndarray) -> bool:
 def _ls_fit(
     psi: np.ndarray, cols: list[int], y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Least squares on the chosen real columns via normal equations.
+    """Least squares on the chosen columns via normal equations, A^H A x = A^H y.
 
-    Returns ``(coef, residual)``, or None on a subproblem that is
-    rank-deficient to working precision (:func:`degenerate_gram`: degenerate
-    channel or codebook draw); callers treat that candidate as having
-    infinite residual.
+    The columns are diag(gains) times real entries, so A^H A is real; its
+    rounding-sized imaginary part is dropped. Returns ``(coef, residual)``,
+    or None on a subproblem that is rank-deficient to working precision
+    (:func:`degenerate_gram`: degenerate channel or codebook draw); callers
+    treat that candidate as having infinite residual.
     """
     a = psi[:, cols]
-    gram = a.T @ a
+    a_h = a.conj().T
+    gram = (a_h @ a).real
     if degenerate_gram(gram):
         return None
-    coef = np.linalg.solve(gram, a.T @ y)
+    coef = np.linalg.solve(gram, a_h @ y)
     if not np.all(np.isfinite(coef)):
         return None
     return coef, y - a @ coef
@@ -87,7 +90,7 @@ def _ls_fit(
 def _lstsq_fit(
     psi: np.ndarray, cols: list[int], y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Least squares on the chosen real columns via ``np.linalg.lstsq`` (SVD).
+    """Least squares on the chosen columns via ``np.linalg.lstsq`` (SVD).
 
     Unlike the normal equations it does not square the condition number.
     Returns None when the columns are rank-deficient at lstsq's default
@@ -115,9 +118,9 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
 
     Parameters
     ----------
-    y_hat : co-phased received vector, length N
-    psi : real sensing matrix diag(gains) @ entries, N x M with M >= psi.k,
-        and the search depth psi.k
+    y_hat : received vector, length N
+    psi : sensing matrix diag(gains) @ entries, real entries and real or
+        complex gains, N x M with M >= psi.k, and the search depth psi.k
     params : search controls
     fit : the least-squares fit of every tree node and leaf, ``_ls_fit``
         (normal equations) or ``_lstsq_fit``
@@ -129,15 +132,13 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
     y = np.asarray(y_hat, dtype=np.complex128)
     k = psi.k
     psi = dense(psi)
-    if np.iscomplexobj(psi):
-        raise ValueError("psi must be real: co-phasing makes the sensing matrix real")
     n, m = psi.shape
     if m < k:
         raise ValueError(f"sensing matrix has {m} columns, need >= {k}")
     if len(y) != n:
         raise ValueError(f"input length {len(y)} != sensing rows {n}")
 
-    psi_t = psi.T
+    psi_h = psi.conj().T
     stop_level = params.lam * (np.linalg.norm(y) if params.relative_stop else 1.0)
 
     best_resid = math.inf
@@ -148,8 +149,7 @@ def reference_mmp_df(y_hat: np.ndarray, psi: Sensing, params: MmpDfParams,
 
     def dfs(path: tuple[int, ...], resid: np.ndarray) -> bool:
         nonlocal best_resid, best_support, best_coeffs, full_solves
-        # two real gemvs beat numpy's promotion of the whole matrix to complex
-        corr = np.hypot(psi_t @ resid.real, psi_t @ resid.imag)
+        corr = np.abs(psi_h @ resid)
         corr[list(path)] = -1.0
         # stable sort: correlation ties resolve to the lowest column index; the
         # path's own columns sort last, and the children stop before them

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svcim.detectors
-from svcim.channel import apply_freq, draw_channel
+from svcim.channel import apply_freq, apply_time, draw_channel
 from svcim.codebook import generate_set
 from svcim.detectors import (
     ML_CANDIDATE_CAP,
@@ -35,7 +36,7 @@ from svcim.detectors import (
 from svcim.harness import SweepPlan, run_ber_sweep
 from svcim.index_codec import ApSpace, encode_bits, int_to_bits, rank_to_combo, symbol_rows
 from svcim.link import LinkContext, SystemConfig, decode_frame, transmit_frame
-from svcim.transceiver import build_sparse_vector, spread
+from svcim.transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
 
 from oracles import (
     degenerate_gram,
@@ -48,7 +49,7 @@ from oracles import (
 
 
 def _random_message_chain(rng, n, m, v, params, space, seed=0, n0=0.0):
-    """One random frame up to the co-phased receiver input."""
+    """One random frame up to the receiver input."""
     book = generate_set(seed, 1, n, m)[0]
     value = int(rng.integers(0, 2 ** space.m_bits))
     msg = encode_bits(int_to_bits(value, space.m_bits), space)
@@ -111,7 +112,7 @@ class TestSensingMatrix:
             assert np.allclose(np.abs(psi[beta]), abs(h[beta]) / math.sqrt(2))
 
     def test_noiseless_chain_matches_model(self):
-        # algebraic oracle: cophase(spread through channel) == psi @ s exactly
+        # algebraic oracle: the received block (spread through channel) == psi @ s exactly
         rng = np.random.default_rng(4)
         space = ApSpace(M=32, K=2)
         for trial in range(50):
@@ -119,7 +120,7 @@ class TestSensingMatrix:
                 rng, 64, 32, 10, None, space, seed=trial
             )
             s = build_sparse_vector(msg, 32)
-            lhs = cophase(y, h_freq)
+            lhs = y
             rhs = dense(sensing_matrix(h_freq, book[None], k=2)[0]) @ s
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -143,7 +144,7 @@ class TestSensingMatrix:
         book = generate_set(k, 1, 64, 32)[0]
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         (psi,) = sensing_matrix(h, book[None], k)
-        expected = (np.abs(h) / math.sqrt(k))[:, None] * book
+        expected = (h / math.sqrt(k))[:, None] * book
         assert dense(psi).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -218,10 +219,9 @@ class TestMmpDf:
             book, msg, h_freq, y = _random_message_chain(
                 rng, 32, 24, 8, params, space, seed=trial, n0=n0
             )
-            y_hat = cophase(y, h_freq)
             (psi,) = sensing_matrix(h_freq, book[None], k=2)
-            est = mmp_df(y_hat, psi, params)
-            oracle = reference_omp(y_hat, dense(psi), 2)
+            est = mmp_df(y, psi, params)
+            oracle = reference_omp(y, dense(psi), 2)
             assert tuple(i - 1 for i in est.support) == oracle
 
     def test_full_depth_solve_budget(self):
@@ -388,12 +388,29 @@ class TestMmpDf:
         with pytest.raises(ValueError, match="psi"):
             mmp_df(np.ones(16, complex), Sensing(psi, np.ones(16), 2), MmpDfParams())
 
-    @pytest.mark.parametrize("field", ["entries", "gains"])
+    @pytest.mark.parametrize("field", ["entries"])
     def test_complex_factor_rejected(self, field):
         parts = {"entries": generate_set(3, 1, 16, 8)[0], "gains": np.ones(16)}
         parts[field] = parts[field] * (1 + 1j)
         with pytest.raises(ValueError, match=f"psi {field} must be real"):
             mmp_df(np.ones(16, complex), Sensing(**parts, k=2), MmpDfParams())
+
+    def test_complex_gains_searched(self):
+        # the channel's complex gains are the factor's own: no co-phasing first
+        rng = np.random.default_rng(16)
+        book = generate_set(3, 1, 16, 8)[0]
+        gains = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / math.sqrt(2)
+        psi = Sensing(book, gains, 2)
+        y = dense(psi)[:, [1, 6]] @ np.array([1 + 1j, -1 + 1j])
+        y += 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        est, ref = mmp_df(y, psi, MmpDfParams()), reference_mmp_df(y, psi, MmpDfParams())
+        assert (est.support, est.ls_solves, est.stop) == (ref.support, ref.ls_solves, ref.stop)
+        assert est.support == (2, 7)
+        assert np.allclose(est.coeffs, ref.coeffs, rtol=1e-12, atol=1e-12)
+
+    def test_complex_gains_accepted_when_built(self):
+        gains = np.ones(4) * 1j
+        assert Sensing(np.ones((4, 4)), gains, 2).gains is gains
 
     @pytest.mark.parametrize("gains", [np.ones(15), np.ones(17), np.ones((16, 1)), np.float64(1.0)],
                              ids=["short", "long", "2-D", "scalar"])
@@ -405,14 +422,13 @@ class TestMmpDf:
     @pytest.mark.parametrize("entries,gains,k,message", [
         (np.ones((4, 4)), np.ones(4), 0, r"^psi k \(sparsity\) must be >= 1, got 0$"),
         (np.ones((4, 4)) * 1j, np.ones(4), 2, "^psi entries must be real"),
-        (np.ones((4, 4)), np.ones(4) * 1j, 2, "^psi gains must be real"),
         (np.ones(4), np.ones(4), 1, r"^psi entries must be an array of shape \(\*, \*\), got \(4,\)$"),
         (np.ones((4, 4)), np.ones(3), 2, r"^psi gains must be an array of shape \(4,\), got \(3,\)$"),
         (np.ones((4, 4)).tolist(), np.ones(4), 2,
          r"^psi entries must be an array of shape \(\*, \*\), got list$"),
         (np.ones((4, 1)), np.ones(4), 2, "^psi has 1 columns, need >= k = 2$"),
         (np.ones((2, 5)), np.ones(2), 4, "^psi has 2 rows, need >= k = 4$"),
-    ], ids=["k=0", "complex-entries", "complex-gains", "1-D", "short-gains", "list-entries",
+    ], ids=["k=0", "complex-entries", "1-D", "short-gains", "list-entries",
             "columns", "rows"])
     def test_malformed_factor_rejected_when_built(self, entries, gains, k, message):
         # the factor checks itself: no search is needed to find the fault
@@ -902,6 +918,102 @@ class TestDeepFadeDecisionsMatchLstsq:
             frames += 1
         assert frames >= 2000
         assert differ == 0
+
+
+class TestUnrotatedMatchesCophased:
+    """The decoders search the block as received, with the complex gains
+    h / sqrt(K). Co-phasing it first, with the real gains |h| / sqrt(K), poses
+    the same least-squares problems rotated row by row, which changes no
+    residual norm and no amplitude. Both must return the same support, stop
+    reason and LS solves, and residuals (over ||y||) and amplitudes (over the
+    largest) equal to 1e-12, on both channel paths, through deep fades and a
+    bin of exactly zero gain."""
+
+    K3 = TestDeepFadeDecisionsMatchLstsq.K3
+    CASES = tuple((path, g, k) for path in ("freq", "time") for g in (1, 4) for k in (1, 2, 3))
+    EBN0 = (0.0, 10.0, 20.0, math.inf)
+    FRAMES = 48  # per case and Eb/N0, every other one faded: 2304 frames
+
+    @staticmethod
+    def _faded(ctx, msg, h, rng, zero):
+        """The frame's block sent again over a faded channel, on ``ctx``'s channel
+        path: one bin of exactly zero gain (``zero``) or of gain 1e-6, and on the
+        frequency path four more bins at 1e-6. Returns (y, h)."""
+        cfg = ctx.cfg
+        x = spread(build_sparse_vector(msg, cfg.M), ctx.books[msg.g - 1])
+        if cfg.channel_path == "freq":
+            h = h.copy()
+            bins = rng.choice(cfg.N, 5, replace=False)
+            h[bins] *= 1e-6 / np.abs(h[bins])
+            if zero:
+                h[bins[0]] = 0.0
+            return apply_freq(x, h, cfg.n0, rng), h
+        # taps (t, -t) null bin 0 exactly and fade the bins around it
+        taps = draw_channel(2, cfg.N, rng)[0]
+        taps[1] = -taps[0] if zero else -taps[0] * (1 - 1e-6)
+        h = np.fft.fft(taps, cfg.N)
+        assert (abs(h[0]) == 0) == zero
+        return ofdm_demodulate(apply_time(ofdm_modulate(x, cfg.L), taps, cfg.n0, rng, cfg.L), cfg.L), h
+
+    def test_same_searches(self):
+        searches = 0
+        for case, (path, g, k) in enumerate(self.CASES):
+            for ebn0 in self.EBN0:
+                cfg = SystemConfig(scheme="secbim", G=g, N=64, M=32, K=k, ebn0_db=ebn0,
+                                   channel_path=path, seed=case, **(self.K3 if k == 3 else {}))
+                ctx = LinkContext.for_config(cfg)
+                rng = np.random.default_rng([29, case, int(min(ebn0, 99))])
+                for i in range(self.FRAMES):
+                    _, msg, y, h = transmit_frame(ctx, rng)
+                    if i % 2:
+                        y, h = self._faded(ctx, msg, h, rng, zero=i % 4 == 1)
+                    y_hat = cophase(y, h)
+                    for book in ctx.books:
+                        est = mmp_df(y, Sensing(book, h / math.sqrt(k), k), cfg.mmp)
+                        rot = mmp_df(y_hat, Sensing(book, np.abs(h) / math.sqrt(k), k), cfg.mmp)
+                        assert (est.support, est.stop, est.ls_solves) == (rot.support, rot.stop,
+                                                                          rot.ls_solves)
+                        if rot.residual_norm == math.inf:
+                            assert est.residual_norm == math.inf
+                        else:
+                            assert (abs(est.residual_norm - rot.residual_norm)
+                                    <= 1e-12 * np.linalg.norm(y))
+                        assert (np.abs(est.coeffs - rot.coeffs).max()
+                                <= 1e-12 * np.abs(rot.coeffs).max())
+                        searches += 1
+        assert searches >= 5000
+
+
+class TestNonFiniteFactor:
+    """The search checks y and the gains before it multiplies them, and finds
+    a NaN or inf from the entries as the first maximum of its root's
+    correlations: one message for each, and no numpy warning on the way."""
+
+    @pytest.mark.parametrize("where,value", [
+        ("gain-real", np.nan), ("gain-real", np.inf), ("gain-imag", np.nan), ("gain-imag", np.inf),
+        ("y-at-zero-gain", np.inf), ("entry", np.nan),
+    ], ids=["nan-gain-real", "inf-gain-real", "nan-gain-imag", "inf-gain-imag", "inf-y-at-zero-gain",
+            "nan-entry"])
+    def test_rejected_without_warning(self, where, value):
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        y[5] = 1.0  # a zero imaginary part: conj(gains) * y would meet inf * 0 here
+        gains = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / math.sqrt(2)
+        entries = generate_set(3, 1, 16, 8)[0].copy()
+        if where == "gain-real":
+            gains[5] = complex(value, gains[5].imag)
+        elif where == "gain-imag":
+            gains[5] = complex(gains[5].real, value)
+        elif where == "y-at-zero-gain":
+            gains[5] = 0.0
+            y[5] = value
+        else:
+            entries[5, 3] = value
+        psi = Sensing(entries, gains, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^y_hat or psi \(entries, gains\) holds a NaN or inf$"):
+                mmp_df(y, psi, MmpDfParams())
 
 
 def _cyclic_garbage(run):

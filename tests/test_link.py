@@ -362,7 +362,7 @@ class TestSearchesPerDecode:
         for (h_freq, psis), decode in zip(factors, per_decode):
             assert [psi for psi, _ in decode] == psis  # the searches read these factors
             assert all(psi.gains is psis[0].gains for psi in psis)
-            expected = np.abs(h_freq) / np.sqrt(cfg.K)
+            expected = h_freq / np.sqrt(cfg.K)  # complex: the block is searched as received
             assert psis[0].gains.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [16, 64, 128])
