@@ -9,27 +9,30 @@ the test suite checks to 1e-9.
 Noise is injected per complex sample with variance n0 = Eb * 10^(-EbN0/10),
 Eb = (N+L)/m (``SystemConfig.n0``), identically in both domains; the CP
 energy penalty is thereby part of the SNR accounting, and n0 = 0 is
-noiseless; a NaN, infinite or negative n0 is a ``ValueError`` naming n0.
+noiseless. n0 is a float by the type rule and must lie in [0, the largest
+float], so a NaN, infinite or negative n0 is a ``ValueError`` naming n0.
 Taps follow a uniform power-delay profile, i.i.d. CN(0, 1/v), so the
 frequency response is CN(0, 1) per subcarrier.
 """
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .codebook import require_array
+from .codebook import require_array, require_in_range, require_type
 
 
 def draw_channel(v: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one block-fading realization with v i.i.d. CN(0, 1/v) taps.
 
     Returns ``(taps, h_freq)``: the length-v complex taps and the length-n
-    unnormalized DFT of the zero-padded taps.
+    unnormalized DFT of the zero-padded taps. v and n are ints by the type
+    rule, and v must lie in [1, n]; anything else is a ``ValueError`` naming
+    the argument.
     """
-    if not 1 <= v <= n:
-        raise ValueError(f"tap count {v} outside [1, {n}]")
+    v = require_in_range(require_type(v, int, "v"), 1, require_type(n, int, "n"), "v")
     taps = _complex_normal(v, math.sqrt(0.5 / v), rng)
     return taps, np.fft.fft(taps, n)
 
@@ -44,9 +47,10 @@ def _complex_normal(n: int, scale: float, rng: np.random.Generator) -> np.ndarra
 
 
 def _awgn(n_samples: int, n0: float, rng: np.random.Generator) -> np.ndarray:
-    """A fresh complex array of CN(0, n0) noise; the channel output is added into it."""
-    if not 0.0 <= n0 < math.inf:  # NaN fails too
-        raise ValueError(f"n0 (noise variance) must be finite and >= 0, got {n0}")
+    """A fresh complex array of CN(0, n0) noise; the channel output is added
+    into it. n0 is a float in [0, the largest float]: a NaN, an inf or a
+    negative n0 is a ``ValueError`` naming it."""
+    n0 = require_in_range(require_type(n0, float, "n0"), 0, sys.float_info.max, "n0")
     if n0 == 0.0:
         return np.zeros(n_samples, dtype=np.complex128)
     return _complex_normal(n_samples, math.sqrt(n0 / 2.0), rng)
@@ -71,12 +75,13 @@ def apply_time(
 ) -> np.ndarray:
     """Tap convolution over the CP-extended frame, truncated to frame length.
 
-    Requires v <= L; otherwise the tail of one block would spill past the
-    prefix and the per-subcarrier model would no longer hold.
+    Requires 1 <= v <= L, v the tap count and L = ``cp_len`` (an int by the
+    type rule); otherwise the tail of one block would spill past the prefix
+    and the per-subcarrier model would no longer hold.
     """
     require_array(x_time, (None,), "x_time")
-    if len(require_array(taps, (None,), "taps")) > cp_len:
-        raise ValueError(f"tap count {len(taps)} exceeds CP length {cp_len}")
+    cp_len = require_type(cp_len, int, "cp_len")
+    require_in_range(len(require_array(taps, (None,), "taps")), 1, cp_len, "tap count")
     y = _awgn(len(x_time), n0, rng)
     y += np.convolve(x_time, taps)[: len(x_time)]
     return y

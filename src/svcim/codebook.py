@@ -10,8 +10,8 @@ stored unnormalized; the 1/sqrt(K) energy scaling happens at spreading time so
 books are reusable across sparsity settings.
 
 The link's value rules live here, below every module that applies them:
-the power-of-two rule, the lower-bound rule, the type rule of a record's
-fields and the shape rule of an array argument.
+the power-of-two rule, the lower-bound rule, the range rule, the type rule
+of a record's fields and the shape rule of an array argument.
 """
 from __future__ import annotations
 
@@ -43,6 +43,14 @@ def require_at_least(value, low, name: str):
     ``ValueError`` naming ``name``."""
     if not value >= low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def require_in_range(value, low, high, name: str):
+    """``value`` when ``low <= value <= high``, both bounds closed; anything
+    else, NaN included, is a ``ValueError`` naming ``name`` and the bounds."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import require_array, require_at_least, require_field_types, require_pow2, require_type
+from .codebook import (require_array, require_at_least, require_field_types, require_in_range, require_pow2,
+                       require_type)
 from .index_codec import (
     ApSpace,
     combo_to_rank,
@@ -109,15 +110,12 @@ class Sensing:
         k = require_type(self.k, int, "k")
         if k is not self.k:  # a numpy integer: store the int it holds
             object.__setattr__(self, "k", k)
-        require_at_least(k, 1, "psi k (sparsity)")
         entries = self.entries
         n, m = require_array(entries, (None, None), "psi entries").shape
         require_array(self.gains, (n,), "psi gains")
         if entries.dtype.kind == "c":
             raise ValueError("psi entries must be real: the search's Gram matrix is real")
-        if m < k or n < k:
-            size, name = (m, "columns") if m < k else (n, "rows")
-            raise ValueError(f"psi has {size} {name}, need >= k = {k}")
+        require_in_range(k, 1, min(n, m), "psi k (sparsity)")
 
 
 @dataclass(eq=False)

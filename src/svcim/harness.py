@@ -28,7 +28,7 @@ from itertools import islice, starmap
 
 import numpy as np
 
-from .codebook import require_at_least, require_field_types, require_type
+from .codebook import require_at_least, require_field_types, require_in_range, require_type
 from .link import (
     LinkContext,
     SystemConfig,
@@ -108,9 +108,7 @@ class BerRecord:
     def __post_init__(self) -> None:
         require_field_types(self)
         require_at_least(self.trials, 1, "trials")
-        if not 0 <= self.bit_errors <= self.trials * self.m:
-            raise ValueError(f"bit_errors must lie in [0, trials * m] = "
-                             f"[0, {self.trials * self.m}], got {self.bit_errors}")
+        require_in_range(self.bit_errors, 0, self.trials * self.m, "bit_errors")
         require_at_least(self.wall_ns_per_decode, 0, "wall_ns_per_decode")
 
     @property
@@ -143,9 +141,7 @@ def binomial_ci95(ber: float, n_bits: int) -> float:
     a NaN BER included, is a ``ValueError`` naming the argument.
     """
     n_bits = require_at_least(require_type(n_bits, int, "n_bits"), 1, "n_bits")
-    ber = require_type(ber, float, "ber")
-    if not 0.0 <= ber <= 1.0:  # NaN fails too
-        raise ValueError(f"ber must lie in [0, 1], got {ber}")
+    ber = require_in_range(require_type(ber, float, "ber"), 0, 1, "ber")
     return 1.96 * math.sqrt(ber * (1.0 - ber) / n_bits)
 
 

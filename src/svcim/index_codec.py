@@ -16,13 +16,17 @@ from math import comb
 
 import numpy as np
 
-from .codebook import require_at_least, require_field_types, require_type
+from .codebook import require_at_least, require_field_types, require_in_range, require_type
 
 
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    """MSB-first binary expansion of ``value`` into exactly ``width`` bits."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
+    """MSB-first binary expansion of ``value`` into exactly ``width`` bits.
+
+    Both are ints by the type rule, ``width`` >= 0 and ``value`` in
+    [0, 2**width - 1]; anything else is a ``ValueError`` naming the argument.
+    """
+    width = require_at_least(require_type(width, int, "width"), 0, "width")
+    value = require_in_range(require_type(value, int, "value"), 0, (1 << width) - 1, "value")
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
@@ -53,7 +57,8 @@ class ApSpace:
     """Dimensioning of the K-of-M activation-pattern space.
 
     M is the virtual-domain length, K the number of active indices; each
-    takes an int by the type rule (:func:`~svcim.codebook.require_type`). All
+    takes an int by the type rule (:func:`~svcim.codebook.require_type`), and
+    K must lie in [1, M - 1] (:func:`~svcim.codebook.require_in_range`). All
     derived sizes are exact integers (Python bignums), so no configuration
     can silently overflow. They are computed once, when the space is built,
     because the codec reads them on every frame.
@@ -70,9 +75,7 @@ class ApSpace:
 
     def __post_init__(self) -> None:
         require_field_types(self)
-        require_at_least(self.K, 1, "K")
-        if self.K >= self.M:
-            raise ValueError(f"K must be < M, got K={self.K}, M={self.M}")
+        require_in_range(self.K, 1, self.M - 1, "K")
         n_combos = comb(self.M, self.K)  # >= M >= 2 for 1 <= K < M
         m_bits = n_combos.bit_length()
         object.__setattr__(self, "n_combos", n_combos)
@@ -110,10 +113,10 @@ def symbol_rows(k: int) -> np.ndarray:
     return rows
 
 
-def require_rank(d: int, space: ApSpace) -> None:
-    """Reject a pattern rank outside [0, C(M, K) - 1] with a ``ValueError`` naming it."""
-    if not 0 <= d < space.n_combos:
-        raise ValueError(f"rank {d} outside [0, {space.n_combos - 1}]")
+def require_rank(d: int, space: ApSpace, name: str) -> int:
+    """``d`` as the int pattern rank it holds, by the type rule; a rank outside
+    [0, C(M, K) - 1] is a ``ValueError`` naming ``name``."""
+    return require_in_range(require_type(d, int, name), 0, space.n_combos - 1, name)
 
 
 def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
@@ -124,11 +127,10 @@ def rank_to_combo(d: int, space: ApSpace) -> tuple[int, ...]:
     colexicographically. Each c_k is the largest c with C(c, k) <= the
     remaining rank, found by bisection below c_(k+1) (below M for c_K), so
     a call makes O(K log M) binomial evaluations. Returns 1-based, strictly
-    increasing indices.
+    increasing indices. ``d`` is an int rank by :func:`require_rank`.
     """
-    require_rank(d, space)
+    x = require_rank(d, space, "d")
     out = []
-    x = d
     hi = space.M
     for k in range(space.K, 0, -1):
         # invariant: C(lo, k) = below <= x < C(hi, k)
@@ -163,8 +165,10 @@ def encode_bits(bits, space: ApSpace, g: int = 1) -> SparseMessage:
     Words whose decimal value fits below C(M, K) use the original symbol
     set; the remainder reuse the lowest-ranked patterns with the extended
     set, so no word is ever wasted on an illegal pattern. ``g`` is the
-    codebook the word is spread with; it does not enter the mapping.
+    codebook the word is spread with, an int >= 1 by the type rule and the
+    lower-bound rule; it does not enter the mapping.
     """
+    g = require_at_least(require_type(g, int, "g"), 1, "g")
     bits = tuple(bits)  # any iterable of bits; bits_to_int checks each one
     if len(bits) != space.m_bits:
         raise ValueError(f"expected {space.m_bits}-bit word, got {len(bits)} bits")
@@ -178,9 +182,10 @@ def decode_to_bits(d_hat: int, extended: bool, space: ApSpace) -> tuple[int, ...
     """Invert :func:`encode_bits` from a detected rank and symbol-set flag.
 
     Ranks at or above ``n_reused`` are never reused, so the flag is ignored
-    there and the rank converts to bits directly.
+    there and the rank converts to bits directly. ``d_hat`` is an int rank
+    by :func:`require_rank`.
     """
-    require_rank(d_hat, space)
+    d_hat = require_rank(d_hat, space, "d_hat")
     if not extended or d_hat >= space.n_reused:
         value = d_hat
     else:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import detectors
 from .channel import apply_freq, apply_time, draw_channel
-from .codebook import field_types, generate_set, require_at_least, require_field_types, require_pow2
+from .codebook import (field_types, generate_set, require_at_least, require_field_types, require_in_range,
+                       require_pow2)
 from .detectors import DetectionResult, MmpDfParams, build_ml_candidates, require_ml_cap
 from .index_codec import ApSpace, SparseMessage, bits_to_int, encode_bits
 from .transceiver import build_sparse_vector, ofdm_demodulate, ofdm_modulate, spread
@@ -41,14 +42,15 @@ class SystemConfig:
     """Every dimensioning knob of a link in one validated, hashable record.
 
     N subcarriers, M virtual-domain positions, K active indices, CP length
-    L, v channel taps, G codebooks. ``scheme`` is a label: "esvc" names
-    the single-codebook case and requires G = 1, and "secbim" with G = 1
-    behaves exactly like it. The ``mmp_*`` fields are the MMP-DF search
-    controls (see :class:`MmpDfParams`). Field names are also the keys of
-    config files and the columns of the BER CSV. The pattern ``space``, the
-    noise variance ``n0`` and the search controls ``mmp`` are derived once
-    per config; they are not fields, so equality, hashing and the text
-    codec see the fields alone.
+    L in [0, N - 1], v channel taps in [1, L], G codebooks; K lies in
+    [1, M - 1] (the pattern space) and in [1, N]. ``scheme`` is a label:
+    "esvc" names the single-codebook case and requires G = 1, and "secbim"
+    with G = 1 behaves exactly like it. The ``mmp_*`` fields are the MMP-DF
+    search controls (see :class:`MmpDfParams`). Field names are also the
+    keys of config files and the columns of the BER CSV. The pattern
+    ``space``, the noise variance ``n0`` and the search controls ``mmp`` are
+    derived once per config; they are not fields, so equality, hashing and
+    the text codec see the fields alone.
     """
 
     scheme: str = field(default="esvc", metadata={"choices": SCHEMES})
@@ -75,12 +77,9 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         require_pow2(self.N, "N")
         space = self.space  # validates K against M
-        if not 0 <= self.L < self.N:
-            raise ValueError(f"need 0 <= L < N, got L={self.L}, N={self.N}")
-        if not 1 <= self.v <= self.L:
-            raise ValueError(f"need 1 <= v <= L, got v={self.v}, L={self.L}")
-        if self.K > self.N:
-            raise ValueError(f"K must be <= N, got K={self.K}, N={self.N}")
+        require_in_range(self.L, 0, self.N - 1, "L")
+        require_in_range(self.v, 1, self.L, "v")
+        require_in_range(self.K, 1, self.N, "K")
         require_pow2(self.G, "G")
         require_at_least(self.seed, 0, "seed")
         if self.scheme == "esvc" and self.G != 1:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .codebook import require_array, require_pow2
+from .codebook import require_array, require_in_range, require_pow2, require_type
 from .index_codec import SparseMessage, require_support, symbol_rows
 
 
@@ -20,9 +20,11 @@ def build_sparse_vector(msg: SparseMessage, m: int) -> np.ndarray:
     message's active indices and zeros elsewhere.
 
     The sparsity K is the number of indices; ``msg.extended`` picks the
-    symbol set (see :func:`symbol_rows`). Indices outside [1, m] or not
-    strictly increasing are a ``ValueError`` naming them.
+    symbol set (see :func:`symbol_rows`). ``m`` is an int by the type rule;
+    indices outside [1, m] or not strictly increasing are a ``ValueError``
+    naming them.
     """
+    m = require_type(m, int, "m")
     indices = msg.indices
     require_support(indices, m)
     symbols = symbol_rows(len(indices))[int(msg.extended)]
@@ -50,22 +52,30 @@ def spread(s: np.ndarray, book: np.ndarray) -> np.ndarray:
 
 
 def ofdm_modulate(x_freq: np.ndarray, cp_len: int) -> np.ndarray:
-    """Unitary IFFT plus cyclic prefix: the last cp_len samples are prepended."""
+    """Unitary IFFT plus cyclic prefix: the last cp_len samples are prepended.
+
+    ``cp_len`` is an int by the type rule and must lie in [0, N - 1], N the
+    block length (a power of two); anything else is a ``ValueError`` naming it.
+    """
     n = len(require_array(x_freq, (None,), "x_freq"))
     require_pow2(n, "N")
-    if not 0 <= cp_len < n:
-        raise ValueError(f"CP length {cp_len} outside [0, {n})")
+    cp_len = require_in_range(require_type(cp_len, int, "cp_len"), 0, n - 1, "cp_len")
     body = np.fft.ifft(x_freq)
     body *= math.sqrt(n)
     return np.concatenate((body[n - cp_len:], body))
 
 
 def ofdm_demodulate(y_time: np.ndarray, cp_len: int) -> np.ndarray:
-    """Drop the cyclic prefix and apply the unitary FFT."""
+    """Drop the cyclic prefix and apply the unitary FFT.
+
+    ``cp_len`` is an int by the type rule; the block after it, of length
+    N = len(y_time) - cp_len, must be a power of two, and cp_len must lie in
+    [0, N - 1]. Anything else is a ``ValueError`` naming N or cp_len.
+    """
+    cp_len = require_type(cp_len, int, "cp_len")
     n = len(require_array(y_time, (None,), "y_time")) - cp_len
     require_pow2(n, "N")
-    if cp_len < 0 or cp_len >= n:
-        raise ValueError(f"CP length {cp_len} inconsistent with frame of {len(y_time)}")
+    require_in_range(cp_len, 0, n - 1, "cp_len")
     x_freq = np.fft.fft(y_time[cp_len:])
     x_freq /= math.sqrt(n)
     return x_freq

@@ -20,34 +20,46 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 @pytest.fixture
-def search_ns_by_books(monkeypatch):
+def detector_ns(monkeypatch):
+    """A function that runs ``run_timing(configs, **kwargs)`` and returns the
+    nanoseconds spent inside ``svcim.detectors.<name>``, keyed by the config
+    whose decode made the call. One part of a decode is timed apart from its
+    fixed cost (input checks, the channel factor, the decision, the bits),
+    which does not grow with that part and would pull a time ratio toward 1."""
+    from svcim import detectors, harness
+
+    decode, originals = harness.decode_frame, {}
+    current = []
+
+    def run(configs, name, **kwargs):
+        inner = originals.setdefault(name, getattr(detectors, name))
+        spent = {cfg: 0 for cfg in configs}
+
+        def noted(ctx, y_freq, h_freq):
+            current[:] = [ctx.cfg]
+            return decode(ctx, y_freq, h_freq)
+
+        def timed(*args):
+            t0 = time.perf_counter_ns()
+            out = inner(*args)
+            spent[current[0]] += time.perf_counter_ns() - t0
+            return out
+
+        monkeypatch.setattr(harness, "decode_frame", noted)
+        monkeypatch.setattr(detectors, name, timed)
+        harness.run_timing(configs, **kwargs)
+        return spent
+
+    return run
+
+
+@pytest.fixture
+def search_ns_by_books(detector_ns):
     """A function that runs ``run_timing(configs, **kwargs)`` and returns the
     nanoseconds its MMP-DF searches took, keyed by the book count G of the
-    decode they served. The G searches of a decode are timed apart from its
-    fixed cost (input checks, the channel factor, metrics, bits), which all
-    books share."""
-    from svcim import detectors
-    from svcim.harness import run_timing
-
-    decode, search = detectors.secbim_decode, detectors.mmp_df
-    n_books = []
-
+    decode they served: the G searches of a decode, timed apart from its
+    fixed cost, which all books share."""
     def run(configs, **kwargs):
-        search_ns = {cfg.G: 0 for cfg in configs}
-
-        def noted(y_freq, h_freq, books, space, params):
-            n_books[:] = [len(books)]
-            return decode(y_freq, h_freq, books, space, params)
-
-        def timed(y_hat, psi, params):
-            t0 = time.perf_counter_ns()
-            est = search(y_hat, psi, params)
-            search_ns[n_books[0]] += time.perf_counter_ns() - t0
-            return est
-
-        monkeypatch.setattr(detectors, "secbim_decode", noted)
-        monkeypatch.setattr(detectors, "mmp_df", timed)
-        run_timing(configs, **kwargs)
-        return search_ns
+        return {cfg.G: ns for cfg, ns in detector_ns(configs, "mmp_df", **kwargs).items()}
 
     return run

@@ -203,23 +203,26 @@ def test_c07_ml_never_worse_than_greedy():
     _passed("C7 ML never worse than greedy", f"{len(points)} Eb/N0 points")
 
 
-def test_c08_decoder_complexity_trends(search_ns_by_books):
+def test_c08_decoder_complexity_trends(detector_ns, search_ns_by_books):
     """Greedy decode time is flat in M; ML grows with the candidate count;
     joint decoding scales linearly in G.
 
-    ML is timed from M = 128 up: below it, the decode's fixed cost (the
-    input checks, the column correlations and the bits) outweighs its
-    per-candidate gathers at N = 64. The G searches of a joint decode are
-    timed apart from its fixed cost, which all books share: at N = M = 64
-    that cost alone pulls the whole-decode G = 4 / G = 1 ratio to 2.7-3.2."""
+    ML's metrics (``_ml_metrics``) are timed apart from the decode's fixed
+    cost (the input checks, the decision and the bits), which does not grow
+    with the candidates: in whole decodes it pulled the M = 128 -> 256 ratio
+    as low as 2.02 (10 runs) against the 2.25 needed. The G searches of a joint
+    decode are timed apart from its fixed cost, which all books share: at
+    N = M = 64 that cost alone pulls the whole-decode G = 4 / G = 1 ratio
+    to 2.7-3.2."""
     t0 = time.time()
     cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED, detector="mmpdf")
             for m in (64, 128, 256)]
-    cfgs += [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED, detector="ml")
-             for m in (128, 256, 512)]
     records = run_timing(cfgs, decodes=1000, warmup=100, batches=10)
-    greedy = {r.config.M: r.mean_ns for r in records if r.config.detector == "mmpdf"}
-    ml = {r.config.M: r.mean_ns for r in records if r.config.detector == "ml"}
+    greedy = {r.config.M: r.mean_ns for r in records}
+    ml_cfgs = [SystemConfig(N=64, M=m, ebn0_db=30.0, seed=SEED, detector="ml")
+               for m in (128, 256, 512)]
+    ml_ns = detector_ns(ml_cfgs, "_ml_metrics", decodes=1000, warmup=100, batches=10)
+    ml = {cfg.M: ns for cfg, ns in ml_ns.items()}
 
     assert max(greedy.values()) / min(greedy.values()) < 2.0
 

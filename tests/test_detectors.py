@@ -333,20 +333,21 @@ class TestMmpDf:
             mmp_df(np.zeros(4, complex), Sensing(np.ones((4, 1)), np.ones(4), 2), MmpDfParams())
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError, match=r"^psi has 2 rows, need >= k = 4$"):
+        with pytest.raises(ValueError, match=r"^psi k \(sparsity\) must lie in \[1, 2\], got 4$"):
             mmp_df(np.ones(2, complex), Sensing(np.ones((2, 5)), np.ones(2), 4), MmpDfParams())
 
-    @pytest.mark.parametrize("name,k,build", [
-        (r"psi k \(sparsity\)", 0, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
-        (r"psi k \(sparsity\)", -1, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
-        ("sparsity k", 0, lambda k: sensing_matrix(np.ones(4), np.ones((1, 4, 4)), k)),
-        ("omega", 0, lambda k: MmpDfParams(omega=k)),
-        ("upsilon", -1, lambda k: MmpDfParams(upsilon=k)),
+    @pytest.mark.parametrize("rule,k,build", [
+        (r"psi k \(sparsity\) must lie in \[1, 4\]", 0, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
+        (r"psi k \(sparsity\) must lie in \[1, 4\]", -1, lambda k: Sensing(np.ones((4, 4)), np.ones(4), k)),
+        ("sparsity k must be >= 1", 0, lambda k: sensing_matrix(np.ones(4), np.ones((1, 4, 4)), k)),
+        ("omega must be >= 1", 0, lambda k: MmpDfParams(omega=k)),
+        ("upsilon must be >= 1", -1, lambda k: MmpDfParams(upsilon=k)),
     ], ids=["0", "-1", "sensing_matrix", "omega", "upsilon"])
-    def test_sparsity_below_one_rejected(self, name, k, build):
-        # the search's lower bounds, each in the one form of codebook.require_at_least,
-        # checked when its holder is built
-        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {k}$"):
+    def test_sparsity_below_one_rejected(self, rule, k, build):
+        # the search's bounds, each in the one form of codebook.require_at_least or (the
+        # factor's k, bounded by its shape too) codebook.require_in_range, checked when
+        # its holder is built
+        with pytest.raises(ValueError, match=rf"^{rule}, got {k}$"):
             build(k)
 
     def test_depth_is_the_factor_sparsity(self):
@@ -420,14 +421,14 @@ class TestMmpDf:
                    MmpDfParams())
 
     @pytest.mark.parametrize("entries,gains,k,message", [
-        (np.ones((4, 4)), np.ones(4), 0, r"^psi k \(sparsity\) must be >= 1, got 0$"),
+        (np.ones((4, 4)), np.ones(4), 0, r"^psi k \(sparsity\) must lie in \[1, 4\], got 0$"),
         (np.ones((4, 4)) * 1j, np.ones(4), 2, "^psi entries must be real"),
         (np.ones(4), np.ones(4), 1, r"^psi entries must be an array of shape \(\*, \*\), got \(4,\)$"),
         (np.ones((4, 4)), np.ones(3), 2, r"^psi gains must be an array of shape \(4,\), got \(3,\)$"),
         (np.ones((4, 4)).tolist(), np.ones(4), 2,
          r"^psi entries must be an array of shape \(\*, \*\), got list$"),
-        (np.ones((4, 1)), np.ones(4), 2, "^psi has 1 columns, need >= k = 2$"),
-        (np.ones((2, 5)), np.ones(2), 4, "^psi has 2 rows, need >= k = 4$"),
+        (np.ones((4, 1)), np.ones(4), 2, r"^psi k \(sparsity\) must lie in \[1, 1\], got 2$"),
+        (np.ones((2, 5)), np.ones(2), 4, r"^psi k \(sparsity\) must lie in \[1, 2\], got 4$"),
     ], ids=["k=0", "complex-entries", "1-D", "short-gains", "list-entries",
             "columns", "rows"])
     def test_malformed_factor_rejected_when_built(self, entries, gains, k, message):
